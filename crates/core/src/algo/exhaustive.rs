@@ -29,9 +29,7 @@ pub const MAX_AND_EXHAUSTIVE: usize = 12;
 /// Optimal AND-tree schedule by enumerating all `m!` permutations with
 /// cost-based pruning. Returns the schedule and its expected cost.
 /// Crate-internal workhorse behind
-/// [`ExhaustivePlanner`](crate::plan::planners::ExhaustivePlanner); the
-/// `legacy-api` feature re-exports it as the deprecated
-/// [`and_all_permutations`].
+/// [`ExhaustivePlanner`](crate::plan::planners::ExhaustivePlanner).
 ///
 /// Pruning uses an admissible *remaining-demand* lower bound: every
 /// still-uncovered item of stream `k` (up to the widest window an unused
@@ -228,31 +226,9 @@ pub struct SearchResult {
 
 /// Optimal DNF schedule over **depth-first** schedules (the paper's
 /// exhaustive baseline for Figure 5) with default pruning options.
-/// Crate-internal; the `legacy-api` feature re-exports it as the
-/// deprecated [`dnf_optimal`].
 pub(crate) fn dnf_optimal_impl(tree: &DnfTree, catalog: &StreamCatalog) -> (DnfSchedule, f64) {
     let r = dnf_search(tree, catalog, SearchOptions::default());
     (r.schedule, r.cost)
-}
-
-/// Optimal AND-tree schedule by enumerating all `m!` permutations.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::ExhaustivePlanner (or Engine::plan_with(\"exhaustive\", ..)) instead"
-)]
-pub fn and_all_permutations(tree: &AndTree, catalog: &StreamCatalog) -> (AndSchedule, f64) {
-    and_all_permutations_impl(tree, catalog)
-}
-
-/// Optimal DNF schedule over **depth-first** schedules.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::ExhaustivePlanner (or Engine::plan_with(\"exhaustive\", ..)) instead"
-)]
-pub fn dnf_optimal(tree: &DnfTree, catalog: &StreamCatalog) -> (DnfSchedule, f64) {
-    dnf_optimal_impl(tree, catalog)
 }
 
 /// Optimal DNF schedule over **all** leaf permutations — exponentially

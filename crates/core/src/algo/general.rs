@@ -5,10 +5,9 @@
 //! Section I). This module provides:
 //!
 //! * `schedule_impl` (surfaced as
-//!   [`GeneralPlanner`](crate::plan::planners::GeneralPlanner), or as the
-//!   deprecated `schedule` under the `legacy-api` feature) — a recursive
-//!   depth-first heuristic generalizing the
-//!   paper's winning ideas: every operator node summarizes its subtree as
+//!   [`GeneralPlanner`](crate::plan::planners::GeneralPlanner)) — a
+//!   recursive depth-first heuristic generalizing the paper's winning
+//!   ideas: every operator node summarizes its subtree as
 //!   a macro-leaf `(expected cost, success probability)` and orders its
 //!   children by Smith's ratio `C/q` under AND (shortcut on failure) and
 //!   by the dual ratio `C/p` under OR (shortcut on success). Costs are
@@ -34,22 +33,11 @@ struct Plan {
 /// Computes a depth-first heuristic schedule for a general AND-OR tree,
 /// returned as an order over flat leaf indices (left-to-right numbering).
 /// Crate-internal workhorse behind
-/// [`GeneralPlanner`](crate::plan::planners::GeneralPlanner); the
-/// `legacy-api` feature re-exports it as the deprecated [`schedule`].
+/// [`GeneralPlanner`](crate::plan::planners::GeneralPlanner).
 pub(crate) fn schedule_impl(tree: &QueryTree, catalog: &StreamCatalog) -> Vec<usize> {
     let mut next_leaf = 0usize;
     let plan = plan_node(tree.root(), catalog, &mut next_leaf);
     plan.order
-}
-
-/// Computes a depth-first heuristic schedule for a general AND-OR tree.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::GeneralPlanner (or Engine::plan, the general-tree default) instead"
-)]
-pub fn schedule(tree: &QueryTree, catalog: &StreamCatalog) -> Vec<usize> {
-    schedule_impl(tree, catalog)
 }
 
 fn plan_node(node: &Node, catalog: &StreamCatalog, next_leaf: &mut usize) -> Plan {

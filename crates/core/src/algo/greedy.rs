@@ -34,8 +34,7 @@ struct Best {
 
 /// Computes an optimal schedule for a shared AND-tree — Algorithm 1,
 /// `O(m^2)`. Crate-internal workhorse behind
-/// [`GreedyPlanner`](crate::plan::planners::GreedyPlanner); the
-/// `legacy-api` feature re-exports it as the deprecated [`schedule`].
+/// [`GreedyPlanner`](crate::plan::planners::GreedyPlanner).
 pub(crate) fn schedule_impl(tree: &AndTree, catalog: &StreamCatalog) -> AndSchedule {
     // L_k sets: remaining leaves per stream, sorted by increasing d
     // (Proposition 1: same-stream leaves are scheduled in increasing d).
@@ -115,26 +114,6 @@ pub(crate) fn schedule_with_cost_impl(
     let s = schedule_impl(tree, catalog);
     let c = crate::cost::and_eval::expected_cost(tree, catalog, &s);
     (s, c)
-}
-
-/// Computes an optimal schedule for a shared AND-tree — Algorithm 1.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::GreedyPlanner (or Engine::plan, the AND-tree default) instead"
-)]
-pub fn schedule(tree: &AndTree, catalog: &StreamCatalog) -> AndSchedule {
-    schedule_impl(tree, catalog)
-}
-
-/// Convenience: schedule and return the schedule's expected cost.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::GreedyPlanner (or Engine::plan, the AND-tree default) instead"
-)]
-pub fn schedule_with_cost(tree: &AndTree, catalog: &StreamCatalog) -> (AndSchedule, f64) {
-    schedule_with_cost_impl(tree, catalog)
 }
 
 #[cfg(test)]

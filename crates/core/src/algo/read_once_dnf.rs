@@ -34,9 +34,7 @@ pub fn or_ratio(cost: f64, success: f64) -> f64 {
 /// the read-once property; on shared trees it degrades into a (reasonable)
 /// heuristic — the paper's static AND-ordered family refines it.
 /// Crate-internal workhorse behind
-/// [`ReadOnceDnfPlanner`](crate::plan::planners::ReadOnceDnfPlanner);
-/// the `legacy-api` feature re-exports it as the deprecated
-/// [`schedule`].
+/// [`ReadOnceDnfPlanner`](crate::plan::planners::ReadOnceDnfPlanner).
 pub(crate) fn schedule_impl(tree: &DnfTree, catalog: &StreamCatalog) -> DnfSchedule {
     // Order each AND node with Smith's greedy and summarize it — all on
     // the compiled kernel's per-term views (no per-term `AndTree`
@@ -65,16 +63,6 @@ pub(crate) fn schedule_impl(tree: &DnfTree, catalog: &StreamCatalog) -> DnfSched
         .flat_map(|(_, refs, _, _)| refs)
         .collect();
     DnfSchedule::from_order_unchecked(order)
-}
-
-/// Optimal schedule for a read-once DNF tree.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::ReadOnceDnfPlanner (or Engine::plan_with(\"read-once-dnf\", ..)) instead"
-)]
-pub fn schedule(tree: &DnfTree, catalog: &StreamCatalog) -> DnfSchedule {
-    schedule_impl(tree, catalog)
 }
 
 #[cfg(test)]

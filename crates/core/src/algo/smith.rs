@@ -29,8 +29,7 @@ pub fn smith_ratio(items: u32, unit_cost: f64, fail_prob: f64) -> f64 {
 
 /// Schedules an AND-tree by non-decreasing `d*c/q` (ties broken by leaf
 /// index, making the result deterministic). Crate-internal workhorse
-/// behind [`SmithPlanner`](crate::plan::planners::SmithPlanner); the
-/// `legacy-api` feature re-exports it as the deprecated [`schedule`].
+/// behind [`SmithPlanner`](crate::plan::planners::SmithPlanner).
 pub(crate) fn schedule_impl(tree: &AndTree, catalog: &StreamCatalog) -> AndSchedule {
     let mut order: Vec<usize> = (0..tree.len()).collect();
     order.sort_by(|&a, &b| {
@@ -44,16 +43,6 @@ pub(crate) fn schedule_impl(tree: &AndTree, catalog: &StreamCatalog) -> AndSched
         ra.total_cmp(&rb).then(a.cmp(&b))
     });
     AndSchedule::from_order_unchecked(order)
-}
-
-/// Schedules an AND-tree by non-decreasing `d*c/q`.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan::planners::SmithPlanner (or Engine::plan_with(\"smith\", ..)) instead"
-)]
-pub fn schedule(tree: &AndTree, catalog: &StreamCatalog) -> AndSchedule {
-    schedule_impl(tree, catalog)
 }
 
 #[cfg(test)]

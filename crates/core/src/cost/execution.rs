@@ -19,13 +19,11 @@
 //!
 //! The AND-tree and DNF *simulation* halves of this module duplicate
 //! the pull-coalescing loop that now lives once in the unified
-//! `stream_sim::runtime::Scheduler`; their public entry points
-//! ([`execute_and_tree`], [`execute_dnf`]) are therefore deprecated and
-//! gated behind the off-by-default `legacy-api` feature. The
+//! `stream_sim::runtime::Scheduler`, so they are crate-private: the
 //! enumeration oracles in [`crate::cost::assignment`] and
-//! [`crate::cost::montecarlo`] keep using the crate-private
-//! implementations (expectations over truth assignments need an
-//! in-process interpreter, not a data-path simulator). The
+//! [`crate::cost::montecarlo`] are their only callers (expectations
+//! over truth assignments need an in-process interpreter, not a
+//! data-path simulator). The
 //! general-tree interpreter [`execute_query_tree`] stays public: the
 //! runtime executes DNF schedules only, so general AND-OR trees have no
 //! replacement there.
@@ -53,21 +51,6 @@ pub struct Execution {
 ///
 /// # Panics
 /// Panics if `assignment` is shorter than the tree's leaf count.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "single-assignment simulation lives in `stream_sim::runtime::Scheduler`; \
-            the expectation oracles are in `cost::assignment`"
-)]
-pub fn execute_and_tree(
-    tree: &AndTree,
-    catalog: &StreamCatalog,
-    schedule: &AndSchedule,
-    assignment: &[bool],
-) -> Execution {
-    execute_and_tree_impl(tree, catalog, schedule, assignment)
-}
-
 pub(crate) fn execute_and_tree_impl(
     tree: &AndTree,
     catalog: &StreamCatalog,
@@ -102,21 +85,6 @@ pub(crate) fn execute_and_tree_impl(
 
 /// Executes a DNF schedule under a truth assignment
 /// (`assignment` in flat term-major order, see [`LeafIndexer`]).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "single-assignment simulation lives in `stream_sim::runtime::Scheduler`; \
-            the expectation oracles are in `cost::assignment`"
-)]
-pub fn execute_dnf(
-    tree: &DnfTree,
-    catalog: &StreamCatalog,
-    schedule: &DnfSchedule,
-    assignment: &[bool],
-) -> Execution {
-    execute_dnf_impl(tree, catalog, schedule, assignment)
-}
-
 pub(crate) fn execute_dnf_impl(
     tree: &DnfTree,
     catalog: &StreamCatalog,

@@ -53,11 +53,6 @@
 //! let smith = engine.plan_with("smith", &and_tree, &inst.catalog).unwrap();
 //! assert!(smith.expected_cost.unwrap() >= plan.expected_cost.unwrap());
 //! ```
-//!
-//! The pre-`plan` per-algorithm entry points
-//! (`algo::greedy::schedule_with_cost` and friends) are deprecated
-//! shims, gated behind the off-by-default `legacy-api` cargo feature;
-//! new code should go through [`plan`].
 #![forbid(unsafe_code)]
 
 pub mod algo;
