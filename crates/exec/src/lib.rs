@@ -54,11 +54,11 @@
 pub mod admission;
 pub mod arrivals;
 pub mod serve;
+pub mod tick;
 
 pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyBudget};
 pub use arrivals::{ArrivalProcess, ArrivalSpec};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
-pub use serve::{
-    DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, TickStats, VerdictRecord,
-};
+pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
+pub use tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};
 pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};

@@ -15,18 +15,19 @@
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
+use crate::tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};
 use paotr_core::error::{Error, Result};
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
-use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
+use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_multi::{outage_catalog, synthesize, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use stream_sim::{
-    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy,
-    Scheduler, SimQuery, TraceLog, Verdict,
+    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord,
+    MemoryPolicy, QueryOutcome, Scheduler, SimQuery, TraceLog, Verdict,
 };
 
 /// Cost multiplier applied to dead streams during outage re-planning:
@@ -93,23 +94,6 @@ impl Default for ServeConfig {
             record_verdicts: false,
         }
     }
-}
-
-/// One tick's headline numbers, for live progress callbacks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TickStats {
-    /// The tick index.
-    pub tick: u64,
-    /// Queries due this tick.
-    pub due: usize,
-    /// Queries admitted and evaluated.
-    pub admitted: usize,
-    /// Queries shed.
-    pub shed: usize,
-    /// Queries deferred.
-    pub deferred: usize,
-    /// Energy spent this tick.
-    pub energy: f64,
 }
 
 /// The aggregate outcome of one serve run.
@@ -285,6 +269,16 @@ impl DriftState {
         let i = self.offsets[leaf.term] + leaf.leaf;
         self.totals[i] += 1;
         self.successes[i] += u64::from(value);
+    }
+
+    /// Folds one evaluation's trace records in; returns the
+    /// re-calibrated probabilities when the query has drifted past
+    /// `cfg`'s tolerance.
+    pub fn observe_eval(&mut self, records: &[LeafRecord], cfg: &DriftConfig) -> Option<Vec<f64>> {
+        for rec in records {
+            self.observe(rec.leaf, rec.value);
+        }
+        self.drifted(cfg).then(|| self.recalibrated(cfg))
     }
 
     /// True when any sufficiently-observed leaf drifted past the
@@ -476,25 +470,9 @@ impl ServeLoop {
             _ => Scheduler::new(n_streams, MemoryPolicy::ClearEachQuery),
         };
         let mut meter = EnergyMeter::new(EnergyModel::from_catalog(&self.catalog));
-
-        // Fault injection: every run executes through FaultySource
-        // decorators — under the empty plan they are pass-throughs, so
-        // faulty and fault-free runs share one code path (which is what
-        // makes determined verdicts bit-for-bit comparable).
-        let fault_spec = self.config.faults.unwrap_or_else(FaultSpec::none);
-        let fault_plan = FaultPlan::new(fault_spec);
-        let faults_on = self.config.faults.is_some();
-        scheduler.set_fault_policy(fault_spec.max_attempts.max(1), fault_spec.stale_serve);
-        let retry_factor = if faults_on {
-            f64::from(fault_spec.max_attempts.max(1))
-        } else {
-            1.0
-        };
-        // Outage signature of the previous tick, and the catalog the
-        // planners currently see (dead streams penalized during an
-        // outage so re-plans pull them last).
+        let faults = FaultPlan::new(self.config.faults.unwrap_or_else(FaultSpec::none));
+        // Outage signature of the previous tick.
         let mut last_out = vec![false; n_streams];
-        let mut live_catalog = self.catalog.clone();
 
         let mut arrivals: Vec<ArrivalProcess> = (0..n)
             .map(|q| ArrivalProcess::new(self.config.arrivals, self.config.seed, q))
@@ -502,63 +480,47 @@ impl ServeLoop {
         let windows: Vec<Vec<u32>> = AdmissionCtx::query_windows(&self.queries, n_streams);
         let costs = AdmissionCtx::stream_costs(&self.catalog);
 
-        let mut schedules = self.schedules.clone();
-        let mut drift = self.drift_seed.clone();
+        let mut served = Served {
+            queries: &self.queries,
+            schedules: self.schedules.clone(),
+            drift: self.drift_seed.clone(),
+            catalog: self.catalog.clone(),
+            engine,
+            drift_config: self.config.drift,
+            record_verdicts: self.config.record_verdicts,
+            tick: 0,
+            per_query_served: vec![0; n],
+            max_staleness: 0,
+            verdicts: Vec::new(),
+        };
         // `Some(t)` = a request has been pending since tick `t`; deferred
         // requests keep their original arrival tick so admission's
         // equal-weight tie-break serves the oldest request first.
         let mut pending: Vec<Option<u64>> = vec![None; n];
-        let mut pending_since = vec![0u64; n];
         let mut trace = TraceLog::default();
-
+        let mut counters = TickCounters::default();
         let mut total_arrivals = 0u64;
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut deferred = 0u64;
-        let mut replans = 0u64;
-        let mut max_tick_energy = 0.0f64;
-        let mut per_query_served = vec![0u64; n];
-        let mut truths = 0u64;
-        let mut retries = 0u64;
-        let mut failed_reads = 0u64;
-        let mut determined = 0u64;
-        let mut unknown_verdicts = 0u64;
-        let mut degraded_verdicts = 0u64;
-        let mut stale_leaves = 0u64;
-        let mut max_staleness = 0u64;
         let mut outage_replans = 0u64;
-        let mut verdicts: Vec<VerdictRecord> = Vec::new();
 
         for t in 0..self.config.ticks as u64 {
             // Outage transitions re-plan the affected queries against a
             // penalized catalog, so schedules stop pulling dead streams
             // first; recoveries re-plan back (a cache hit in `engine`).
-            if faults_on {
+            if self.config.faults.is_some() {
                 let now = streams.first().map(|s| s.now()).unwrap_or(0);
-                let out = fault_plan.outage_signature(n_streams, now);
+                let out = faults.outage_signature(n_streams, now);
                 if out != last_out {
-                    live_catalog = if out.iter().any(|&b| b) {
+                    served.catalog = if out.iter().any(|&b| b) {
                         outage_catalog(&self.catalog, &out, OUTAGE_PENALTY)
                     } else {
                         self.catalog.clone()
                     };
-                    for q in 0..n {
-                        let touched =
-                            (0..n_streams).any(|k| out[k] != last_out[k] && windows[q][k] > 0);
-                        if !touched {
-                            continue;
+                    for (q, w) in windows.iter().enumerate() {
+                        if (0..n_streams).any(|k| out[k] != last_out[k] && w[k] > 0) {
+                            let probs = served.drift[q].calibrated().to_vec();
+                            served.replan(q, &probs, "outage")?;
+                            outage_replans += 1;
                         }
-                        let probs = drift[q].calibrated().to_vec();
-                        let tree = self.queries[q].skeleton(&probs);
-                        let plan = engine.plan(&tree, &live_catalog)?;
-                        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-                            Error::InvalidWorkload(format!(
-                                "planner `{}` produced a non-schedule plan during outage re-planning",
-                                plan.planner
-                            ))
-                        })?;
-                        schedules[q] = Arc::new(schedule);
-                        outage_replans += 1;
                     }
                     last_out = out;
                 }
@@ -571,111 +533,27 @@ impl ServeLoop {
                     pending[q] = Some(t);
                 }
             }
-            let due: Vec<usize> = (0..n).filter(|&q| pending[q].is_some()).collect();
-            for q in 0..n {
-                pending_since[q] = pending[q].unwrap_or(t);
-            }
-            let ctx = AdmissionCtx {
-                weights: &self.weights,
-                windows: &windows,
-                costs: &costs,
-                pending_since: &pending_since,
-                shared: self.shared,
-                retry_factor,
-            };
-            let admission = policy.admit(t, &due, &ctx);
-
-            // Execute the admitted set in the joint plan's order so the
-            // planned cross-query sharing materializes.
-            let energy_before = meter.total_cost();
-            let sources = FaultySource::wrap(&streams, &fault_plan);
-            scheduler.maintain_tick(&sources, &mut meter);
-            let mut is_admitted = vec![false; n];
-            for &q in &admission.admitted {
-                is_admitted[q] = true;
-            }
-            let admitted_queries: Vec<&SimQuery> = admission
-                .admitted
-                .iter()
-                .map(|&q| &self.queries[q])
-                .collect();
-            if self.shared {
-                scheduler.begin_tick(&admitted_queries, &sources);
-            }
-            for &q in self.order.iter().filter(|&&q| is_admitted[q]) {
-                if !self.shared {
-                    scheduler.begin_tick(std::slice::from_ref(&self.queries[q]), &sources);
-                }
-                let traced = self.config.drift.is_some();
-                let out = scheduler.run_query(
-                    &self.queries[q],
-                    &schedules[q],
-                    &sources,
-                    &mut meter,
-                    traced.then_some(&mut trace),
-                );
-                truths += u64::from(out.value);
-                retries += u64::from(out.retries);
-                failed_reads += u64::from(out.failed_reads);
-                stale_leaves += u64::from(out.stale_leaves);
-                max_staleness = max_staleness.max(out.staleness);
-                match out.verdict {
-                    Verdict::Unknown => unknown_verdicts += 1,
-                    _ if out.degraded => degraded_verdicts += 1,
-                    _ => determined += 1,
-                }
-                if self.config.record_verdicts {
-                    verdicts.push(VerdictRecord {
-                        tick: t,
-                        query: q,
-                        verdict: out.verdict,
-                        degraded: out.degraded,
-                    });
-                }
-                per_query_served[q] += 1;
-                served += 1;
-                pending[q] = None;
-
-                if let Some(cfg) = &self.config.drift {
-                    // Only this evaluation's records are ever needed;
-                    // clearing after each observe keeps the log bounded
-                    // over arbitrarily long serve runs.
-                    for rec in trace.records() {
-                        drift[q].observe(rec.leaf, rec.value);
-                    }
-                    trace.clear();
-                    if drift[q].drifted(cfg) {
-                        let probs = drift[q].recalibrated(cfg);
-                        let tree = self.queries[q].skeleton(&probs);
-                        let plan = engine.plan(&tree, &live_catalog)?;
-                        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-                            Error::InvalidWorkload(format!(
-                                "planner `{}` produced a non-schedule plan during drift re-planning",
-                                plan.planner
-                            ))
-                        })?;
-                        schedules[q] = Arc::new(schedule);
-                        drift[q].reset_to(probs);
-                        replans += 1;
-                    }
-                }
-            }
-            for &q in &admission.shed {
-                pending[q] = None;
-            }
-            shed += admission.shed.len() as u64;
-            deferred += admission.deferred.len() as u64;
-
-            let tick_energy = meter.total_cost() - energy_before;
-            max_tick_energy = max_tick_energy.max(tick_energy);
-            on_tick(&TickStats {
-                tick: t,
-                due: due.len(),
-                admitted: admission.admitted.len(),
-                shed: admission.shed.len(),
-                deferred: admission.deferred.len(),
-                energy: tick_energy,
-            });
+            served.tick = t;
+            let stats = run_tick(
+                Tick {
+                    tick: t,
+                    weights: &self.weights,
+                    windows: &windows,
+                    costs: &costs,
+                    shared: self.shared,
+                    order: &self.order,
+                    pending: &mut pending,
+                    policy: &mut *policy,
+                    scheduler: &mut scheduler,
+                    streams: &streams,
+                    faults: &faults,
+                    meter: &mut meter,
+                    trace: self.config.drift.is_some().then_some(&mut trace),
+                },
+                &mut served,
+                &mut counters,
+            )?;
+            on_tick(&stats);
 
             for s in &mut streams {
                 s.advance_by(self.config.ticks_between.max(1), &mut rng);
@@ -683,20 +561,23 @@ impl ServeLoop {
         }
 
         let stats = scheduler.arrangements().map(|s| s.stats());
+        let c = counters;
         Ok(ServeReport {
             planner: self.planner.clone(),
             admission: policy.name().to_string(),
             ticks: self.config.ticks,
             arrivals: total_arrivals,
-            served,
-            shed,
-            deferred,
-            replans,
+            served: c.evals,
+            shed: c.shed,
+            deferred: c.deferred,
+            replans: c.drift_replans,
+            // The run-long meter's own totals: summing per-tick deltas
+            // instead could differ in the last bits.
             total_energy: meter.total_cost(),
-            max_tick_energy,
-            per_query_served,
-            truth_rate: if served > 0 {
-                truths as f64 / served as f64
+            max_tick_energy: c.max_tick_energy,
+            per_query_served: served.per_query_served,
+            truth_rate: if c.evals > 0 {
+                c.truths as f64 / c.evals as f64
             } else {
                 0.0
             },
@@ -706,16 +587,84 @@ impl ServeLoop {
             maintain_energy: meter.maintain_cost_total(),
             arrangements: stats.map_or(0, |s| s.arrangements),
             arrangement_hit_items: stats.map_or(0, |s| s.hit_items),
-            retries,
+            retries: c.retries,
             retry_energy: meter.retry_cost_total(),
-            failed_reads,
-            determined,
-            unknown_verdicts,
-            degraded_verdicts,
-            stale_leaves,
-            max_staleness,
+            failed_reads: c.failed_reads,
+            determined: c.determined(),
+            unknown_verdicts: c.unknown_verdicts,
+            degraded_verdicts: c.degraded_verdicts,
+            stale_leaves: c.stale_serves,
+            max_staleness: served.max_staleness,
             outage_replans,
-            verdicts,
+            verdicts: served.verdicts,
         })
+    }
+}
+
+/// The serve loop's side of a tick: its queries' schedules and drift
+/// estimators, the catalog re-plans see, and the per-query report
+/// fields the driver does not keep.
+struct Served<'a> {
+    queries: &'a [SimQuery],
+    schedules: Vec<Arc<DnfSchedule>>,
+    drift: Vec<DriftState>,
+    /// The catalog the planners currently see (dead streams penalized
+    /// during an outage, so re-plans pull them last).
+    catalog: StreamCatalog,
+    engine: &'a Engine,
+    drift_config: Option<DriftConfig>,
+    record_verdicts: bool,
+    tick: u64,
+    per_query_served: Vec<u64>,
+    max_staleness: u64,
+    verdicts: Vec<VerdictRecord>,
+}
+
+impl Served<'_> {
+    /// Re-plans query `q` under `probs` against the current catalog.
+    fn replan(&mut self, q: usize, probs: &[f64], why: &str) -> Result<()> {
+        let tree = self.queries[q].skeleton(probs);
+        let plan = self.engine.plan(&tree, &self.catalog)?;
+        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
+            Error::InvalidWorkload(format!(
+                "planner `{}` produced a non-schedule plan during {why} re-planning",
+                plan.planner
+            ))
+        })?;
+        self.schedules[q] = Arc::new(schedule);
+        Ok(())
+    }
+}
+
+impl TickQueries for Served<'_> {
+    type Error = Error;
+
+    fn query(&self, q: usize) -> Result<(&SimQuery, &DnfSchedule)> {
+        match (self.queries.get(q), self.schedules.get(q)) {
+            (Some(sim), Some(schedule)) => Ok((sim, schedule)),
+            _ => Err(Error::InvalidWorkload(format!("no query {q} to serve"))),
+        }
+    }
+
+    fn evaluated(&mut self, q: usize, out: &QueryOutcome, records: &[LeafRecord]) -> Result<bool> {
+        self.per_query_served[q] += 1;
+        self.max_staleness = self.max_staleness.max(out.staleness);
+        if self.record_verdicts {
+            self.verdicts.push(VerdictRecord {
+                tick: self.tick,
+                query: q,
+                verdict: out.verdict,
+                degraded: out.degraded,
+            });
+        }
+        let Some(cfg) = self.drift_config else {
+            return Ok(false);
+        };
+        let Some(probs) = self.drift[q].observe_eval(records, &cfg) else {
+            return Ok(false);
+        };
+        self.replan(q, &probs, "drift")?;
+        self.drift[q].reset_to(probs);
+        Ok(true)
     }
 }

@@ -27,8 +27,12 @@ use crate::{Error, Result};
 use paotr_core::cost::ArrangeTerm;
 use paotr_core::plan::Engine;
 use paotr_core::stream::StreamId;
-use paotr_exec::{AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget};
-use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
+use paotr_core::schedule::DnfSchedule;
+use paotr_exec::{
+    run_tick, AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget, Tick,
+    TickQueries,
+};
+use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_gen::seeds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,8 +42,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use stream_sim::{
-    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy, Scheduler,
-    SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
+    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord, MemoryPolicy,
+    QueryOutcome, Scheduler, SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
 };
 
 /// Domain separation for per-stream RNG seeds.
@@ -313,6 +317,51 @@ fn session_acquisitions(registry: &SessionRegistry, id: u64) -> Vec<(StreamId, u
         .collect()
 }
 
+/// The daemon's side of a tick: live sessions by index (their rank in
+/// id order), drift re-planning, and the per-tick verdict log.
+struct Sessions<'a> {
+    registry: &'a mut SessionRegistry,
+    ids: &'a [u64],
+    engine: &'a Engine,
+    drift: Option<DriftConfig>,
+    verdicts: &'a mut Vec<(u64, Verdict, bool)>,
+}
+
+impl Sessions<'_> {
+    fn id(&self, q: usize) -> Result<u64> {
+        self.ids
+            .get(q)
+            .copied()
+            .ok_or_else(|| Error::Rejected(format!("no session at index {q}")))
+    }
+}
+
+impl TickQueries for Sessions<'_> {
+    type Error = Error;
+
+    fn query(&self, q: usize) -> Result<(&SimQuery, &DnfSchedule)> {
+        let id = self.id(q)?;
+        let session = self
+            .registry
+            .session(id)
+            .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
+        Ok((&session.sim, &session.schedule))
+    }
+
+    fn evaluated(&mut self, q: usize, out: &QueryOutcome, records: &[LeafRecord]) -> Result<bool> {
+        let id = self.id(q)?;
+        self.verdicts.push((id, out.verdict, out.degraded));
+        let Some(cfg) = self.drift else {
+            return Ok(false);
+        };
+        let Some(probs) = self.registry.observe(id, records, &cfg)? else {
+            return Ok(false);
+        };
+        self.registry.recalibrate(id, probs, self.engine)?;
+        Ok(true)
+    }
+}
+
 impl Daemon {
     /// An empty daemon under `config`.
     pub fn new(config: Config) -> Result<Daemon> {
@@ -440,15 +489,21 @@ impl Daemon {
     pub fn run_ticks(&mut self, n: u64) -> Result<BatchReport> {
         let start_tick = self.tick;
         self.ensure_streams();
-        let mut energies = Vec::with_capacity(n as usize);
+        let mut energies = Vec::new();
         let mut scheduler = Scheduler::new(self.streams.len(), MemoryPolicy::ClearEachQuery);
-        let spec = self.faults.spec();
-        scheduler.set_fault_policy(spec.max_attempts.max(1), spec.stale_serve);
         // Lend the persistent store to this batch's scheduler; it must
         // come back even when a tick fails, so failures are deferred.
         if let Some(store) = self.arrangements.take() {
             scheduler.attach_arrangements(store);
         }
+        let mut budget = self.config.budget.map(|b| EnergyBudget {
+            budget_per_tick: b,
+            defer: self.config.defer,
+        });
+        let policy: &mut dyn AdmissionPolicy = match &mut budget {
+            Some(b) => b,
+            None => &mut AcceptAll,
+        };
         let mut failure = None;
         for _ in 0..n {
             if self.config.replan_after > 0
@@ -460,7 +515,7 @@ impl Daemon {
                     break;
                 }
             }
-            match self.run_one_tick(&mut scheduler) {
+            match self.run_one_tick(&mut scheduler, &mut *policy) {
                 Ok(energy) => energies.push(energy),
                 Err(e) => {
                     failure = Some(e);
@@ -478,17 +533,19 @@ impl Daemon {
         }
     }
 
-    fn run_one_tick(&mut self, scheduler: &mut Scheduler) -> Result<f64> {
+    fn run_one_tick(
+        &mut self,
+        scheduler: &mut Scheduler,
+        policy: &mut dyn AdmissionPolicy,
+    ) -> Result<f64> {
         let t = self.tick;
         let ids: Vec<u64> = self.registry.sessions().map(|s| s.id).collect();
-        let n = ids.len();
-
         // Every live session is due every tick; deferred requests keep
         // their original arrival tick for the admission tie-break.
-        for &id in &ids {
-            self.pending.entry(id).or_insert(t);
-        }
-
+        let mut pending: Vec<Option<u64>> = ids
+            .iter()
+            .map(|id| Some(self.pending.get(id).copied().unwrap_or(t)))
+            .collect();
         let n_streams = self.registry.catalog().len();
         let weights: Vec<f64> = self.registry.sessions().map(|s| s.weight).collect();
         let windows: Vec<Vec<u32>> = self
@@ -497,128 +554,57 @@ impl Daemon {
             .map(|s| s.sim.max_windows(n_streams))
             .collect();
         let costs = AdmissionCtx::stream_costs(self.registry.catalog());
-        let pending_since: Vec<u64> = ids.iter().map(|id| self.pending[id]).collect();
-        let due: Vec<usize> = (0..n).collect();
-        let ctx = AdmissionCtx {
-            weights: &weights,
-            windows: &windows,
-            costs: &costs,
-            pending_since: &pending_since,
-            shared: self.registry.shared(),
-            retry_factor: if self.config.faults.is_some() {
-                f64::from(self.faults.spec().max_attempts.max(1))
-            } else {
-                1.0
-            },
-        };
-        let admission = match self.config.budget {
-            None => AcceptAll.admit(t, &due, &ctx),
-            Some(b) => {
-                let mut policy = if self.config.defer {
-                    EnergyBudget::deferring(b)
-                } else {
-                    EnergyBudget::shedding(b)
-                };
-                policy.admit(t, &due, &ctx)
-            }
-        };
-
-        let mut is_admitted = vec![false; n];
-        for &q in &admission.admitted {
-            is_admitted[q] = true;
-        }
-        let idx_of: BTreeMap<u64, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let run_order: Vec<u64> = self
+        // Session ids are sorted, so a session's index is its rank.
+        let order: Vec<usize> = self
             .registry
             .order()
             .iter()
-            .copied()
-            .filter(|id| idx_of.get(id).is_some_and(|&i| is_admitted[i]))
+            .filter_map(|id| ids.binary_search(id).ok())
             .collect();
-
+        let shared = self.registry.shared();
         let mut meter = EnergyMeter::new(EnergyModel::from_catalog(self.registry.catalog()));
-        // Every read goes through the fault decorators; under the empty
-        // plan they are pass-throughs, so faulted and fault-free
-        // daemons share one execution path.
-        let sources = FaultySource::wrap(&self.streams, &self.faults);
-        scheduler.maintain_tick(&sources, &mut meter);
-        let traced = self.config.drift.is_some();
-        if self.registry.shared() {
-            let admitted_sims: Vec<&SimQuery> = run_order
-                .iter()
-                .map(|id| &self.registry.session(*id).expect("live id").sim)
-                .collect();
-            scheduler.begin_tick(&admitted_sims, &sources);
-        }
         self.last_verdicts.clear();
-        for &id in &run_order {
-            let (out, records) = {
-                let session = self.registry.session(id).expect("live id");
-                if !self.registry.shared() {
-                    scheduler.begin_tick(std::slice::from_ref(&session.sim), &sources);
-                }
-                let out = scheduler.run_query(
-                    &session.sim,
-                    &session.schedule,
-                    &sources,
-                    &mut meter,
-                    traced.then_some(&mut self.trace),
-                );
-                let records: Vec<(paotr_core::leaf::LeafRef, bool)> = self
-                    .trace
-                    .records()
-                    .iter()
-                    .map(|r| (r.leaf, r.value))
-                    .collect();
-                self.trace.clear();
-                (out, records)
-            };
-            self.telemetry.evals += 1;
-            self.telemetry.truths += u64::from(out.value);
-            self.telemetry.retries += u64::from(out.retries);
-            self.telemetry.failed_reads += u64::from(out.failed_reads);
-            self.telemetry.stale_serves += u64::from(out.stale_leaves);
-            match out.verdict {
-                Verdict::Unknown => self.telemetry.unknown_verdicts += 1,
-                _ if out.degraded => self.telemetry.degraded_verdicts += 1,
-                _ => {}
-            }
-            self.last_verdicts.push((id, out.verdict, out.degraded));
-            self.pending.remove(&id);
-
-            if let Some(cfg) = self.config.drift {
-                self.registry.observe(id, &records)?;
-                let session = self.registry.session(id).expect("live id");
-                if session.drift.drifted(&cfg) {
-                    let probs = session.drift.recalibrated(&cfg);
-                    self.registry.recalibrate(id, probs, &self.engine)?;
-                    self.telemetry.drift_replans += 1;
-                }
-            }
-        }
-        for &q in &admission.shed {
-            self.pending.remove(&ids[q]);
-            self.telemetry.shed += 1;
-        }
-        self.telemetry.deferred += admission.deferred.len() as u64;
-
-        let tick_energy = meter.total_cost();
-        self.telemetry.ticks += 1;
-        self.telemetry.last_tick_energy = tick_energy;
-        self.telemetry.total_energy += tick_energy;
-        self.telemetry.max_tick_energy = self.telemetry.max_tick_energy.max(tick_energy);
-        self.telemetry.maintain_energy += meter.maintain_cost_total();
-        self.telemetry.retry_energy += meter.retry_cost_total();
-        if let Some(stats) = scheduler.arrangements().map(|s| s.stats()) {
-            self.telemetry.arrangements = stats.arrangements as u64;
-            self.telemetry.arrange_hit_items = stats.hit_items;
+        let stats = run_tick(
+            Tick {
+                tick: t,
+                weights: &weights,
+                windows: &windows,
+                costs: &costs,
+                shared,
+                order: &order,
+                pending: &mut pending,
+                policy,
+                scheduler: &mut *scheduler,
+                streams: &self.streams,
+                faults: &self.faults,
+                meter: &mut meter,
+                trace: self.config.drift.is_some().then_some(&mut self.trace),
+            },
+            &mut Sessions {
+                registry: &mut self.registry,
+                ids: &ids,
+                engine: &self.engine,
+                drift: self.config.drift,
+                verdicts: &mut self.last_verdicts,
+            },
+            &mut self.telemetry.counters,
+        );
+        self.pending = ids
+            .iter()
+            .zip(&pending)
+            .filter_map(|(&id, since)| since.map(|since| (id, since)))
+            .collect();
+        let stats = stats?;
+        if let Some(store) = scheduler.arrangements().map(|s| s.stats()) {
+            self.telemetry.arrangements = store.arrangements as u64;
+            self.telemetry.arrange_hit_items = store.hit_items;
         }
 
         for (s, rng) in self.streams.iter_mut().zip(&mut self.stream_rngs) {
             s.advance_by(1, rng);
         }
         self.tick += 1;
-        Ok(tick_energy)
+        Ok(stats.energy)
     }
 
     /// Creates (and warms) streams for catalog entries that do not have
@@ -1287,6 +1273,27 @@ mod tests {
         let (r, stop) = d.handle_line(r#"{"cmd":"shutdown"}"#);
         assert_eq!(r, r#"{"ok":true}"#);
         assert!(stop);
+    }
+
+    /// One line asking for an absurd batch used to reach an allocation
+    /// sized by `n` and abort the process. It now gets a typed refusal,
+    /// and the daemon keeps serving.
+    #[test]
+    fn oversized_tick_batches_are_refused_and_the_daemon_keeps_serving() {
+        use crate::proto::MAX_TICK_BATCH;
+        let mut d = daemon(None);
+        d.register(Q3, 1.0).unwrap();
+        let (r, stop) = d.handle_line(r#"{"cmd":"tick","n":1000000000000000}"#);
+        assert!(!stop);
+        assert!(r.starts_with(r#"{"ok":false,"#), "{r}");
+        assert!(r.contains("batch limit"), "{r}");
+        let (r, _) = d.handle_line(r#"{"cmd":"stats"}"#);
+        assert!(r.starts_with(r#"{"ok":true,"tick":0,"#), "{r}");
+        let (r, _) = d.handle_line(&format!(r#"{{"cmd":"tick","n":{MAX_TICK_BATCH}}}"#));
+        assert!(r.starts_with(r#"{"ok":true,"ticks":4096,"tick":4096,"#), "{r}");
+        let (r, _) = d.handle_line(&format!(r#"{{"cmd":"tick","n":{}}}"#, MAX_TICK_BATCH + 1));
+        assert!(r.starts_with(r#"{"ok":false,"#), "{r}");
+        assert_eq!(d.tick(), 4096);
     }
 
     #[test]

@@ -18,6 +18,11 @@
 
 use crate::json::{parse, Json};
 
+/// The most ticks one `tick` command may request. A batch runs under
+/// the daemon lock, so the cap bounds how long one line can hold it
+/// (and how much a batch report can allocate).
+pub const MAX_TICK_BATCH: u64 = 4096;
+
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -93,6 +98,11 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     .filter(|&n| n > 0)
                     .ok_or_else(|| "tick: `n` must be a positive integer".to_string())?,
             };
+            if n > MAX_TICK_BATCH {
+                return Err(format!(
+                    "tick: `n` = {n} exceeds the batch limit {MAX_TICK_BATCH}"
+                ));
+            }
             Ok(Command::Tick { n })
         }
         "stats" => Ok(Command::Stats),
@@ -195,6 +205,7 @@ mod tests {
             (r#"{"cmd":"register","query":"a<1","weight":"x"}"#, "weight"),
             (r#"{"cmd":"unregister"}"#, "id"),
             (r#"{"cmd":"tick","n":0}"#, "positive"),
+            (r#"{"cmd":"tick","n":4097}"#, "batch limit"),
             (r#"{"cmd":"snapshot","path":7}"#, "path"),
         ] {
             let err = parse_command(line).expect_err(line);

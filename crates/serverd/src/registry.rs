@@ -22,12 +22,12 @@ use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_core::tree::DnfTree;
-use paotr_exec::DriftState;
+use paotr_exec::{DriftConfig, DriftState};
 use paotr_multi::{planner_by_name, Workload, WorkloadQuery};
 use paotr_qlang as qlang;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stream_sim::{SimLeaf, SimQuery};
+use stream_sim::{LeafRecord, SimLeaf, SimQuery};
 
 /// One live registered query.
 #[derive(Debug, Clone)]
@@ -295,16 +295,19 @@ impl SessionRegistry {
     }
 
     /// Feeds one evaluation's per-leaf trace records into session
-    /// `id`'s drift estimators.
-    pub fn observe(&mut self, id: u64, records: &[(LeafRef, bool)]) -> Result<()> {
+    /// `id`'s drift estimators; returns the re-calibrated probabilities
+    /// when the session has drifted past `cfg`'s tolerance.
+    pub fn observe(
+        &mut self,
+        id: u64,
+        records: &[LeafRecord],
+        cfg: &DriftConfig,
+    ) -> Result<Option<Vec<f64>>> {
         let session = self
             .sessions
             .get_mut(&id)
             .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
-        for &(leaf, value) in records {
-            session.drift.observe(leaf, value);
-        }
-        Ok(())
+        Ok(session.drift.observe_eval(records, cfg))
     }
 
     /// Adopts a re-calibrated probability vector for session `id` and

@@ -6,55 +6,42 @@
 //! dashboards see one uninterrupted series across daemon restarts.
 
 use crate::json::Json;
+use paotr_exec::TickCounters;
+use std::ops::{Deref, DerefMut};
 
-/// The daemon's lifetime counters and last-tick gauges.
+/// The daemon's lifetime counters and last-tick gauges: the tick
+/// driver's [`TickCounters`] plus the counters only the daemon keeps.
+/// Derefs to the tick counters, so `telemetry.evals` reads through.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
-    /// Ticks served since the daemon (or its snapshot lineage) started.
-    pub ticks: u64,
-    /// Query evaluations served.
-    pub evals: u64,
-    /// Served evaluations that came out TRUE.
-    pub truths: u64,
+    /// Counters the tick driver updates: ticks, evaluations, verdicts,
+    /// admission and energy.
+    pub counters: TickCounters,
     /// Successful `register` commands.
     pub registers: u64,
     /// Successful `unregister` commands.
     pub unregisters: u64,
-    /// Requests dropped by admission.
-    pub shed: u64,
-    /// Defer events (one request can be deferred on several ticks).
-    pub deferred: u64,
-    /// Drift-triggered per-query re-plans.
-    pub drift_replans: u64,
     /// Churn-triggered full joint re-plans.
     pub churn_replans: u64,
-    /// Total energy spent.
-    pub total_energy: f64,
-    /// Largest energy spent in any single tick.
-    pub max_tick_energy: f64,
-    /// Energy spent in the most recent tick.
-    pub last_tick_energy: f64,
-    /// Energy spent maintaining arrangements (included in
-    /// `total_energy`; this splits the bill).
-    pub maintain_energy: f64,
     /// Live arrangements after the most recent tick (gauge).
     pub arrangements: u64,
     /// Window items served from maintained arrangements instead of
     /// priced sensor pulls.
     pub arrange_hit_items: u64,
-    /// Transient read failures retried (each priced as a pull).
-    pub retries: u64,
-    /// Energy burnt by failed stream contacts (included in
-    /// `total_energy`; this splits the bill).
-    pub retry_energy: f64,
-    /// Leaves given up on (stream outage, or retries exhausted).
-    pub failed_reads: u64,
-    /// Evaluations that ended `unknown` under outages.
-    pub unknown_verdicts: u64,
-    /// Evaluations resolved only through stale arrangement data.
-    pub degraded_verdicts: u64,
-    /// Leaves answered from stale arrangement rings.
-    pub stale_serves: u64,
+}
+
+impl Deref for Telemetry {
+    type Target = TickCounters;
+
+    fn deref(&self) -> &TickCounters {
+        &self.counters
+    }
+}
+
+impl DerefMut for Telemetry {
+    fn deref_mut(&mut self) -> &mut TickCounters {
+        &mut self.counters
+    }
 }
 
 impl Telemetry {
@@ -146,27 +133,29 @@ impl Telemetry {
                 .ok_or_else(|| format!("telemetry: invalid `{k}`")),
         };
         Ok(Telemetry {
-            ticks: u("ticks")?,
-            evals: u("evals")?,
-            truths: u("truths")?,
+            counters: TickCounters {
+                ticks: u("ticks")?,
+                evals: u("evals")?,
+                truths: u("truths")?,
+                shed: u("shed")?,
+                deferred: u("deferred")?,
+                drift_replans: u("drift_replans")?,
+                retries: opt_u("retries")?,
+                failed_reads: opt_u("failed_reads")?,
+                unknown_verdicts: opt_u("unknown_verdicts")?,
+                degraded_verdicts: opt_u("degraded_verdicts")?,
+                stale_serves: opt_u("stale_serves")?,
+                total_energy: f("total_energy")?,
+                max_tick_energy: f("max_tick_energy")?,
+                last_tick_energy: f("last_tick_energy")?,
+                maintain_energy: opt_f("maintain_energy")?,
+                retry_energy: opt_f("retry_energy")?,
+            },
             registers: u("registers")?,
             unregisters: u("unregisters")?,
-            shed: u("shed")?,
-            deferred: u("deferred")?,
-            drift_replans: u("drift_replans")?,
             churn_replans: u("churn_replans")?,
-            total_energy: f("total_energy")?,
-            max_tick_energy: f("max_tick_energy")?,
-            last_tick_energy: f("last_tick_energy")?,
-            maintain_energy: opt_f("maintain_energy")?,
             arrangements: opt_u("arrangements")?,
             arrange_hit_items: opt_u("arrange_hit_items")?,
-            retries: opt_u("retries")?,
-            retry_energy: opt_f("retry_energy")?,
-            failed_reads: opt_u("failed_reads")?,
-            unknown_verdicts: opt_u("unknown_verdicts")?,
-            degraded_verdicts: opt_u("degraded_verdicts")?,
-            stale_serves: opt_u("stale_serves")?,
         })
     }
 
@@ -225,27 +214,29 @@ mod tests {
 
     fn sample() -> Telemetry {
         Telemetry {
-            ticks: 100,
-            evals: 480,
-            truths: 200,
+            counters: TickCounters {
+                ticks: 100,
+                evals: 480,
+                truths: 200,
+                shed: 4,
+                deferred: 16,
+                drift_replans: 2,
+                retries: 17,
+                failed_reads: 9,
+                unknown_verdicts: 4,
+                degraded_verdicts: 2,
+                stale_serves: 11,
+                total_energy: 1234.5,
+                max_tick_energy: 19.25,
+                last_tick_energy: 11.5,
+                maintain_energy: 40.25,
+                retry_energy: 6.75,
+            },
             registers: 9,
             unregisters: 3,
-            shed: 4,
-            deferred: 16,
-            drift_replans: 2,
             churn_replans: 1,
-            total_energy: 1234.5,
-            max_tick_energy: 19.25,
-            last_tick_energy: 11.5,
-            maintain_energy: 40.25,
             arrangements: 5,
             arrange_hit_items: 320,
-            retries: 17,
-            retry_energy: 6.75,
-            failed_reads: 9,
-            unknown_verdicts: 4,
-            degraded_verdicts: 2,
-            stale_serves: 11,
         }
     }
 
@@ -268,17 +259,21 @@ mod tests {
 
     #[test]
     fn zero_arrangement_counters_render_the_version_1_object() {
+        let base = sample();
         let t = Telemetry {
-            maintain_energy: 0.0,
+            counters: TickCounters {
+                maintain_energy: 0.0,
+                retries: 0,
+                retry_energy: 0.0,
+                failed_reads: 0,
+                unknown_verdicts: 0,
+                degraded_verdicts: 0,
+                stale_serves: 0,
+                ..base.counters
+            },
             arrangements: 0,
             arrange_hit_items: 0,
-            retries: 0,
-            retry_energy: 0.0,
-            failed_reads: 0,
-            unknown_verdicts: 0,
-            degraded_verdicts: 0,
-            stale_serves: 0,
-            ..sample()
+            ..base
         };
         let rendered = t.to_json().to_string_compact();
         for key in [
