@@ -375,7 +375,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if faults.is_some() {
         println!();
         for r in &reports {
-            let det = r.determined as f64 / (r.served.max(1)) as f64;
+            let det = r.determined() as f64 / (r.evals.max(1)) as f64;
             println!(
                 "chaos [{:>13}]: {} retries ({:.2} J), {} failed reads, verdicts \
                  {} determined ({:.1}%) / {} degraded / {} unknown, {} stale leaves \
@@ -384,11 +384,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 r.retries,
                 r.retry_energy,
                 r.failed_reads,
-                r.determined,
+                r.determined(),
                 det * 100.0,
                 r.degraded_verdicts,
                 r.unknown_verdicts,
-                r.stale_leaves,
+                r.stale_serves,
                 r.max_staleness,
                 r.outage_replans
             );

@@ -18,7 +18,10 @@
 //!   the arrivals, executes admitted queries on one shared-memory
 //!   scheduler tick, estimates per-leaf hit rates from the execution
 //!   trace, and re-plans queries whose observed rates drift beyond a
-//!   [`DriftConfig`] tolerance.
+//!   [`DriftConfig`] tolerance;
+//! * [`tick`] — [`run_tick`], the one tick driver the serve loop and
+//!   the `paotr_serverd` daemon share, and the [`TickCounters`] both
+//!   report from.
 //!
 //! ## Quick start
 //!
@@ -47,7 +50,7 @@
 //!     .run(&mut EnergyBudget::shedding(25.0), &engine)
 //!     .unwrap();
 //! assert!(budgeted.max_tick_energy <= 25.0 + 1e-9);
-//! assert!(budgeted.served <= unconstrained.served);
+//! assert!(budgeted.evals <= unconstrained.evals);
 //! ```
 #![forbid(unsafe_code)]
 
@@ -60,5 +63,5 @@ pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyB
 pub use arrivals::{ArrivalProcess, ArrivalSpec};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
-pub use tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};
 pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};
+pub use tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};

@@ -24,6 +24,7 @@ use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_multi::{outage_catalog, synthesize, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Deref;
 use std::sync::Arc;
 use stream_sim::{
     gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord,
@@ -96,29 +97,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// The aggregate outcome of one serve run.
+/// The aggregate outcome of one serve run: the tick driver's
+/// [`TickCounters`] plus what only the serve loop tracks. Derefs to the
+/// counters, so `report.evals` reads through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Joint planner that produced the served plan.
     pub planner: String,
     /// Admission policy name.
     pub admission: String,
-    /// Ticks served.
-    pub ticks: usize,
     /// Total arrival events.
     pub arrivals: u64,
-    /// Evaluations actually served.
-    pub served: u64,
-    /// Requests dropped by admission.
-    pub shed: u64,
-    /// Defer events (a request can be deferred on several ticks).
-    pub deferred: u64,
-    /// Drift-triggered re-plans.
-    pub replans: u64,
-    /// Total energy spent.
-    pub total_energy: f64,
-    /// Largest energy spent in any single tick.
-    pub max_tick_energy: f64,
+    /// Ticks, evaluations, verdicts, admission and energy counters.
+    pub counters: TickCounters,
     /// Evaluations served per query (workload order).
     pub per_query_served: Vec<u64>,
     /// Fraction of served evaluations that came out TRUE.
@@ -130,34 +121,26 @@ pub struct ServeReport {
     pub maintained_items: u64,
     /// Energy spent on query pulls.
     pub pull_energy: f64,
-    /// Energy spent on arrangement maintenance.
-    pub maintain_energy: f64,
     /// Arrangements live at the end of the run.
     pub arrangements: usize,
     /// Items served from maintained rings instead of priced pulls.
     pub arrangement_hit_items: u64,
-    /// Transient read failures retried (each priced as a pull).
-    pub retries: u64,
-    /// Energy burnt by failed contacts (included in `total_energy`).
-    pub retry_energy: f64,
-    /// Leaves given up on (outage, or retries exhausted).
-    pub failed_reads: u64,
-    /// Evaluations whose verdict was determined by live streams alone.
-    pub determined: u64,
-    /// Evaluations that ended `unknown`.
-    pub unknown_verdicts: u64,
-    /// Evaluations resolved only through stale arrangement data.
-    pub degraded_verdicts: u64,
-    /// Leaves answered from stale rings across the run.
-    pub stale_leaves: u64,
     /// Worst staleness (ticks) of any stale window served.
     pub max_staleness: u64,
     /// Re-plans triggered by outage transitions (separate from drift
-    /// `replans`).
+    /// re-plans).
     pub outage_replans: u64,
     /// Per-evaluation verdict log (empty unless
     /// [`ServeConfig::record_verdicts`] is set).
     pub verdicts: Vec<VerdictRecord>,
+}
+
+impl Deref for ServeReport {
+    type Target = TickCounters;
+
+    fn deref(&self) -> &TickCounters {
+        &self.counters
+    }
 }
 
 /// One served evaluation's verdict, for bit-for-bit run comparison.
@@ -176,7 +159,7 @@ pub struct VerdictRecord {
 impl ServeReport {
     /// Served evaluations per tick.
     pub fn throughput(&self) -> f64 {
-        self.served as f64 / self.ticks.max(1) as f64
+        self.evals as f64 / self.ticks.max(1) as f64
     }
 
     /// Mean energy per tick.
@@ -186,7 +169,7 @@ impl ServeReport {
 
     /// Energy per served evaluation (`None` when nothing was served).
     pub fn energy_per_served(&self) -> Option<f64> {
-        (self.served > 0).then(|| self.total_energy / self.served as f64)
+        (self.evals > 0).then(|| self.total_energy / self.evals as f64)
     }
 
     /// Total stream items physically fetched from sensors: query pulls
@@ -215,7 +198,7 @@ impl ServeReport {
                 r.admission.clone(),
                 format!("{:.2}", r.throughput()),
                 format!("{}", r.shed),
-                format!("{}", r.replans),
+                format!("{}", r.drift_replans),
                 format!("{:.2}", r.mean_tick_energy()),
                 format!("{:.2}", r.max_tick_energy),
                 r.energy_per_served()
@@ -264,50 +247,24 @@ impl DriftState {
         }
     }
 
-    /// Records one leaf evaluation.
-    pub fn observe(&mut self, leaf: paotr_core::leaf::LeafRef, value: bool) {
-        let i = self.offsets[leaf.term] + leaf.leaf;
-        self.totals[i] += 1;
-        self.successes[i] += u64::from(value);
-    }
-
-    /// Folds one evaluation's trace records in; returns the
-    /// re-calibrated probabilities when the query has drifted past
-    /// `cfg`'s tolerance.
+    /// Folds one evaluation's trace records into the per-leaf counters.
+    /// When any sufficiently-observed leaf has drifted past `cfg`'s
+    /// tolerance, returns the re-calibrated probabilities: observed
+    /// rates where trusted, the old calibration elsewhere.
     pub fn observe_eval(&mut self, records: &[LeafRecord], cfg: &DriftConfig) -> Option<Vec<f64>> {
         for rec in records {
-            self.observe(rec.leaf, rec.value);
+            let i = self.offsets[rec.leaf.term] + rec.leaf.leaf;
+            self.totals[i] += 1;
+            self.successes[i] += u64::from(rec.value);
         }
-        self.drifted(cfg).then(|| self.recalibrated(cfg))
-    }
-
-    /// True when any sufficiently-observed leaf drifted past the
-    /// tolerance.
-    pub fn drifted(&self, cfg: &DriftConfig) -> bool {
-        self.calibrated
-            .iter()
-            .zip(&self.successes)
-            .zip(&self.totals)
-            .any(|((&p, &s), &n)| {
-                n >= cfg.min_samples && (s as f64 / n as f64 - p).abs() > cfg.tolerance
-            })
-    }
-
-    /// The re-calibrated probabilities: observed rates where trusted,
-    /// the old calibration elsewhere.
-    pub fn recalibrated(&self, cfg: &DriftConfig) -> Vec<f64> {
-        self.calibrated
-            .iter()
-            .zip(&self.successes)
-            .zip(&self.totals)
-            .map(|((&p, &s), &n)| {
-                if n >= cfg.min_samples {
-                    s as f64 / n as f64
-                } else {
-                    p
-                }
-            })
-            .collect()
+        let rate = |i: usize| {
+            let n = self.totals[i];
+            (n >= cfg.min_samples).then(|| self.successes[i] as f64 / n as f64)
+        };
+        let p = &self.calibrated;
+        (0..p.len())
+            .any(|i| rate(i).is_some_and(|r| (r - p[i]).abs() > cfg.tolerance))
+            .then(|| (0..p.len()).map(|i| rate(i).unwrap_or(p[i])).collect())
     }
 
     /// Adopts a new calibration and restarts the estimators.
@@ -560,40 +517,28 @@ impl ServeLoop {
             }
         }
 
+        // The run-long meter's own totals are exact; summing per-tick
+        // deltas instead can differ in the last bits.
+        counters.total_energy = meter.total_cost();
+        counters.maintain_energy = meter.maintain_cost_total();
+        counters.retry_energy = meter.retry_cost_total();
         let stats = scheduler.arrangements().map(|s| s.stats());
-        let c = counters;
         Ok(ServeReport {
             planner: self.planner.clone(),
             admission: policy.name().to_string(),
-            ticks: self.config.ticks,
             arrivals: total_arrivals,
-            served: c.evals,
-            shed: c.shed,
-            deferred: c.deferred,
-            replans: c.drift_replans,
-            // The run-long meter's own totals: summing per-tick deltas
-            // instead could differ in the last bits.
-            total_energy: meter.total_cost(),
-            max_tick_energy: c.max_tick_energy,
             per_query_served: served.per_query_served,
-            truth_rate: if c.evals > 0 {
-                c.truths as f64 / c.evals as f64
+            truth_rate: if counters.evals > 0 {
+                counters.truths as f64 / counters.evals as f64
             } else {
                 0.0
             },
+            counters,
             pulled_items: meter.items_pulled().iter().sum(),
             maintained_items: meter.items_maintained().iter().sum(),
             pull_energy: meter.pull_cost_total(),
-            maintain_energy: meter.maintain_cost_total(),
             arrangements: stats.map_or(0, |s| s.arrangements),
             arrangement_hit_items: stats.map_or(0, |s| s.hit_items),
-            retries: c.retries,
-            retry_energy: meter.retry_cost_total(),
-            failed_reads: c.failed_reads,
-            determined: c.determined(),
-            unknown_verdicts: c.unknown_verdicts,
-            degraded_verdicts: c.degraded_verdicts,
-            stale_leaves: c.stale_serves,
             max_staleness: served.max_staleness,
             outage_replans,
             verdicts: served.verdicts,

@@ -1,24 +1,13 @@
 //! The tick driver: the one implementation of a serving tick, shared by
 //! the [`ServeLoop`](crate::ServeLoop) and the `paotr_serverd` daemon.
 //!
-//! One [`run_tick`] call:
-//!
-//! 1. builds the [`AdmissionCtx`] from the caller's weights, windows,
-//!    costs and pending requests, and asks the [`AdmissionPolicy`]
-//!    which due requests run;
-//! 2. runs the scheduler's arrangement maintenance;
-//! 3. applies the memory policy — once for the whole admitted set under
-//!    shared execution, once per query otherwise;
-//! 4. evaluates the admitted queries in joint-plan order;
-//! 5. counts their Kleene verdicts;
-//! 6. hands each evaluation's trace records to the caller's drift hook
-//!    ([`TickQueries::evaluated`]), then clears the trace;
-//! 7. settles the shed/defer bookkeeping and the tick's energy.
-//!
-//! Every read goes through [`FaultySource`] decorators. Under the empty
-//! fault plan they are pass-throughs, so faulted and fault-free serving
-//! share this one path, which is what makes determined verdicts
-//! bit-for-bit comparable across the two.
+//! [`run_tick`] admits due requests, maintains arrangements, evaluates
+//! the admitted queries in joint-plan order, counts their Kleene
+//! verdicts, hands each evaluation's trace to the caller's drift hook,
+//! and settles the shed/defer and energy bookkeeping. Every read goes
+//! through [`FaultySource`] decorators; under the empty fault plan they
+//! are pass-throughs, so faulted and fault-free serving share this one
+//! path, which is what makes determined verdicts bit-for-bit comparable.
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use paotr_core::schedule::DnfSchedule;

@@ -42,7 +42,7 @@ fn arranged_serving_cuts_fetched_items_by_thirty_percent() {
 
         // Identical query results: same evaluations served, same truth
         // outcomes, query by query.
-        assert_eq!(arranged.served, plain.served, "{planner}");
+        assert_eq!(arranged.evals, plain.evals, "{planner}");
         assert_eq!(
             arranged.per_query_served, plain.per_query_served,
             "{planner}"

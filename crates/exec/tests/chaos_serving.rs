@@ -73,7 +73,7 @@ fn determined_verdicts_match_the_fault_free_run_bit_for_bit() {
 
     // Fault-free serving under the always-wrapped decorator is fully
     // determined and burns nothing on retries.
-    assert_eq!(clean.determined, clean.served);
+    assert_eq!(clean.determined(), clean.evals);
     assert_eq!(clean.retries, 0);
     assert_eq!(clean.retry_energy, 0.0);
 
@@ -87,12 +87,12 @@ fn determined_verdicts_match_the_fault_free_run_bit_for_bit() {
     assert_eq!(faulted.degraded_verdicts, 0, "stale serving is off");
 
     // >= 70% of evaluations determined despite the chaos schedule.
-    let frac = faulted.determined as f64 / faulted.served.max(1) as f64;
+    let frac = faulted.determined() as f64 / faulted.evals.max(1) as f64;
     assert!(
         frac >= 0.70,
         "only {:.1}% of {} evaluations determined",
         frac * 100.0,
-        faulted.served
+        faulted.evals
     );
 
     // Every determined verdict equals the fault-free run's at the same
@@ -119,10 +119,10 @@ fn determined_verdicts_match_the_fault_free_run_bit_for_bit() {
         );
         compared += 1;
     }
-    assert_eq!(compared, faulted.determined);
+    assert_eq!(compared, faulted.determined());
     assert_eq!(
-        faulted.determined + faulted.unknown_verdicts + faulted.degraded_verdicts,
-        faulted.served
+        faulted.determined() + faulted.unknown_verdicts + faulted.degraded_verdicts,
+        faulted.evals
     );
 }
 
@@ -142,7 +142,7 @@ fn budgeted_chaos_never_exceeds_the_envelope_in_any_tick() {
         Some(chaos_spec()),
         None,
     );
-    assert!(capped.served > 0, "the envelope should still admit work");
+    assert!(capped.evals > 0, "the envelope should still admit work");
     assert!(
         capped.max_tick_energy <= budget + 1e-9,
         "tick energy {} exceeded budget {budget}",
@@ -172,15 +172,15 @@ fn stale_serving_degrades_verdicts_instead_of_failing_them() {
         Some(ArrangeConfig::default()),
     );
     assert!(r.arrangements > 0, "the joint plan materializes streams");
-    assert!(r.stale_leaves > 0, "outaged leaves should serve stale");
+    assert!(r.stale_serves > 0, "outaged leaves should serve stale");
     assert!(r.max_staleness > 0, "stale windows carry a staleness bound");
     assert!(
         r.degraded_verdicts > 0,
         "stale data should resolve some verdicts (degraded)"
     );
     assert_eq!(
-        r.determined + r.unknown_verdicts + r.degraded_verdicts,
-        r.served
+        r.determined() + r.unknown_verdicts + r.degraded_verdicts,
+        r.evals
     );
 }
 
@@ -195,9 +195,9 @@ fn faults_off_reports_zero_chaos_counters() {
     assert_eq!(r.failed_reads, 0);
     assert_eq!(r.unknown_verdicts, 0);
     assert_eq!(r.degraded_verdicts, 0);
-    assert_eq!(r.stale_leaves, 0);
+    assert_eq!(r.stale_serves, 0);
     assert_eq!(r.max_staleness, 0);
     assert_eq!(r.outage_replans, 0);
-    assert_eq!(r.determined, r.served);
-    assert_eq!(r.verdicts.len() as u64, r.served);
+    assert_eq!(r.determined(), r.evals);
+    assert_eq!(r.verdicts.len() as u64, r.evals);
 }

@@ -65,16 +65,16 @@ fn assert_rel(name: &str, got: f64, want: f64) {
 #[test]
 fn all_features_on_serve_run_is_pinned() {
     let r = run();
-    assert_eq!(r.served, 1352);
+    assert_eq!(r.evals, 1352);
     assert_eq!(r.shed, 0);
     assert_eq!(r.deferred, 652);
-    assert_eq!(r.replans, 45);
+    assert_eq!(r.drift_replans, 45);
     assert_eq!(r.outage_replans, 51);
-    assert_eq!(r.determined, 1270);
+    assert_eq!(r.determined(), 1270);
     assert_eq!(r.unknown_verdicts, 6);
     assert_eq!(r.degraded_verdicts, 76);
     assert_eq!(r.retries, 19);
-    assert_eq!(r.stale_leaves, 235);
+    assert_eq!(r.stale_serves, 235);
     assert_eq!(
         r.per_query_served,
         vec![98, 129, 86, 81, 117, 73, 87, 64, 89, 69, 82, 67, 72, 60, 64, 114]

@@ -43,7 +43,7 @@ fn zero_budget_sheds_every_request() {
     let r = serve
         .run(&mut EnergyBudget::shedding(0.0), &engine)
         .unwrap();
-    assert_eq!(r.served, 0, "nothing fits a zero budget");
+    assert_eq!(r.evals, 0, "nothing fits a zero budget");
     assert_eq!(r.total_energy, 0.0);
     assert_eq!(r.max_tick_energy, 0.0);
     assert!(r.shed > 0);
@@ -69,7 +69,7 @@ fn infinite_budget_equals_accept_all_bitwise() {
     // Identical admissions => identical executions, bitwise.
     assert_eq!(unconstrained.total_energy, infinite.total_energy);
     assert_eq!(unconstrained.max_tick_energy, infinite.max_tick_energy);
-    assert_eq!(unconstrained.served, infinite.served);
+    assert_eq!(unconstrained.evals, infinite.evals);
     assert_eq!(unconstrained.per_query_served, infinite.per_query_served);
     assert_eq!(unconstrained.truth_rate, infinite.truth_rate);
     assert_eq!(infinite.shed, 0);
@@ -142,7 +142,7 @@ fn shared_greedy_serves_at_least_the_independent_throughput() {
             rs.throughput(),
             ri.throughput()
         );
-        if rs.served > ri.served {
+        if rs.evals > ri.evals {
             strictly_better += 1;
         }
     }
@@ -174,10 +174,10 @@ fn deferred_requests_are_served_later_instead_of_dropped() {
     assert_eq!(defer.shed, 0);
     assert!(defer.deferred > 0, "the tight budget must defer something");
     assert!(
-        defer.served >= shed.served,
+        defer.evals >= shed.evals,
         "deferring keeps requests alive: {} vs {}",
-        defer.served,
-        shed.served
+        defer.evals,
+        shed.evals
     );
     assert!(defer.max_tick_energy <= budget + 1e-9);
 }
@@ -244,10 +244,10 @@ fn drift_triggers_replanning_and_reduces_energy() {
     let with_drift = drifting.run(&mut AcceptAll, &engine).unwrap();
     let without = frozen.run(&mut AcceptAll, &engine).unwrap();
     assert!(
-        with_drift.replans >= 1,
+        with_drift.drift_replans >= 1,
         "mis-calibration must trigger a re-plan"
     );
-    assert_eq!(without.replans, 0);
+    assert_eq!(without.drift_replans, 0);
     assert!(
         with_drift.total_energy < without.total_energy,
         "re-planned schedule must beat the mis-calibrated one: {} vs {}",
@@ -280,9 +280,9 @@ fn well_calibrated_serving_does_not_thrash_replans() {
     );
     let r = serve.run(&mut AcceptAll, &engine).unwrap();
     assert!(
-        r.replans <= w.len() as u64,
+        r.drift_replans <= w.len() as u64,
         "well-calibrated queries should rarely re-plan (got {})",
-        r.replans
+        r.drift_replans
     );
 }
 
@@ -331,7 +331,7 @@ fn serve_loop_accept_all_matches_the_simulator_golden_trace() {
         report.total_energy,
         8.34097789353874361e1 * ticks as f64
     ));
-    assert_eq!(report.served, 4 * 50);
+    assert_eq!(report.evals, 4 * 50);
     assert_eq!(report.shed, 0);
 }
 

@@ -26,8 +26,8 @@ use crate::telemetry::Telemetry;
 use crate::{Error, Result};
 use paotr_core::cost::ArrangeTerm;
 use paotr_core::plan::Engine;
-use paotr_core::stream::StreamId;
 use paotr_core::schedule::DnfSchedule;
+use paotr_core::stream::StreamId;
 use paotr_exec::{
     run_tick, AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget, Tick,
     TickQueries,
@@ -594,17 +594,17 @@ impl Daemon {
             .zip(&pending)
             .filter_map(|(&id, since)| since.map(|since| (id, since)))
             .collect();
-        let stats = stats?;
-        if let Some(store) = scheduler.arrangements().map(|s| s.stats()) {
-            self.telemetry.arrangements = store.arrangements as u64;
-            self.telemetry.arrange_hit_items = store.hit_items;
+        let energy = stats?.energy;
+        if let Some(arranged) = scheduler.arrangements().map(|s| s.stats()) {
+            self.telemetry.arrangements = arranged.arrangements as u64;
+            self.telemetry.arrange_hit_items = arranged.hit_items;
         }
 
         for (s, rng) in self.streams.iter_mut().zip(&mut self.stream_rngs) {
             s.advance_by(1, rng);
         }
         self.tick += 1;
-        Ok(stats.energy)
+        Ok(energy)
     }
 
     /// Creates (and warms) streams for catalog entries that do not have
@@ -1273,27 +1273,6 @@ mod tests {
         let (r, stop) = d.handle_line(r#"{"cmd":"shutdown"}"#);
         assert_eq!(r, r#"{"ok":true}"#);
         assert!(stop);
-    }
-
-    /// One line asking for an absurd batch used to reach an allocation
-    /// sized by `n` and abort the process. It now gets a typed refusal,
-    /// and the daemon keeps serving.
-    #[test]
-    fn oversized_tick_batches_are_refused_and_the_daemon_keeps_serving() {
-        use crate::proto::MAX_TICK_BATCH;
-        let mut d = daemon(None);
-        d.register(Q3, 1.0).unwrap();
-        let (r, stop) = d.handle_line(r#"{"cmd":"tick","n":1000000000000000}"#);
-        assert!(!stop);
-        assert!(r.starts_with(r#"{"ok":false,"#), "{r}");
-        assert!(r.contains("batch limit"), "{r}");
-        let (r, _) = d.handle_line(r#"{"cmd":"stats"}"#);
-        assert!(r.starts_with(r#"{"ok":true,"tick":0,"#), "{r}");
-        let (r, _) = d.handle_line(&format!(r#"{{"cmd":"tick","n":{MAX_TICK_BATCH}}}"#));
-        assert!(r.starts_with(r#"{"ok":true,"ticks":4096,"tick":4096,"#), "{r}");
-        let (r, _) = d.handle_line(&format!(r#"{{"cmd":"tick","n":{}}}"#, MAX_TICK_BATCH + 1));
-        assert!(r.starts_with(r#"{"ok":false,"#), "{r}");
-        assert_eq!(d.tick(), 4096);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::json::Json;
 use paotr_exec::TickCounters;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// The daemon's lifetime counters and last-tick gauges: the tick
 /// driver's [`TickCounters`] plus the counters only the daemon keeps.
@@ -38,12 +38,6 @@ impl Deref for Telemetry {
     }
 }
 
-impl DerefMut for Telemetry {
-    fn deref_mut(&mut self) -> &mut TickCounters {
-        &mut self.counters
-    }
-}
-
 impl Telemetry {
     /// Evaluations served per tick.
     pub fn evals_per_tick(&self) -> f64 {
@@ -57,8 +51,9 @@ impl Telemetry {
     }
 
     /// Serializes to the snapshot/stats JSON object. The arrangement
-    /// counters are emitted only when non-zero, so daemons that never
-    /// arranged render exactly the version-1 telemetry object.
+    /// and fault counters are emitted only when non-zero, so daemons
+    /// that never arranged or faulted render exactly the version-1
+    /// telemetry object.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("ticks", Json::from_u64(self.ticks)),
@@ -74,35 +69,22 @@ impl Telemetry {
             ("max_tick_energy", Json::Num(self.max_tick_energy)),
             ("last_tick_energy", Json::Num(self.last_tick_energy)),
         ];
-        if self.maintain_energy != 0.0 {
-            fields.push(("maintain_energy", Json::Num(self.maintain_energy)));
-        }
-        if self.arrangements != 0 {
-            fields.push(("arrangements", Json::from_u64(self.arrangements)));
-        }
-        if self.arrange_hit_items != 0 {
-            fields.push(("arrange_hit_items", Json::from_u64(self.arrange_hit_items)));
-        }
-        // Fault counters follow the same discipline: a fault-free
-        // daemon's telemetry renders exactly the pre-fault object.
-        if self.retries != 0 {
-            fields.push(("retries", Json::from_u64(self.retries)));
-        }
-        if self.retry_energy != 0.0 {
-            fields.push(("retry_energy", Json::Num(self.retry_energy)));
-        }
-        if self.failed_reads != 0 {
-            fields.push(("failed_reads", Json::from_u64(self.failed_reads)));
-        }
-        if self.unknown_verdicts != 0 {
-            fields.push(("unknown_verdicts", Json::from_u64(self.unknown_verdicts)));
-        }
-        if self.degraded_verdicts != 0 {
-            fields.push(("degraded_verdicts", Json::from_u64(self.degraded_verdicts)));
-        }
-        if self.stale_serves != 0 {
-            fields.push(("stale_serves", Json::from_u64(self.stale_serves)));
-        }
+        let optional = [
+            ("maintain_energy", Json::Num(self.maintain_energy)),
+            ("arrangements", Json::from_u64(self.arrangements)),
+            ("arrange_hit_items", Json::from_u64(self.arrange_hit_items)),
+            ("retries", Json::from_u64(self.retries)),
+            ("retry_energy", Json::Num(self.retry_energy)),
+            ("failed_reads", Json::from_u64(self.failed_reads)),
+            ("unknown_verdicts", Json::from_u64(self.unknown_verdicts)),
+            ("degraded_verdicts", Json::from_u64(self.degraded_verdicts)),
+            ("stale_serves", Json::from_u64(self.stale_serves)),
+        ];
+        fields.extend(
+            optional
+                .into_iter()
+                .filter(|(_, v)| v.as_f64() != Some(0.0)),
+        );
         Json::obj(fields)
     }
 
