@@ -7,7 +7,7 @@
 //! file exists) and writes it back on clean shutdown, so restarts
 //! continue tick-for-tick where the previous process stopped.
 
-use paotr_serverd::{Config, Daemon, FaultSpec, TcpOptions};
+use paotr_serverd::{Config, Daemon, TcpOptions};
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -97,81 +97,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 tcp.idle_timeout = Some(Duration::from_millis(ms));
                 i += 2;
             }
-            "--faults" => {
-                config.faults.get_or_insert_with(FaultSpec::default);
-                i += 1;
-            }
-            "--fault-seed" => {
-                config.faults.get_or_insert_with(FaultSpec::default).seed = take("--fault-seed")?
-                    .parse()
-                    .map_err(|_| "--fault-seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--fault-rate" => {
-                let r: f64 = take("--fault-rate")?
-                    .parse()
-                    .map_err(|_| "--fault-rate expects a number".to_string())?;
-                if !(r.is_finite() && (0.0..=1.0).contains(&r)) {
-                    return Err("--fault-rate expects a probability in [0, 1]".into());
-                }
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .transient_rate = r;
-                i += 2;
-            }
-            "--outage-streams" => {
-                let share: f64 = take("--outage-streams")?
-                    .parse()
-                    .map_err(|_| "--outage-streams expects a number".to_string())?;
-                if !(share.is_finite() && (0.0..=1.0).contains(&share)) {
-                    return Err("--outage-streams expects a share in [0, 1]".into());
-                }
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .outage_streams = share;
-                i += 2;
-            }
-            "--outage-len" => {
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .outage_len = take("--outage-len")?
-                    .parse()
-                    .map_err(|_| "--outage-len expects an integer".to_string())?;
-                i += 2;
-            }
-            "--outage-gap" => {
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .outage_gap = take("--outage-gap")?
-                    .parse()
-                    .map_err(|_| "--outage-gap expects an integer".to_string())?;
-                i += 2;
-            }
-            "--retries" => {
-                let attempts: u32 = take("--retries")?
-                    .parse()
-                    .map_err(|_| "--retries expects an integer >= 1".to_string())?;
-                if attempts == 0 {
-                    return Err("--retries expects an integer >= 1".into());
-                }
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .max_attempts = attempts;
-                i += 2;
-            }
-            "--no-stale" => {
-                config
-                    .faults
-                    .get_or_insert_with(FaultSpec::default)
-                    .stale_serve = false;
-                i += 1;
-            }
-            other => return Err(format!("unknown daemon flag `{other}`")),
+            other => match crate::serve_cmd::parse_fault_flag(other, value, &mut config.faults)? {
+                Some(used) => i += used,
+                None => return Err(format!("unknown daemon flag `{other}`")),
+            },
         }
     }
     if config.max_sessions == 0 {

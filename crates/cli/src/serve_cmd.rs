@@ -129,51 +129,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "--arrange-grace expects an integer".to_string())?;
                 i += 2;
             }
-            "--faults" => {
-                faults.get_or_insert_with(FaultSpec::default);
-                i += 1;
-            }
-            "--fault-seed" => {
-                faults.get_or_insert_with(FaultSpec::default).seed = take("--fault-seed")?
-                    .parse()
-                    .map_err(|_| "--fault-seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--fault-rate" => {
-                let mut r = 0.0;
-                parse_num("--fault-rate", &mut r)?;
-                faults.get_or_insert_with(FaultSpec::default).transient_rate = r;
-                i += 2;
-            }
-            "--outage-streams" => {
-                let mut share = 0.0;
-                parse_num("--outage-streams", &mut share)?;
-                faults.get_or_insert_with(FaultSpec::default).outage_streams = share;
-                i += 2;
-            }
-            "--outage-len" => {
-                faults.get_or_insert_with(FaultSpec::default).outage_len = take("--outage-len")?
-                    .parse()
-                    .map_err(|_| "--outage-len expects an integer".to_string())?;
-                i += 2;
-            }
-            "--outage-gap" => {
-                faults.get_or_insert_with(FaultSpec::default).outage_gap = take("--outage-gap")?
-                    .parse()
-                    .map_err(|_| "--outage-gap expects an integer".to_string())?;
-                i += 2;
-            }
-            "--retries" => {
-                faults.get_or_insert_with(FaultSpec::default).max_attempts = take("--retries")?
-                    .parse()
-                    .map_err(|_| "--retries expects an integer >= 1".to_string())?;
-                i += 2;
-            }
-            "--no-stale" => {
-                faults.get_or_insert_with(FaultSpec::default).stale_serve = false;
-                i += 1;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            other => match parse_fault_flag(other, value, &mut faults)? {
+                Some(used) => i += used,
+                None => return Err(format!("unknown flag `{other}`")),
+            },
         }
     }
     if queries == 0 {
@@ -211,18 +170,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             return Err("--check-budget expects a finite energy value >= 0".into());
         }
     }
-    if let Some(f) = &faults {
-        if !(0.0..=1.0).contains(&f.transient_rate) || !f.transient_rate.is_finite() {
-            return Err("--fault-rate expects a probability in [0, 1]".into());
-        }
-        if !(0.0..=1.0).contains(&f.outage_streams) || !f.outage_streams.is_finite() {
-            return Err("--outage-streams expects a share in [0, 1]".into());
-        }
-        if f.max_attempts == 0 {
-            return Err("--retries expects an integer >= 1".into());
-        }
-    }
-
     let config = WorkloadConfig::with_overlap(queries, overlap);
     let (trees, catalog) = workload_instance(config, seed as usize);
     let workload = Workload::from_trees(trees, catalog).map_err(|e| e.to_string())?;
@@ -406,6 +353,72 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Applies one fault-injection flag, shared by `serve` and
+/// `serve --daemon`, to `faults`. Returns how many arguments the flag
+/// consumed, or `None` when `flag` is not a fault flag.
+pub(crate) fn parse_fault_flag(
+    flag: &str,
+    value: Option<&String>,
+    faults: &mut Option<FaultSpec>,
+) -> Result<Option<usize>, String> {
+    fn parse<T: std::str::FromStr>(
+        flag: &str,
+        value: Option<&String>,
+        what: &str,
+    ) -> Result<T, String> {
+        value
+            .ok_or_else(|| format!("{flag} expects a value"))?
+            .parse()
+            .map_err(|_| format!("{flag} expects {what}"))
+    }
+    let share = |what: &str| {
+        let x: f64 = parse(flag, value, "a number")?;
+        if x.is_finite() && (0.0..=1.0).contains(&x) {
+            Ok(x)
+        } else {
+            Err(format!("{flag} expects {what}"))
+        }
+    };
+    let mut spec = faults.unwrap_or_default();
+    let used = match flag {
+        "--faults" => 1,
+        "--no-stale" => {
+            spec.stale_serve = false;
+            1
+        }
+        "--fault-seed" => {
+            spec.seed = parse(flag, value, "an integer")?;
+            2
+        }
+        "--fault-rate" => {
+            spec.transient_rate = share("a probability in [0, 1]")?;
+            2
+        }
+        "--outage-streams" => {
+            spec.outage_streams = share("a share in [0, 1]")?;
+            2
+        }
+        "--outage-len" => {
+            spec.outage_len = parse(flag, value, "an integer")?;
+            2
+        }
+        "--outage-gap" => {
+            spec.outage_gap = parse(flag, value, "an integer")?;
+            2
+        }
+        "--retries" => {
+            spec.max_attempts = parse(flag, value, "an integer >= 1")
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "--retries expects an integer >= 1".to_string())?;
+            2
+        }
+        _ => return Ok(None),
+    };
+    *faults = Some(spec);
+    Ok(Some(used))
 }
 
 #[cfg(test)]

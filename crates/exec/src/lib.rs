@@ -64,4 +64,4 @@ pub use arrivals::{ArrivalProcess, ArrivalSpec};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
 pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};
-pub use tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};
+pub use tick::{run_tick, Tick, TickCounters, TickQuery, TickStats};

@@ -15,7 +15,7 @@
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
-use crate::tick::{run_tick, Tick, TickCounters, TickQueries, TickStats};
+use crate::tick::{run_tick, Tick, TickCounters, TickQuery, TickStats};
 use paotr_core::error::{Error, Result};
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
@@ -28,7 +28,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use stream_sim::{
     gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord,
-    MemoryPolicy, QueryOutcome, Scheduler, SimQuery, TraceLog, Verdict,
+    MemoryPolicy, Scheduler, SimQuery, TraceLog, Verdict,
 };
 
 /// Cost multiplier applied to dead streams during outage re-planning:
@@ -437,18 +437,21 @@ impl ServeLoop {
         let windows: Vec<Vec<u32>> = AdmissionCtx::query_windows(&self.queries, n_streams);
         let costs = AdmissionCtx::stream_costs(&self.catalog);
 
-        let mut served = Served {
-            queries: &self.queries,
-            schedules: self.schedules.clone(),
-            drift: self.drift_seed.clone(),
-            catalog: self.catalog.clone(),
-            engine,
-            drift_config: self.config.drift,
-            record_verdicts: self.config.record_verdicts,
-            tick: 0,
-            per_query_served: vec![0; n],
-            max_staleness: 0,
-            verdicts: Vec::new(),
+        let mut schedules = self.schedules.clone();
+        let mut drift = self.drift_seed.clone();
+        // The catalog re-plans see: dead streams are penalized during an
+        // outage, so re-plans pull them last.
+        let mut live_catalog = self.catalog.clone();
+        let replan = |q: usize, probs: &[f64], catalog: &StreamCatalog, why: &str| {
+            let tree = self.queries[q].skeleton(probs);
+            let plan = engine.plan(&tree, catalog)?;
+            let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
+                Error::InvalidWorkload(format!(
+                    "planner `{}` produced a non-schedule plan during {why} re-planning",
+                    plan.planner
+                ))
+            })?;
+            Ok::<_, Error>(Arc::new(schedule))
         };
         // `Some(t)` = a request has been pending since tick `t`; deferred
         // requests keep their original arrival tick so admission's
@@ -458,6 +461,9 @@ impl ServeLoop {
         let mut counters = TickCounters::default();
         let mut total_arrivals = 0u64;
         let mut outage_replans = 0u64;
+        let mut per_query_served = vec![0u64; n];
+        let mut max_staleness = 0u64;
+        let mut verdicts: Vec<VerdictRecord> = Vec::new();
 
         for t in 0..self.config.ticks as u64 {
             // Outage transitions re-plan the affected queries against a
@@ -467,15 +473,15 @@ impl ServeLoop {
                 let now = streams.first().map(|s| s.now()).unwrap_or(0);
                 let out = faults.outage_signature(n_streams, now);
                 if out != last_out {
-                    served.catalog = if out.iter().any(|&b| b) {
+                    live_catalog = if out.iter().any(|&b| b) {
                         outage_catalog(&self.catalog, &out, OUTAGE_PENALTY)
                     } else {
                         self.catalog.clone()
                     };
                     for (q, w) in windows.iter().enumerate() {
                         if (0..n_streams).any(|k| out[k] != last_out[k] && w[k] > 0) {
-                            let probs = served.drift[q].calibrated().to_vec();
-                            served.replan(q, &probs, "outage")?;
+                            schedules[q] =
+                                replan(q, drift[q].calibrated(), &live_catalog, "outage")?;
                             outage_replans += 1;
                         }
                     }
@@ -490,8 +496,18 @@ impl ServeLoop {
                     pending[q] = Some(t);
                 }
             }
-            served.tick = t;
-            let stats = run_tick(
+            let mut queries: Vec<TickQuery> = self
+                .queries
+                .iter()
+                .zip(&schedules)
+                .zip(&mut drift)
+                .map(|((sim, schedule), drift)| TickQuery {
+                    sim,
+                    schedule,
+                    drift,
+                })
+                .collect();
+            let (stats, drifted) = run_tick(
                 Tick {
                     tick: t,
                     weights: &self.weights,
@@ -505,11 +521,28 @@ impl ServeLoop {
                     streams: &streams,
                     faults: &faults,
                     meter: &mut meter,
-                    trace: self.config.drift.is_some().then_some(&mut trace),
+                    drift: self.config.drift,
+                    trace: &mut trace,
                 },
-                &mut served,
+                &mut queries,
                 &mut counters,
-            )?;
+                |q, out| {
+                    per_query_served[q] += 1;
+                    max_staleness = max_staleness.max(out.staleness);
+                    if self.config.record_verdicts {
+                        verdicts.push(VerdictRecord {
+                            tick: t,
+                            query: q,
+                            verdict: out.verdict,
+                            degraded: out.degraded,
+                        });
+                    }
+                },
+            );
+            for (q, probs) in drifted {
+                schedules[q] = replan(q, &probs, &live_catalog, "drift")?;
+                drift[q].reset_to(probs);
+            }
             on_tick(&stats);
 
             for s in &mut streams {
@@ -527,7 +560,7 @@ impl ServeLoop {
             planner: self.planner.clone(),
             admission: policy.name().to_string(),
             arrivals: total_arrivals,
-            per_query_served: served.per_query_served,
+            per_query_served,
             truth_rate: if counters.evals > 0 {
                 counters.truths as f64 / counters.evals as f64
             } else {
@@ -539,77 +572,9 @@ impl ServeLoop {
             pull_energy: meter.pull_cost_total(),
             arrangements: stats.map_or(0, |s| s.arrangements),
             arrangement_hit_items: stats.map_or(0, |s| s.hit_items),
-            max_staleness: served.max_staleness,
+            max_staleness,
             outage_replans,
-            verdicts: served.verdicts,
+            verdicts,
         })
-    }
-}
-
-/// The serve loop's side of a tick: its queries' schedules and drift
-/// estimators, the catalog re-plans see, and the per-query report
-/// fields the driver does not keep.
-struct Served<'a> {
-    queries: &'a [SimQuery],
-    schedules: Vec<Arc<DnfSchedule>>,
-    drift: Vec<DriftState>,
-    /// The catalog the planners currently see (dead streams penalized
-    /// during an outage, so re-plans pull them last).
-    catalog: StreamCatalog,
-    engine: &'a Engine,
-    drift_config: Option<DriftConfig>,
-    record_verdicts: bool,
-    tick: u64,
-    per_query_served: Vec<u64>,
-    max_staleness: u64,
-    verdicts: Vec<VerdictRecord>,
-}
-
-impl Served<'_> {
-    /// Re-plans query `q` under `probs` against the current catalog.
-    fn replan(&mut self, q: usize, probs: &[f64], why: &str) -> Result<()> {
-        let tree = self.queries[q].skeleton(probs);
-        let plan = self.engine.plan(&tree, &self.catalog)?;
-        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-            Error::InvalidWorkload(format!(
-                "planner `{}` produced a non-schedule plan during {why} re-planning",
-                plan.planner
-            ))
-        })?;
-        self.schedules[q] = Arc::new(schedule);
-        Ok(())
-    }
-}
-
-impl TickQueries for Served<'_> {
-    type Error = Error;
-
-    fn query(&self, q: usize) -> Result<(&SimQuery, &DnfSchedule)> {
-        match (self.queries.get(q), self.schedules.get(q)) {
-            (Some(sim), Some(schedule)) => Ok((sim, schedule)),
-            _ => Err(Error::InvalidWorkload(format!("no query {q} to serve"))),
-        }
-    }
-
-    fn evaluated(&mut self, q: usize, out: &QueryOutcome, records: &[LeafRecord]) -> Result<bool> {
-        self.per_query_served[q] += 1;
-        self.max_staleness = self.max_staleness.max(out.staleness);
-        if self.record_verdicts {
-            self.verdicts.push(VerdictRecord {
-                tick: self.tick,
-                query: q,
-                verdict: out.verdict,
-                degraded: out.degraded,
-            });
-        }
-        let Some(cfg) = self.drift_config else {
-            return Ok(false);
-        };
-        let Some(probs) = self.drift[q].observe_eval(records, &cfg) else {
-            return Ok(false);
-        };
-        self.replan(q, &probs, "drift")?;
-        self.drift[q].reset_to(probs);
-        Ok(true)
     }
 }

@@ -3,18 +3,18 @@
 //!
 //! [`run_tick`] admits due requests, maintains arrangements, evaluates
 //! the admitted queries in joint-plan order, counts their Kleene
-//! verdicts, hands each evaluation's trace to the caller's drift hook,
-//! and settles the shed/defer and energy bookkeeping. Every read goes
-//! through [`FaultySource`] decorators; under the empty fault plan they
-//! are pass-throughs, so faulted and fault-free serving share this one
-//! path, which is what makes determined verdicts bit-for-bit comparable.
+//! verdicts, folds each evaluation's trace into the query's drift
+//! estimator, and settles the shed/defer and energy bookkeeping. Every
+//! read goes through [`FaultySource`] decorators; under the empty fault
+//! plan they are pass-throughs, so faulted and fault-free serving share
+//! this one path, which is what makes determined verdicts bit-for-bit
+//! comparable.
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
+use crate::serve::{DriftConfig, DriftState};
 use paotr_core::schedule::DnfSchedule;
 use paotr_faults::{FaultPlan, FaultySource};
-use stream_sim::{
-    EnergyMeter, LeafRecord, QueryOutcome, Scheduler, SimQuery, SimStream, TraceLog, Verdict,
-};
+use stream_sim::{EnergyMeter, QueryOutcome, Scheduler, SimQuery, SimStream, TraceLog, Verdict};
 
 /// The counters every serving layer keeps, updated by [`run_tick`].
 /// The daemon's `Telemetry` and the serve loop's `ServeReport` both
@@ -81,24 +81,15 @@ pub struct TickStats {
     pub energy: f64,
 }
 
-/// The caller's queries, by index, as the driver sees them.
-pub trait TickQueries {
-    /// The caller's error type.
-    type Error;
-
-    /// Query `q`'s executable form and current schedule.
-    fn query(&self, q: usize) -> Result<(&SimQuery, &DnfSchedule), Self::Error>;
-
-    /// Called after query `q` is evaluated, with its outcome and the
-    /// trace records the evaluation produced (empty when the tick is
-    /// untraced). Returns whether the hook re-planned the query
-    /// because its leaves drifted.
-    fn evaluated(
-        &mut self,
-        q: usize,
-        out: &QueryOutcome,
-        records: &[LeafRecord],
-    ) -> Result<bool, Self::Error>;
+/// One query as the driver sees it: what to run, and the drift
+/// estimator its trace records fold into.
+pub struct TickQuery<'a> {
+    /// The query's executable form.
+    pub sim: &'a SimQuery,
+    /// Its current leaf schedule.
+    pub schedule: &'a DnfSchedule,
+    /// Its per-leaf hit-rate estimator.
+    pub drift: &'a mut DriftState,
 }
 
 /// One tick's inputs, and the state it advances.
@@ -128,88 +119,83 @@ pub struct Tick<'a> {
     pub faults: &'a FaultPlan,
     /// Prices every pull; the tick's energy is its delta.
     pub meter: &'a mut EnergyMeter,
-    /// Per-leaf records for drift estimation; `None` runs untraced.
-    pub trace: Option<&'a mut TraceLog>,
+    /// Drift detection; `None` runs untraced.
+    pub drift: Option<DriftConfig>,
+    /// Scratch log for one evaluation's per-leaf records.
+    pub trace: &'a mut TraceLog,
 }
 
-/// Serves one tick: admission, maintenance, the ordered evaluation
-/// loop, verdict counting, the drift hook, and the shed/defer and
-/// energy bookkeeping. Returns the tick's headline numbers; its energy
-/// is the meter's delta over the tick.
-pub fn run_tick<Q: TickQueries + ?Sized>(
-    tick: Tick<'_>,
-    queries: &mut Q,
+/// Serves one tick over `queries`: admission, maintenance, the ordered
+/// evaluation loop, verdict counting, drift estimation, and the
+/// shed/defer and energy bookkeeping. `on_eval` sees every evaluation
+/// in execution order.
+///
+/// Returns the tick's headline numbers (its energy is the meter's
+/// delta over the tick) and the queries whose leaves drifted, each
+/// with its re-calibrated probabilities. The caller re-plans those
+/// once the tick is over; every query runs at most once per tick, so
+/// that is the same as re-planning right after its evaluation.
+pub fn run_tick(
+    t: Tick<'_>,
+    queries: &mut [TickQuery<'_>],
     counters: &mut TickCounters,
-) -> Result<TickStats, Q::Error> {
-    let Tick {
-        tick: t,
-        weights,
-        windows,
-        costs,
-        shared,
-        order,
-        pending,
-        policy,
-        scheduler,
-        streams,
-        faults,
-        meter,
-        mut trace,
-    } = tick;
+    mut on_eval: impl FnMut(usize, &QueryOutcome),
+) -> (TickStats, Vec<(usize, Vec<f64>)>) {
     // With up to `attempts` contacts per leaf, admission scales every
     // worst case by the same factor (1 under the empty plan).
-    let spec = faults.spec();
+    let spec = t.faults.spec();
     let attempts = spec.max_attempts.max(1);
-    scheduler.set_fault_policy(attempts, spec.stale_serve);
+    t.scheduler.set_fault_policy(attempts, spec.stale_serve);
 
-    let due: Vec<usize> = (0..pending.len())
-        .filter(|&q| pending[q].is_some())
+    let due: Vec<usize> = (0..t.pending.len())
+        .filter(|&q| t.pending[q].is_some())
         .collect();
-    let pending_since: Vec<u64> = pending.iter().map(|p| p.unwrap_or(t)).collect();
+    let pending_since: Vec<u64> = t.pending.iter().map(|p| p.unwrap_or(t.tick)).collect();
     let ctx = AdmissionCtx {
-        weights,
-        windows,
-        costs,
+        weights: t.weights,
+        windows: t.windows,
+        costs: t.costs,
         pending_since: &pending_since,
-        shared,
+        shared: t.shared,
         retry_factor: f64::from(attempts),
     };
-    let admission = policy.admit(t, &due, &ctx);
+    let admission = t.policy.admit(t.tick, &due, &ctx);
 
-    let energy_before = meter.total_cost();
-    let maintain_before = meter.maintain_cost_total();
-    let retry_before = meter.retry_cost_total();
-    let sources = FaultySource::wrap(streams, faults);
-    scheduler.maintain_tick(&sources, meter);
+    let energy_before = t.meter.total_cost();
+    let maintain_before = t.meter.maintain_cost_total();
+    let retry_before = t.meter.retry_cost_total();
+    let sources = FaultySource::wrap(t.streams, t.faults);
+    t.scheduler.maintain_tick(&sources, t.meter);
 
     // Execute the admitted set in the joint plan's order so the planned
     // cross-query sharing materializes.
-    let mut admitted = vec![false; pending.len()];
+    let mut admitted = vec![false; queries.len().min(t.pending.len())];
     for &q in &admission.admitted {
         if let Some(a) = admitted.get_mut(q) {
             *a = true;
         }
     }
-    let run: Vec<usize> = order
+    let run: Vec<usize> = t
+        .order
         .iter()
         .copied()
         .filter(|&q| admitted.get(q) == Some(&true))
         .collect();
-    if shared {
-        let sims = run
-            .iter()
-            .map(|&q| queries.query(q).map(|(sim, _)| sim))
-            .collect::<Result<Vec<_>, _>>()?;
-        scheduler.begin_tick(&sims, &sources);
+    if t.shared {
+        let sims: Vec<&SimQuery> = run.iter().map(|&q| queries[q].sim).collect();
+        t.scheduler.begin_tick(&sims, &sources);
     }
+    let mut drifted = Vec::new();
     for &q in &run {
-        let out = {
-            let (sim, schedule) = queries.query(q)?;
-            if !shared {
-                scheduler.begin_tick(std::slice::from_ref(sim), &sources);
-            }
-            scheduler.run_query(sim, schedule, &sources, meter, trace.as_deref_mut())
-        };
+        let query = &mut queries[q];
+        if !t.shared {
+            t.scheduler
+                .begin_tick(std::slice::from_ref(query.sim), &sources);
+        }
+        let trace = t.drift.is_some().then_some(&mut *t.trace);
+        let out = t
+            .scheduler
+            .run_query(query.sim, query.schedule, &sources, t.meter, trace);
         counters.evals += 1;
         counters.truths += u64::from(out.value);
         counters.retries += u64::from(out.retries);
@@ -220,39 +206,41 @@ pub fn run_tick<Q: TickQueries + ?Sized>(
             _ if out.degraded => counters.degraded_verdicts += 1,
             _ => {}
         }
-        pending[q] = None;
+        t.pending[q] = None;
+        on_eval(q, &out);
 
-        // Only this evaluation's records are ever needed; clearing
-        // after the hook keeps the log bounded over arbitrarily long
-        // runs.
-        let records = trace.as_deref().map_or(&[][..], TraceLog::records);
-        let replanned = queries.evaluated(q, &out, records);
-        if let Some(log) = trace.as_deref_mut() {
-            log.clear();
+        // Only this evaluation's records are ever needed; clearing them
+        // keeps the log bounded over arbitrarily long runs.
+        if let Some(cfg) = &t.drift {
+            if let Some(probs) = query.drift.observe_eval(t.trace.records(), cfg) {
+                counters.drift_replans += 1;
+                drifted.push((q, probs));
+            }
+            t.trace.clear();
         }
-        counters.drift_replans += u64::from(replanned?);
     }
     for &q in &admission.shed {
-        if let Some(p) = pending.get_mut(q) {
+        if let Some(p) = t.pending.get_mut(q) {
             *p = None;
         }
     }
     counters.shed += admission.shed.len() as u64;
     counters.deferred += admission.deferred.len() as u64;
 
-    let energy = meter.total_cost() - energy_before;
+    let energy = t.meter.total_cost() - energy_before;
     counters.ticks += 1;
     counters.last_tick_energy = energy;
     counters.total_energy += energy;
     counters.max_tick_energy = counters.max_tick_energy.max(energy);
-    counters.maintain_energy += meter.maintain_cost_total() - maintain_before;
-    counters.retry_energy += meter.retry_cost_total() - retry_before;
-    Ok(TickStats {
-        tick: t,
+    counters.maintain_energy += t.meter.maintain_cost_total() - maintain_before;
+    counters.retry_energy += t.meter.retry_cost_total() - retry_before;
+    let stats = TickStats {
+        tick: t.tick,
         due: due.len(),
         admitted: admission.admitted.len(),
         shed: admission.shed.len(),
         deferred: admission.deferred.len(),
         energy,
-    })
+    };
+    (stats, drifted)
 }

@@ -26,11 +26,9 @@ use crate::telemetry::Telemetry;
 use crate::{Error, Result};
 use paotr_core::cost::ArrangeTerm;
 use paotr_core::plan::Engine;
-use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamId;
 use paotr_exec::{
     run_tick, AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget, Tick,
-    TickQueries,
 };
 use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_gen::seeds;
@@ -42,8 +40,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use stream_sim::{
-    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord, MemoryPolicy,
-    QueryOutcome, Scheduler, SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
+    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy, Scheduler,
+    SensorModel, SensorSource, SimStream, TraceLog, Verdict,
 };
 
 /// Domain separation for per-stream RNG seeds.
@@ -141,96 +139,46 @@ impl Config {
 
     /// Deserializes from the snapshot JSON object.
     pub fn from_json(v: &Json) -> std::result::Result<Config, String> {
-        let missing = |k: &str| format!("config: missing or invalid `{k}`");
-        let drift = match v.get("drift") {
-            None | Some(Json::Null) => None,
-            Some(d) => Some(DriftConfig {
-                tolerance: d
-                    .get("tolerance")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| missing("drift.tolerance"))?,
-                min_samples: d
-                    .get("min_samples")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("drift.min_samples"))?,
-            }),
-        };
-        let budget = match v.get("budget") {
-            None | Some(Json::Null) => None,
-            Some(b) => Some(b.as_f64().ok_or_else(|| missing("budget"))?),
-        };
-        let arrange = match v.get("arrange") {
-            None | Some(Json::Null) => None,
-            Some(a) => Some(ArrangeConfig {
-                grace: a
-                    .get("grace")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("arrange.grace"))?,
-            }),
-        };
-        let faults = match v.get("faults") {
-            None | Some(Json::Null) => None,
-            Some(f) => Some(FaultSpec {
-                seed: f
-                    .get("seed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("faults.seed"))?,
-                transient_rate: f
-                    .get("transient_rate")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| missing("faults.transient_rate"))?,
-                outage_streams: f
-                    .get("outage_streams")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| missing("faults.outage_streams"))?,
-                outage_len: f
-                    .get("outage_len")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("faults.outage_len"))?,
-                outage_gap: f
-                    .get("outage_gap")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("faults.outage_gap"))?,
-                max_attempts: f
-                    .get("max_attempts")
-                    .and_then(Json::as_u64)
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| missing("faults.max_attempts"))?,
-                stale_serve: f
-                    .get("stale_serve")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| missing("faults.stale_serve"))?,
-            }),
-        };
+        let u32_of = |x: &Json| x.as_u64().and_then(|n| u32::try_from(n).ok());
+        let section = |k: &str| v.get(k).filter(|x| !matches!(x, Json::Null));
+        let drift = section("drift")
+            .map(|d| {
+                Ok::<_, String>(DriftConfig {
+                    tolerance: d.field("config.drift", "tolerance", Json::as_f64)?,
+                    min_samples: d.field("config.drift", "min_samples", Json::as_u64)?,
+                })
+            })
+            .transpose()?;
+        let arrange = section("arrange")
+            .map(|a| {
+                a.field("config.arrange", "grace", Json::as_u64)
+                    .map(|grace| ArrangeConfig { grace })
+            })
+            .transpose()?;
+        let faults = section("faults")
+            .map(|f| {
+                Ok::<_, String>(FaultSpec {
+                    seed: f.field("config.faults", "seed", Json::as_u64)?,
+                    transient_rate: f.field("config.faults", "transient_rate", Json::as_f64)?,
+                    outage_streams: f.field("config.faults", "outage_streams", Json::as_f64)?,
+                    outage_len: f.field("config.faults", "outage_len", Json::as_u64)?,
+                    outage_gap: f.field("config.faults", "outage_gap", Json::as_u64)?,
+                    max_attempts: f.field("config.faults", "max_attempts", u32_of)?,
+                    stale_serve: f.field("config.faults", "stale_serve", Json::as_bool)?,
+                })
+            })
+            .transpose()?;
         Ok(Config {
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("seed"))?,
-            planner: v
-                .get("planner")
-                .and_then(Json::as_str)
-                .ok_or_else(|| missing("planner"))?
-                .to_string(),
-            budget,
-            defer: v
-                .get("defer")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| missing("defer"))?,
+            seed: v.field("config", "seed", Json::as_u64)?,
+            planner: v.field("config", "planner", Json::as_str)?.to_string(),
+            budget: section("budget")
+                .map(|_| v.field("config", "budget", Json::as_f64))
+                .transpose()?,
+            defer: v.field("config", "defer", Json::as_bool)?,
             drift,
-            replan_after: v
-                .get("replan_after")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("replan_after"))?,
-            max_sessions: v
-                .get("max_sessions")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("max_sessions"))? as usize,
-            max_window: v
-                .get("max_window")
-                .and_then(Json::as_u64)
-                .filter(|&w| w <= u64::from(u32::MAX))
-                .ok_or_else(|| missing("max_window"))? as u32,
+            replan_after: v.field("config", "replan_after", Json::as_u64)?,
+            max_sessions: v.field("config", "max_sessions", Json::as_u64)? as usize,
+            max_window: v.field("config", "max_window", u32_of)?,
             arrange,
             faults,
         })
@@ -315,51 +263,6 @@ fn session_acquisitions(registry: &SessionRegistry, id: u64) -> Vec<(StreamId, u
         })
         .map(|(k, &w)| (StreamId(k), w))
         .collect()
-}
-
-/// The daemon's side of a tick: live sessions by index (their rank in
-/// id order), drift re-planning, and the per-tick verdict log.
-struct Sessions<'a> {
-    registry: &'a mut SessionRegistry,
-    ids: &'a [u64],
-    engine: &'a Engine,
-    drift: Option<DriftConfig>,
-    verdicts: &'a mut Vec<(u64, Verdict, bool)>,
-}
-
-impl Sessions<'_> {
-    fn id(&self, q: usize) -> Result<u64> {
-        self.ids
-            .get(q)
-            .copied()
-            .ok_or_else(|| Error::Rejected(format!("no session at index {q}")))
-    }
-}
-
-impl TickQueries for Sessions<'_> {
-    type Error = Error;
-
-    fn query(&self, q: usize) -> Result<(&SimQuery, &DnfSchedule)> {
-        let id = self.id(q)?;
-        let session = self
-            .registry
-            .session(id)
-            .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
-        Ok((&session.sim, &session.schedule))
-    }
-
-    fn evaluated(&mut self, q: usize, out: &QueryOutcome, records: &[LeafRecord]) -> Result<bool> {
-        let id = self.id(q)?;
-        self.verdicts.push((id, out.verdict, out.degraded));
-        let Some(cfg) = self.drift else {
-            return Ok(false);
-        };
-        let Some(probs) = self.registry.observe(id, records, &cfg)? else {
-            return Ok(false);
-        };
-        self.registry.recalibrate(id, probs, self.engine)?;
-        Ok(true)
-    }
 }
 
 impl Daemon {
@@ -504,33 +407,21 @@ impl Daemon {
             Some(b) => b,
             None => &mut AcceptAll,
         };
-        let mut failure = None;
-        for _ in 0..n {
+        let batch = (0..n).try_for_each(|_| -> Result<()> {
             if self.config.replan_after > 0
                 && self.churn_since_replan >= self.config.replan_after
                 && !self.registry.is_empty()
             {
-                if let Err(e) = self.replan() {
-                    failure = Some(e);
-                    break;
-                }
+                self.replan()?;
             }
-            match self.run_one_tick(&mut scheduler, &mut *policy) {
-                Ok(energy) => energies.push(energy),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
+            energies.push(self.run_one_tick(&mut scheduler, &mut *policy)?);
+            Ok(())
+        });
         self.arrangements = scheduler.take_arrangements();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(BatchReport {
-                start_tick,
-                energies,
-            }),
-        }
+        batch.map(|()| BatchReport {
+            start_tick,
+            energies,
+        })
     }
 
     fn run_one_tick(
@@ -561,16 +452,15 @@ impl Daemon {
             .iter()
             .filter_map(|id| ids.binary_search(id).ok())
             .collect();
-        let shared = self.registry.shared();
         let mut meter = EnergyMeter::new(EnergyModel::from_catalog(self.registry.catalog()));
         self.last_verdicts.clear();
-        let stats = run_tick(
+        let (stats, drifted) = run_tick(
             Tick {
                 tick: t,
                 weights: &weights,
                 windows: &windows,
                 costs: &costs,
-                shared,
+                shared: self.registry.shared(),
                 order: &order,
                 pending: &mut pending,
                 policy,
@@ -578,23 +468,21 @@ impl Daemon {
                 streams: &self.streams,
                 faults: &self.faults,
                 meter: &mut meter,
-                trace: self.config.drift.is_some().then_some(&mut self.trace),
-            },
-            &mut Sessions {
-                registry: &mut self.registry,
-                ids: &ids,
-                engine: &self.engine,
                 drift: self.config.drift,
-                verdicts: &mut self.last_verdicts,
+                trace: &mut self.trace,
             },
+            &mut self.registry.tick_queries(),
             &mut self.telemetry.counters,
+            |q, out| self.last_verdicts.push((ids[q], out.verdict, out.degraded)),
         );
         self.pending = ids
             .iter()
             .zip(&pending)
             .filter_map(|(&id, since)| since.map(|since| (id, since)))
             .collect();
-        let energy = stats?.energy;
+        for (q, probs) in drifted {
+            self.registry.recalibrate(ids[q], probs, &self.engine)?;
+        }
         if let Some(arranged) = scheduler.arrangements().map(|s| s.stats()) {
             self.telemetry.arrangements = arranged.arrangements as u64;
             self.telemetry.arrange_hit_items = arranged.hit_items;
@@ -604,7 +492,7 @@ impl Daemon {
             s.advance_by(1, rng);
         }
         self.tick += 1;
-        Ok(energy)
+        Ok(stats.energy)
     }
 
     /// Creates (and warms) streams for catalog entries that do not have

@@ -47,6 +47,19 @@ impl Json {
         }
     }
 
+    /// Object field `key` read through `get` (such as [`Json::as_u64`]);
+    /// the error names `ctx` and the key when it is missing or mistyped.
+    pub fn field<'a, T>(
+        &'a self,
+        ctx: &str,
+        key: &str,
+        get: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(get)
+            .ok_or_else(|| format!("{ctx}: missing or invalid `{key}`"))
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -22,12 +22,12 @@ use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_core::tree::DnfTree;
-use paotr_exec::{DriftConfig, DriftState};
+use paotr_exec::{DriftState, TickQuery};
 use paotr_multi::{planner_by_name, Workload, WorkloadQuery};
 use paotr_qlang as qlang;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stream_sim::{LeafRecord, SimLeaf, SimQuery};
+use stream_sim::{SimLeaf, SimQuery};
 
 /// One live registered query.
 #[derive(Debug, Clone)]
@@ -294,20 +294,17 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// Feeds one evaluation's per-leaf trace records into session
-    /// `id`'s drift estimators; returns the re-calibrated probabilities
-    /// when the session has drifted past `cfg`'s tolerance.
-    pub fn observe(
-        &mut self,
-        id: u64,
-        records: &[LeafRecord],
-        cfg: &DriftConfig,
-    ) -> Result<Option<Vec<f64>>> {
-        let session = self
-            .sessions
-            .get_mut(&id)
-            .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
-        Ok(session.drift.observe_eval(records, cfg))
+    /// Every session in id order, as the tick driver runs it: its
+    /// query and schedule, and its drift estimator to fold traces into.
+    pub(crate) fn tick_queries(&mut self) -> Vec<TickQuery<'_>> {
+        self.sessions
+            .values_mut()
+            .map(|s| TickQuery {
+                sim: &s.sim,
+                schedule: &s.schedule,
+                drift: &mut s.drift,
+            })
+            .collect()
     }
 
     /// Adopts a re-calibrated probability vector for session `id` and

@@ -209,9 +209,8 @@ impl Snapshot {
         let config = Config::from_json(v.get("config").ok_or_else(|| invalid("missing `config`"))?)
             .map_err(SnapshotError::Invalid)?;
         let u = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SnapshotError::Invalid(format!("missing or invalid `{k}`")))
+            v.field("snapshot", k, Json::as_u64)
+                .map_err(SnapshotError::Invalid)
         };
         let catalog = v
             .get("catalog")
@@ -232,7 +231,8 @@ impl Snapshot {
             .ok_or_else(|| invalid("missing `sessions`"))?
             .iter()
             .map(session_from_json)
-            .collect::<std::result::Result<Vec<_>, _>>()?;
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(SnapshotError::Invalid)?;
         let order = v
             .get("order")
             .and_then(Json::as_arr)
@@ -375,9 +375,8 @@ fn arrange_to_json(a: &ArrangeSnap) -> Json {
 
 fn arrange_from_json(v: &Json) -> std::result::Result<ArrangeSnap, SnapshotError> {
     let u = |k: &str| {
-        v.get(k).and_then(Json::as_u64).ok_or_else(|| {
-            SnapshotError::Invalid(format!("arrangements: missing or invalid `{k}`"))
-        })
+        v.field("arrangements", k, Json::as_u64)
+            .map_err(SnapshotError::Invalid)
     };
     let entries = v
         .get("entries")
@@ -435,63 +434,29 @@ fn session_to_json(s: &SessionSnap) -> Json {
     ])
 }
 
-fn session_from_json(v: &Json) -> std::result::Result<SessionSnap, SnapshotError> {
-    let invalid = |m: String| SnapshotError::Invalid(m);
-    let u = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| invalid(format!("session: missing or invalid `{k}`")))
+/// Reads a JSON array whose every item `get` accepts.
+fn all<'a, T>(get: impl Fn(&'a Json) -> Option<T>) -> impl Fn(&'a Json) -> Option<Vec<T>> {
+    move |x| x.as_arr()?.iter().map(&get).collect()
+}
+
+fn session_from_json(v: &Json) -> std::result::Result<SessionSnap, String> {
+    let pair = |p: &Json| match p.as_arr()? {
+        [t, l] => Some((t.as_u64()? as usize, l.as_u64()? as usize)),
+        _ => None,
     };
-    let f64s = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_arr)
-            .and_then(|xs| xs.iter().map(Json::as_f64).collect::<Option<Vec<_>>>())
-            .ok_or_else(|| invalid(format!("session: missing or invalid `{k}`")))
-    };
-    let u64s = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_arr)
-            .and_then(|xs| xs.iter().map(Json::as_u64).collect::<Option<Vec<_>>>())
-            .ok_or_else(|| invalid(format!("session: missing or invalid `{k}`")))
-    };
-    let schedule = v
-        .get("schedule")
-        .and_then(Json::as_arr)
-        .and_then(|xs| {
-            xs.iter()
-                .map(|pair| {
-                    let p = pair.as_arr()?;
-                    if p.len() != 2 {
-                        return None;
-                    }
-                    Some((p[0].as_u64()? as usize, p[1].as_u64()? as usize))
-                })
-                .collect::<Option<Vec<_>>>()
-        })
-        .ok_or_else(|| invalid("session: missing or invalid `schedule`".into()))?;
     let pending_since = match v.get("pending_since") {
         None | Some(Json::Null) => None,
-        Some(t) => Some(
-            t.as_u64()
-                .ok_or_else(|| invalid("session: invalid `pending_since`".into()))?,
-        ),
+        Some(_) => Some(v.field("session", "pending_since", Json::as_u64)?),
     };
     Ok(SessionSnap {
-        id: u("id")?,
-        source: v
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or_else(|| invalid("session: missing `source`".into()))?
-            .to_string(),
-        weight: v
-            .get("weight")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| invalid("session: missing `weight`".into()))?,
-        registered_tick: u("registered_tick")?,
-        calibrated: f64s("calibrated")?,
-        successes: u64s("successes")?,
-        totals: u64s("totals")?,
-        schedule,
+        id: v.field("session", "id", Json::as_u64)?,
+        source: v.field("session", "source", Json::as_str)?.to_string(),
+        weight: v.field("session", "weight", Json::as_f64)?,
+        registered_tick: v.field("session", "registered_tick", Json::as_u64)?,
+        calibrated: v.field("session", "calibrated", all(Json::as_f64))?,
+        successes: v.field("session", "successes", all(Json::as_u64))?,
+        totals: v.field("session", "totals", all(Json::as_u64))?,
+        schedule: v.field("session", "schedule", all(pair))?,
         pending_since,
     })
 }

@@ -90,30 +90,12 @@ impl Telemetry {
 
     /// Deserializes from the snapshot/stats JSON object.
     pub fn from_json(v: &Json) -> Result<Telemetry, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("telemetry: missing or invalid `{k}`"))
-        };
-        let f = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("telemetry: missing or invalid `{k}`"))
-        };
-        // Arrangement counters arrived with snapshot version 2; absent
+        let u = |k: &str| v.field("telemetry", k, Json::as_u64);
+        let f = |k: &str| v.field("telemetry", k, Json::as_f64);
+        // Arrangement and fault counters arrived after version 1; absent
         // keys (every version-1 document) mean zero.
-        let opt_u = |k: &str| match v.get(k) {
-            None => Ok(0),
-            Some(x) => x
-                .as_u64()
-                .ok_or_else(|| format!("telemetry: invalid `{k}`")),
-        };
-        let opt_f = |k: &str| match v.get(k) {
-            None => Ok(0.0),
-            Some(x) => x
-                .as_f64()
-                .ok_or_else(|| format!("telemetry: invalid `{k}`")),
-        };
+        let opt_u = |k: &str| v.get(k).map_or(Ok(0), |_| u(k));
+        let opt_f = |k: &str| v.get(k).map_or(Ok(0.0), |_| f(k));
         Ok(Telemetry {
             counters: TickCounters {
                 ticks: u("ticks")?,
