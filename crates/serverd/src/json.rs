@@ -49,7 +49,7 @@ impl Json {
 
     /// Object field `key` read through `get` (such as [`Json::as_u64`]);
     /// the error names `ctx` and the key when it is missing or mistyped.
-    pub fn field<'a, T>(
+    pub(crate) fn field<'a, T>(
         &'a self,
         ctx: &str,
         key: &str,
