@@ -2,11 +2,11 @@
 //!
 //! Verifies the complexity story of Section IV-A: the Proposition 2
 //! evaluator is `O(|L| * D * N^2)`-ish, the literal transcription pays a
-//! constant-factor penalty over the incremental one, and the closed-form
+//! constant-factor penalty over the compiled kernel, and the closed-form
 //! AND evaluator is linear.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use paotr_core::cost::{and_eval, dnf_eval, CostModel, DnfCostEvaluator};
+use paotr_core::cost::{and_eval, dnf_eval, CostModel};
 use paotr_core::plan::planners::ReadOnceDnfPlanner;
 use paotr_core::plan::{Planner, QueryRef};
 use paotr_core::prelude::*;
@@ -45,25 +45,12 @@ fn bench_dnf_evaluators(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("incremental", format!("{n}x{m}")),
-            &inst,
-            |b, inst| {
-                b.iter(|| {
-                    black_box(dnf_eval::expected_cost_fast(
-                        &inst.tree,
-                        &inst.catalog,
-                        black_box(&schedule),
-                    ))
-                })
-            },
-        );
     }
     group.finish();
 }
 
-/// The compiled arena kernel vs. the literal transcription and the
-/// incremental evaluator — the `BENCH_core.json` group CI
+/// The compiled arena kernel vs. the literal transcription — the
+/// `BENCH_core.json` group CI
 /// regression-checks (planners bottom out in thousands of these calls
 /// per joint-planning invocation).
 fn bench_cost_kernel(c: &mut Criterion) {
@@ -100,8 +87,8 @@ fn bench_cost_kernel(c: &mut Criterion) {
         });
         // End-to-end heuristic planning on the kernel: the dynamic
         // AND-ordered planner (the paper's best heuristic) prices every
-        // candidate term every round through the frozen-prefix
-        // schedule-delta path — the hot loop this group gates in CI.
+        // candidate term every round against the pushed prefix — the hot
+        // loop this group gates in CI.
         group.bench_function(BenchmarkId::new("heuristic_and_inc_cp_dyn", &label), |b| {
             b.iter(|| black_box(Heuristic::AndIncCOverPDynamic.schedule(&inst.tree, &inst.catalog)))
         });
@@ -124,19 +111,6 @@ fn bench_cost_kernel(c: &mut Criterion) {
         });
     }
     build.finish();
-}
-
-fn bench_incremental_clone(c: &mut Criterion) {
-    // The branch-and-bound clones an evaluator per surviving child; clone
-    // cost is therefore part of the search's inner loop.
-    let inst = instance(5, 10, 2.0, 7);
-    let mut eval = DnfCostEvaluator::new(&inst.tree, &inst.catalog);
-    for r in inst.tree.leaf_refs().take(25) {
-        eval.push(r);
-    }
-    c.bench_function("evaluator_clone_5x10_half_full", |b| {
-        b.iter(|| black_box(eval.clone()))
-    });
 }
 
 fn bench_and_evaluator(c: &mut Criterion) {
@@ -175,7 +149,6 @@ criterion_group!(
     benches,
     bench_dnf_evaluators,
     bench_cost_kernel,
-    bench_incremental_clone,
     bench_and_evaluator
 );
 criterion_main!(benches);

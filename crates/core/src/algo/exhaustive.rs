@@ -17,7 +17,7 @@
 //! same-stream leaves of an AND node to appear in increasing item order
 //! (Proposition 1).
 
-use crate::cost::incremental::DnfCostEvaluator;
+use crate::cost::model::{CostModel, EvalScratch};
 use crate::leaf::LeafRef;
 use crate::schedule::{AndSchedule, DnfSchedule};
 use crate::stream::StreamCatalog;
@@ -177,7 +177,7 @@ pub struct SearchOptions {
     /// Prune branches whose partial cost reaches the incumbent.
     pub prune: bool,
     /// Additionally prune on the admissible open-term completion bound
-    /// (see [`DnfCostEvaluator::completion_lower_bound`]); only applied
+    /// (see [`CostModel::completion_lower_bound`]); only applied
     /// to depth-first searches, where the phase argument holds.
     pub completion_bound: bool,
     /// Initial incumbent (e.g. the best heuristic cost); `INFINITY` if
@@ -249,13 +249,11 @@ pub fn dnf_all_schedules(tree: &DnfTree, catalog: &StreamCatalog) -> (DnfSchedul
 
 /// Configurable branch-and-bound over DNF schedules.
 ///
-/// The search walks one [`DnfCostEvaluator`] with *push/pop* prefix
-/// deltas — no evaluator or term-state clones anywhere in the recursion
-/// — and, for depth-first searches, prunes on the admissible open-term
-/// completion bound in addition to the running partial cost.
+/// The search walks one [`CostModel`] push/pop state with prefix deltas
+/// — no state or term-state clones anywhere in the recursion — and, for
+/// depth-first searches, prunes on the admissible open-term completion
+/// bound in addition to the running partial cost.
 pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) -> SearchResult {
-    use crate::cost::incremental::BoundScratch;
-
     /// Remaining leaves of one term, as per-stream queues in increasing-d
     /// order (Proposition 1); consumed leaves are flagged, not removed,
     /// so scheduling a leaf is an O(1) reversible mutation.
@@ -267,7 +265,10 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         remaining: usize,
     }
 
-    struct Ctx {
+    struct Ctx<'m> {
+        model: &'m CostModel,
+        /// The pushed-prefix state the search walks.
+        state: EvalScratch,
         opts: SearchOptions,
         total_leaves: usize,
         best_cost: f64,
@@ -280,10 +281,9 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         children: Vec<Vec<(f64, usize, LeafRef)>>,
         /// Open-term leaf buffer for the completion bound.
         remaining_buf: Vec<LeafRef>,
-        bound_scratch: BoundScratch,
     }
 
-    impl Ctx {
+    impl Ctx<'_> {
         fn push_candidates(&mut self, ti: usize, depth: usize) {
             let term = &self.terms[ti];
             for (qi, q) in term.queues.iter().enumerate() {
@@ -301,9 +301,9 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         }
 
         /// Admissible lower bound on completing open term `ti` from the
-        /// current evaluator state (0 when the bound is disabled or the
+        /// current pushed state (0 when the bound is disabled or the
         /// phase argument does not apply).
-        fn open_term_bound(&mut self, eval: &DnfCostEvaluator<'_>, ti: usize) -> f64 {
+        fn open_term_bound(&mut self, ti: usize) -> f64 {
             if !self.opts.completion_bound || !self.opts.depth_first_only || !self.opts.prune {
                 return 0.0;
             }
@@ -316,22 +316,24 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
                     }
                 }
             }
-            eval.completion_lower_bound(ti, &self.remaining_buf, &mut self.bound_scratch)
+            self.model
+                .completion_lower_bound(ti, &self.remaining_buf, &mut self.state)
         }
     }
 
-    fn rec(ctx: &mut Ctx, eval: &mut DnfCostEvaluator<'_>, open: Option<usize>, depth: usize) {
+    fn rec(ctx: &mut Ctx, open: Option<usize>, depth: usize) {
         if ctx.stats.nodes >= ctx.opts.node_limit {
             ctx.truncated = true;
             return;
         }
-        if ctx.opts.prune && eval.total_cost() >= ctx.best_cost {
+        let cost = ctx.state.pushed_cost();
+        if ctx.opts.prune && cost >= ctx.best_cost {
             ctx.stats.pruned += 1;
             return;
         }
-        if eval.len() == ctx.total_leaves {
-            if eval.total_cost() < ctx.best_cost {
-                ctx.best_cost = eval.total_cost();
+        if ctx.state.pushed_len() == ctx.total_leaves {
+            if cost < ctx.best_cost {
+                ctx.best_cost = cost;
                 ctx.best = ctx.prefix.clone();
             }
             return;
@@ -341,8 +343,8 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         // at least the frozen-state floor.
         if let Some(i) = open {
             if ctx.opts.depth_first_only {
-                let lb = ctx.open_term_bound(eval, i);
-                if eval.total_cost() + lb >= ctx.best_cost {
+                let lb = ctx.open_term_bound(i);
+                if cost + lb >= ctx.best_cost {
                     ctx.stats.pruned += 1;
                     return;
                 }
@@ -363,9 +365,9 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         // near-optimal incumbent immediately, which makes the cost-bound
         // pruning drastically more effective on hard instances. Marginals
         // come from the non-mutating `peek`; committing to a child is a
-        // push on the shared evaluator, reverted by a bitwise-exact pop.
+        // push on the shared state, reverted by a bitwise-exact pop.
         for c in ctx.children[depth].iter_mut() {
-            c.0 = eval.peek(c.2);
+            c.0 = ctx.model.peek(c.2, &ctx.state);
         }
         // total_cmp + index tie-break: the expansion order (and with it
         // the discovered incumbent on cost ties) must not depend on the
@@ -373,11 +375,11 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         ctx.children[depth].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
         for ci in 0..ctx.children[depth].len() {
             let (marginal, ti, r) = ctx.children[depth][ci];
-            if ctx.opts.prune && eval.total_cost() + marginal >= ctx.best_cost {
+            if ctx.opts.prune && cost + marginal >= ctx.best_cost {
                 ctx.stats.pruned += 1;
                 continue;
             }
-            eval.push(r);
+            ctx.model.push(r, &mut ctx.state);
             let term = &mut ctx.terms[ti];
             let (qi, li) = term
                 .queues
@@ -389,12 +391,12 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
             term.remaining -= 1;
             let open2 = if term.remaining > 0 { Some(ti) } else { None };
             ctx.prefix.push(r);
-            rec(ctx, eval, open2, depth + 1);
+            rec(ctx, open2, depth + 1);
             ctx.prefix.pop();
             let term = &mut ctx.terms[ti];
             term.consumed[qi][li] = false;
             term.remaining += 1;
-            eval.pop();
+            ctx.model.pop(&mut ctx.state);
         }
     }
 
@@ -423,7 +425,12 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
             .collect()
     };
 
+    let model = CostModel::new(tree, catalog);
+    let mut state = EvalScratch::new();
+    model.freeze_prefix(&[], &mut state);
     let mut ctx = Ctx {
+        model: &model,
+        state,
         opts,
         total_leaves,
         best_cost: opts.incumbent,
@@ -434,15 +441,15 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
         terms: make_terms(),
         children: vec![Vec::new(); total_leaves + 1],
         remaining_buf: Vec::with_capacity(total_leaves),
-        bound_scratch: BoundScratch::new(),
     };
-    let mut eval = DnfCostEvaluator::new(tree, catalog);
-    rec(&mut ctx, &mut eval, None, 0);
+    rec(&mut ctx, None, 0);
 
     // If the incumbent was already optimal and nothing strictly better was
     // found, re-run once without an incumbent to recover a schedule.
     if ctx.best.is_empty() {
         let mut ctx2 = Ctx {
+            model: &model,
+            state: ctx.state,
             opts: SearchOptions {
                 incumbent: f64::INFINITY,
                 ..opts
@@ -456,10 +463,8 @@ pub fn dnf_search(tree: &DnfTree, catalog: &StreamCatalog, opts: SearchOptions) 
             terms: make_terms(),
             children: ctx.children,
             remaining_buf: ctx.remaining_buf,
-            bound_scratch: ctx.bound_scratch,
         };
-        let mut eval = DnfCostEvaluator::new(tree, catalog);
-        rec(&mut ctx2, &mut eval, None, 0);
+        rec(&mut ctx2, None, 0);
         ctx = ctx2;
     }
 

@@ -18,9 +18,9 @@
 //! Every cost evaluation here runs on the compiled, allocation-free
 //! [`CostModel`] kernel: term summaries come from the per-term helpers
 //! (no per-term `AndTree` cost passes over catalog-wide buffers), and the
-//! dynamic selection loop prices each candidate extension with one
-//! [`CostModel::appended_cost`] schedule-delta call instead of cloning an
-//! incremental evaluator per candidate per round.
+//! dynamic selection loop prices each candidate term against the pushed
+//! prefix with one [`CostModel::frozen_append_cost`] call, then pushes
+//! the winner.
 
 use crate::cost::model::{CostModel, EvalScratch};
 use crate::leaf::LeafRef;
@@ -147,28 +147,14 @@ fn dynamic_schedule(
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(tree.num_leaves());
 
-    // Freeze the empty prefix once, price every candidate term against
-    // the frozen state in O(term), and *commit* the winner into it each
-    // round — no prefix re-evaluation anywhere in the loop. Trees beyond
-    // the 64-term bucket-mask limit fall back to full `appended_cost`
-    // deltas (still allocation-free).
-    let frozen = model.num_terms() <= 64;
-    if frozen {
-        model.freeze_prefix(&[], scratch);
-    }
+    // Price every candidate term against the pushed prefix in O(term)
+    // and push the winner each round — no prefix re-evaluation anywhere
+    // in the loop.
+    model.freeze_prefix(&[], scratch);
     while !remaining.is_empty() {
-        let prefix_cost = if frozen {
-            0.0 // deltas come straight from the frozen state
-        } else {
-            model.appended_cost(&order, &[], &[], scratch)
-        };
         let mut best: Option<(f64, usize, usize)> = None; // (key, pos in remaining, term)
         for (pos, &i) in remaining.iter().enumerate() {
-            let delta = if frozen {
-                model.frozen_append_cost(&plans[i].refs, scratch)
-            } else {
-                model.appended_cost(&order, &plans[i].refs, &[], scratch) - prefix_cost
-            };
+            let delta = model.frozen_append_cost(&plans[i].refs, scratch);
             let k = match key {
                 AndKey::DecreasingP => -plans[i].prob,
                 AndKey::IncreasingC => delta,
@@ -188,8 +174,8 @@ fn dynamic_schedule(
         }
         let (_, pos, i) = best.expect("remaining is non-empty");
         remaining.swap_remove(pos);
-        if frozen {
-            model.frozen_commit_term(&plans[i].refs, scratch);
+        for &r in &plans[i].refs {
+            model.push(r, scratch);
         }
         order.extend(plans[i].refs.iter().copied());
     }

@@ -9,7 +9,7 @@ pub mod and_ordered;
 pub mod leaf_ordered;
 pub mod stream_ordered;
 
-use crate::cost::dnf_eval;
+use crate::cost::{CostModel, EvalScratch};
 use crate::schedule::DnfSchedule;
 use crate::stream::StreamCatalog;
 use crate::tree::DnfTree;
@@ -149,7 +149,8 @@ impl Heuristic {
         catalog: &StreamCatalog,
     ) -> (DnfSchedule, f64) {
         let s = self.schedule(tree, catalog);
-        let c = dnf_eval::expected_cost_fast(tree, catalog, &s);
+        let model = CostModel::new(tree, catalog);
+        let c = model.freeze_prefix(s.order(), &mut EvalScratch::new());
         (s, c)
     }
 }

@@ -30,12 +30,13 @@ pub fn or_ratio(cost: f64, success: f64) -> f64 {
     }
 }
 
-/// Optimal schedule for a read-once DNF tree. The function does not check
-/// the read-once property; on shared trees it degrades into a (reasonable)
+/// Optimal schedule for a read-once DNF tree, with its expected cost
+/// priced on the same compiled model. The function does not check the
+/// read-once property; on shared trees it degrades into a (reasonable)
 /// heuristic — the paper's static AND-ordered family refines it.
 /// Crate-internal workhorse behind
 /// [`ReadOnceDnfPlanner`](crate::plan::planners::ReadOnceDnfPlanner).
-pub(crate) fn schedule_impl(tree: &DnfTree, catalog: &StreamCatalog) -> DnfSchedule {
+pub(crate) fn schedule_impl(tree: &DnfTree, catalog: &StreamCatalog) -> (DnfSchedule, f64) {
     // Order each AND node with Smith's greedy and summarize it — all on
     // the compiled kernel's per-term views (no per-term `AndTree`
     // construction, no catalog-wide evaluation buffers).
@@ -62,7 +63,8 @@ pub(crate) fn schedule_impl(tree: &DnfTree, catalog: &StreamCatalog) -> DnfSched
         .into_iter()
         .flat_map(|(_, refs, _, _)| refs)
         .collect();
-    DnfSchedule::from_order_unchecked(order)
+    let cost = model.freeze_prefix(&order, &mut scratch);
+    (DnfSchedule::from_order_unchecked(order), cost)
 }
 
 #[cfg(test)]
@@ -108,7 +110,7 @@ mod tests {
             if t.num_leaves() > 8 {
                 continue;
             }
-            let s = schedule_impl(&t, &cat);
+            let (s, _) = schedule_impl(&t, &cat);
             let cost = dnf_eval::expected_cost(&t, &cat, &s);
             let (_, best) = exhaustive::dnf_all_schedules(&t, &cat);
             assert!(
@@ -123,7 +125,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..20 {
             let (t, cat) = random_read_once(&mut rng);
-            let s = schedule_impl(&t, &cat);
+            let (s, _) = schedule_impl(&t, &cat);
             assert!(s.is_depth_first(&t));
         }
     }
@@ -140,7 +142,7 @@ mod tests {
         // AND1: cost 10, p 0.5 (ratio 20); AND2: cost 1, p 0.9 (ratio ~1.1)
         let t = DnfTree::from_leaves(vec![vec![leaf(0, 10, 0.5)], vec![leaf(1, 1, 0.9)]]).unwrap();
         let cat = StreamCatalog::unit(2);
-        let s = schedule_impl(&t, &cat);
+        let (s, _) = schedule_impl(&t, &cat);
         assert_eq!(s.order()[0].term, 1);
     }
 }

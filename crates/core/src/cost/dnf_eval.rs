@@ -17,10 +17,12 @@
 //!
 //! This module is a *literal transcription* of that formula, using
 //! explicitly materialized `L_{k,t}` sets; it favours fidelity to the paper
-//! over speed. The production evaluator (same semantics, incremental,
-//! clonable for branch-and-bound) lives in [`crate::cost::incremental`];
-//! tests assert the two agree to machine precision, and both agree with
-//! assignment enumeration.
+//! over speed, and is kept as the oracle: tests, examples and the plan
+//! verifier's independent re-pricing use it. Production code prices
+//! schedules with [`crate::cost::CostModel`] (the compiled kernel and its
+//! incremental [`push`](crate::cost::CostModel::push) state); tests assert
+//! the two agree to machine precision, and both agree with assignment
+//! enumeration.
 
 use crate::leaf::LeafRef;
 use crate::schedule::DnfSchedule;
@@ -187,16 +189,6 @@ pub fn expected_items_with_coverage(
     items_out
 }
 
-/// Expected cost via the incremental evaluator (same semantics, faster).
-/// See [`crate::cost::incremental::DnfCostEvaluator`].
-pub fn expected_cost_fast(tree: &DnfTree, catalog: &StreamCatalog, schedule: &DnfSchedule) -> f64 {
-    let mut eval = crate::cost::incremental::DnfCostEvaluator::new(tree, catalog);
-    for &r in schedule.order() {
-        eval.push(r);
-    }
-    eval.total_cost()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +293,8 @@ mod tests {
         let (t, cat) = fig3([0.15, 0.35, 0.55, 0.75, 0.95, 0.25, 0.45]);
         let s = fig3_schedule(&t);
         let a = expected_cost(&t, &cat, &s);
-        let b = expected_cost_fast(&t, &cat, &s);
+        let model = crate::cost::CostModel::new(&t, &cat);
+        let b = model.freeze_prefix(s.order(), &mut model.make_scratch());
         assert!((a - b).abs() < 1e-12);
     }
 

@@ -8,8 +8,8 @@
 //! | [`execution`] | ground-truth interpreter (one assignment) | any tree | `O(L)` per run |
 //! | [`assignment`] | exact expectation by enumeration | any tree, small `L` | `O(2^L * L)` |
 //! | [`and_eval`] | closed form | AND-trees | `O(m)` |
-//! | [`dnf_eval`] / [`incremental`] | Proposition 2 | DNF trees | `O(L * D * N^2)` |
-//! | [`model`] | Proposition 2, compiled arenas | DNF trees | same, allocation-free |
+//! | [`dnf_eval`] | Proposition 2, literal (the oracle) | DNF trees | `O(L * D * N^2)` |
+//! | [`model`] | Proposition 2, compiled arenas and push/pop state | DNF trees | same, allocation-free |
 //! | [`montecarlo`] | sampling | any tree | `O(samples * L)` |
 
 pub mod and_eval;
@@ -17,12 +17,10 @@ pub mod arrange;
 pub mod assignment;
 pub mod dnf_eval;
 pub mod execution;
-pub mod incremental;
 pub mod model;
 pub mod montecarlo;
 
 pub use arrange::ArrangeTerm;
 pub use execution::{Execution, LeafIndexer};
-pub use incremental::DnfCostEvaluator;
 pub use model::{CostModel, EvalScratch};
 pub use montecarlo::Estimate;

@@ -16,6 +16,16 @@
 //! schedule evaluations per planning call. The catalog-size independence
 //! matters in multi-query serving: a 128-query workload may catalog
 //! hundreds of streams while each query reads a handful.
+//!
+//! The scratch also carries the one *incremental* Proposition-2 state
+//! ([`CostModel::push`] / [`CostModel::pop`] / [`CostModel::peek`] /
+//! [`CostModel::completion_lower_bound`]): per `(stream, item)` bucket,
+//! factor 1 is the product of `1 - reach` over the bucket's members in
+//! push order and factor 2 the product of `1 - success` over completed
+//! terms without a member there, so a leaf's marginal cost is an
+//! `O(window)` sum. The branch-and-bound walks it, the dynamic
+//! heuristics extend it term by term, and every planner prices its
+//! final schedule with it.
 
 use crate::leaf::LeafRef;
 use crate::schedule::DnfSchedule;
@@ -54,7 +64,8 @@ pub struct CostModel {
 
 /// Reusable per-evaluation buffers for a [`CostModel`]. One scratch per
 /// thread; sized on first use and only regrown when bound to a larger
-/// model.
+/// model. It also holds the incremental pushed-prefix state of
+/// [`CostModel::push`], which any other evaluation on it discards.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     /// Schedule position of each flat leaf.
@@ -83,12 +94,40 @@ pub struct EvalScratch {
     bucket_mask: Vec<u64>,
     /// Expected items pulled per *local* stream — the evaluation output.
     items: Vec<f64>,
-    /// Frozen-prefix factor 1 per bucket: `Π (1 - eval_prob)` over the
-    /// bucket's members (see [`CostModel::freeze_prefix`]).
+    /// Pushed-prefix factor 1 per bucket: `Π (1 - reach)` over the
+    /// bucket's members, in push order (see [`CostModel::push`]). The
+    /// pushed state also reuses `running` (reach per term), `seen` and
+    /// `covered`: term `a` has a member in bucket `(k, t)` exactly when
+    /// `t <= covered[a][k]`.
     bucket_f1: Vec<f64>,
-    /// Frozen-prefix factor 2 per bucket: `Π (1 - success)` over
-    /// prefix-completed terms without a member in the bucket.
+    /// Pushed-prefix factor 2 per bucket: `Π (1 - success)` over
+    /// completed terms without a member in the bucket, in completion
+    /// order.
     bucket_f2: Vec<f64>,
+    /// Expected cost of the pushed prefix.
+    pushed_total: f64,
+    /// One frame per pushed leaf, for [`CostModel::pop`].
+    undo: Vec<Undo>,
+    /// Bucket factors overwritten by pushes, restored verbatim by pops
+    /// (nothing is divided back out, so a push/pop pair is the exact
+    /// identity).
+    undo_log: Vec<f64>,
+    /// Completion-bound buffers, all zero between calls: widest
+    /// remaining window per local stream, best remaining success
+    /// probability per bucket, and the streams touched.
+    demand: Vec<u32>,
+    pmax: Vec<f64>,
+    touched: Vec<usize>,
+}
+
+/// What one [`CostModel::push`] overwrote outside the undo log.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    leaf: LeafRef,
+    total: f64,
+    reach: f64,
+    covered: u32,
+    completed: bool,
 }
 
 impl CostModel {
@@ -191,8 +230,7 @@ impl CostModel {
     /// `order` may be any *prefix* of a schedule — a subset of the
     /// model's leaves, each at most once. Terms with unscheduled leaves
     /// are treated as never completing within the prefix, exactly like
-    /// [`crate::cost::incremental::DnfCostEvaluator`] after pushing the
-    /// same prefix.
+    /// [`CostModel::push`]ing the same prefix.
     ///
     /// # Panics
     /// Panics when `coverage` is neither empty nor `catalog.len()` long,
@@ -461,75 +499,142 @@ impl CostModel {
             .collect()
     }
 
-    /// Evaluates `prefix` and *freezes* its Proposition-2 state in
-    /// `scratch`, returning the prefix cost. Afterwards
-    /// [`CostModel::frozen_append_cost`] prices whole-term extensions of
-    /// the frozen prefix in `O(term leaves · window)` each — the
-    /// schedule-delta primitive behind the dynamic AND-ordered
-    /// heuristics, which re-score every remaining term every round.
-    ///
-    /// The frozen factors are per `(stream, item)` bucket: factor 1 is
-    /// the product of `1 - eval_prob` over the bucket's prefix members
-    /// (every prefix member precedes any extension leaf), factor 2 the
-    /// product of `1 - success` over prefix-completed AND nodes without
-    /// a member in the bucket. Both are position-independent for
-    /// extension leaves, so one pass per round amortizes them over all
-    /// candidate terms.
-    ///
-    /// # Panics
-    /// Panics on models with more than 64 terms (the bucket term mask is
-    /// one `u64`); callers fall back to [`CostModel::appended_cost`]
-    /// deltas there.
+    /// Resets the incremental state on `scratch` to `prefix` pushed in
+    /// order (see [`CostModel::push`]) and returns the prefix's expected
+    /// cost — the sum of the push marginals, which is also how every
+    /// planner prices a finished schedule.
     pub fn freeze_prefix(&self, prefix: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
-        assert!(
-            self.n_terms <= 64,
-            "frozen-prefix evaluation is limited to 64 AND nodes"
-        );
-        let cost = self.appended_cost(prefix, &[], &[], scratch);
+        scratch.reserve_pushed(self);
         let n_buckets = self.n_local * self.max_d;
-        grow(&mut scratch.bucket_f1, n_buckets, 1.0);
-        grow(&mut scratch.bucket_f2, n_buckets, 1.0);
-        for b in 0..n_buckets {
-            let lo = scratch.bucket_start[b] as usize;
-            let hi = scratch.bucket_start[b + 1] as usize;
-            let mut f1 = 1.0;
-            for m in lo..hi {
-                f1 *= 1.0 - scratch.member_eval[m];
-            }
-            scratch.bucket_f1[b] = f1;
-            let mask = scratch.bucket_mask[b];
-            let mut f2 = 1.0;
-            for a in 0..self.n_terms {
-                // Completed within the prefix (partial terms carry a
-                // `u32::MAX` completion position) and without a member
-                // in this bucket.
-                if scratch.completed_pos[a] != u32::MAX && mask >> (a & 63) & 1 == 0 {
-                    f2 *= 1.0 - self.term_success[a];
-                }
-            }
-            scratch.bucket_f2[b] = f2;
+        scratch.running[..self.n_terms].fill(1.0);
+        scratch.seen[..self.n_terms].fill(0);
+        scratch.covered[..self.n_terms * self.n_local].fill(0);
+        scratch.bucket_f1[..n_buckets].fill(1.0);
+        scratch.bucket_f2[..n_buckets].fill(1.0);
+        scratch.pushed_total = 0.0;
+        scratch.undo.clear();
+        scratch.undo_log.clear();
+        for &r in prefix {
+            self.push(r, scratch);
         }
-        cost
+        scratch.pushed_total
     }
 
-    /// Marginal expected cost of appending every leaf of `tail` — all
-    /// belonging to **one term that has no leaf in the frozen prefix** —
-    /// to the prefix frozen by the last [`CostModel::freeze_prefix`] on
-    /// `scratch`. Bitwise-stable and allocation-free; the frozen state
-    /// is left untouched, so any number of candidate terms can be priced
-    /// against one freeze.
+    /// The marginal expected cost leaf `r` would add if pushed now,
+    /// without mutating the state — `O(window)`.
+    pub fn peek(&self, r: LeafRef, scratch: &EvalScratch) -> f64 {
+        let flat = self.flat(r);
+        let k = self.leaf_stream[flat] as usize;
+        let cov = scratch.covered[r.term * self.n_local + k] as usize;
+        let base = k * self.max_d;
+        // Items up to `cov` are free (first case of Proposition 2); the
+        // rest are priced by their bucket's two factors.
+        let mut marginal = 0.0;
+        for b in base + cov..base + cov.max(self.leaf_items[flat] as usize) {
+            marginal += scratch.bucket_f1[b] * scratch.bucket_f2[b];
+        }
+        marginal * scratch.running[r.term] * self.unit_cost[k]
+    }
+
+    /// Appends leaf `r` to the pushed prefix on `scratch` (reset by
+    /// [`CostModel::freeze_prefix`]) and returns its marginal expected
+    /// cost. Any other evaluation on the same scratch discards the
+    /// pushed state.
+    pub fn push(&self, r: LeafRef, scratch: &mut EvalScratch) -> f64 {
+        let marginal = self.peek(r, scratch);
+        let flat = self.flat(r);
+        let k = self.leaf_stream[flat] as usize;
+        let d = self.leaf_items[flat];
+        let ck = r.term * self.n_local + k;
+        let cov = scratch.covered[ck];
+        let reach = scratch.running[r.term];
+        // The leaf joins every bucket above its term's coverage.
+        let base = k * self.max_d;
+        for b in base + cov as usize..base + cov.max(d) as usize {
+            scratch.undo_log.push(scratch.bucket_f1[b]);
+            scratch.bucket_f1[b] *= 1.0 - reach;
+        }
+        scratch.covered[ck] = cov.max(d);
+        scratch.running[r.term] = reach * self.leaf_prob[flat];
+        scratch.seen[r.term] += 1;
+        debug_assert!(
+            scratch.seen[r.term] as usize <= self.term_len(r.term),
+            "leaf pushed twice or term over-filled"
+        );
+        let completed = scratch.seen[r.term] as usize == self.term_len(r.term);
+        if completed {
+            // The term completes: its success discounts factor 2 of
+            // every bucket it has no member in.
+            let fail = 1.0 - scratch.running[r.term];
+            let row = r.term * self.n_local;
+            for k in 0..self.n_local {
+                let cov = scratch.covered[row + k] as usize;
+                for t in 0..self.max_d {
+                    let b = k * self.max_d + t;
+                    scratch.undo_log.push(scratch.bucket_f2[b]);
+                    if t >= cov {
+                        scratch.bucket_f2[b] *= fail;
+                    }
+                }
+            }
+        }
+        scratch.undo.push(Undo {
+            leaf: r,
+            total: scratch.pushed_total,
+            reach,
+            covered: cov,
+            completed,
+        });
+        scratch.pushed_total += marginal;
+        marginal
+    }
+
+    /// Reverts the most recent [`CostModel::push`] bitwise and returns
+    /// the leaf it removed.
+    ///
+    /// # Panics
+    /// Panics when nothing is pushed.
+    pub fn pop(&self, scratch: &mut EvalScratch) -> LeafRef {
+        let u = scratch.undo.pop().expect("pop on an empty prefix");
+        let r = u.leaf;
+        let flat = self.flat(r);
+        let k = self.leaf_stream[flat] as usize;
+        let log = &mut scratch.undo_log;
+        if u.completed {
+            let n_buckets = self.n_local * self.max_d;
+            let from = log.len() - n_buckets;
+            scratch.bucket_f2[..n_buckets].copy_from_slice(&log[from..]);
+            log.truncate(from);
+        }
+        let base = k * self.max_d;
+        let lo = base + u.covered as usize;
+        let hi = base + u.covered.max(self.leaf_items[flat]) as usize;
+        let from = log.len() - (hi - lo);
+        scratch.bucket_f1[lo..hi].copy_from_slice(&log[from..]);
+        log.truncate(from);
+        scratch.covered[r.term * self.n_local + k] = u.covered;
+        scratch.running[r.term] = u.reach;
+        scratch.seen[r.term] -= 1;
+        scratch.pushed_total = u.total;
+        r
+    }
+
+    /// Marginal expected cost of pushing every leaf of `tail` — all of
+    /// **one open term**, in order — onto the pushed prefix: bitwise the
+    /// sum of their [`CostModel::push`] marginals, without mutating the
+    /// state. The dynamic AND-ordered heuristics price every candidate
+    /// term against one prefix this way.
     pub fn frozen_append_cost(&self, tail: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
         let Some(&first) = tail.first() else {
             return 0.0;
         };
         let term = first.term;
-        let max_d = self.max_d;
-        // Within-candidate coverage starts from the term's frozen
-        // coverage (zero when the term is absent from the prefix).
+        let row = term * self.n_local;
+        // Within-tail coverage starts from the term's pushed coverage.
         for &r in tail {
             debug_assert_eq!(r.term, term, "extension leaves belong to one term");
             let k = self.leaf_stream[self.flat(r)] as usize;
-            scratch.acquired[k] = scratch.covered[term * self.n_local + k];
+            scratch.acquired[k] = scratch.covered[row + k];
         }
         let mut reach = scratch.running[term];
         let mut delta = 0.0;
@@ -538,14 +643,9 @@ impl CostModel {
             let k = self.leaf_stream[flat] as usize;
             let d = self.leaf_items[flat];
             let have = scratch.acquired[k];
+            let base = k * self.max_d;
             let mut leaf_items_out = 0.0;
-            for t in (have + 1)..=d.max(have) {
-                let b = k * max_d + (t - 1) as usize;
-                // A frozen same-term member (or an earlier tail leaf,
-                // via `acquired`) makes the item free.
-                if scratch.bucket_mask[b] >> (term as u32 & 63) & 1 == 1 {
-                    continue;
-                }
+            for b in base + have as usize..base + have.max(d) as usize {
                 leaf_items_out += scratch.bucket_f1[b] * scratch.bucket_f2[b];
             }
             delta += leaf_items_out * reach * self.unit_cost[k];
@@ -555,45 +655,79 @@ impl CostModel {
         delta
     }
 
-    /// Commits every leaf of `tail` — one whole term absent from the
-    /// frozen prefix — into the frozen state, exactly as if the prefix
-    /// had been re-frozen with the term appended: factor-1 products and
-    /// term masks gain the new members in schedule order, the term's
-    /// reach and coverage advance, and its completion folds into every
-    /// factor-2 product without a member of it. `O(leaves · window +
-    /// buckets)` — the dynamic heuristics commit each selected term
-    /// instead of re-freezing the grown prefix every round.
-    pub fn frozen_commit_term(&self, tail: &[LeafRef], scratch: &mut EvalScratch) {
-        let Some(&first) = tail.first() else {
-            return;
-        };
-        let term = first.term;
+    /// An **admissible lower bound** on the cost any depth-first
+    /// completion adds while finishing open term `term`, whose
+    /// still-unpushed leaves are `remaining`.
+    ///
+    /// While a term is open, a depth-first schedule places *all* of its
+    /// remaining leaves before anything else, so during that phase the
+    /// completed-term set and the cross-term bucket members are frozen:
+    /// factors 1 and 2 of Proposition 2 are exactly the pushed state's
+    /// bucket factors for every item the phase must pay for (items above
+    /// the term's coverage, up to its widest remaining window). Only the
+    /// payer's reach probability is unknown; it is bounded below by
+    /// reaching the payer *last* (`prefix · Π remaining p / p_payer`,
+    /// maximized over eligible payers). Summing these floors never
+    /// exceeds the true completion cost, so branch-and-bound may prune on
+    /// `pushed_cost() + bound ≥ incumbent` without losing the optimum.
+    pub fn completion_lower_bound(
+        &self,
+        term: usize,
+        remaining: &[LeafRef],
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        if remaining.is_empty() {
+            return 0.0;
+        }
+        let prefix = scratch.running[term];
+        if prefix <= 0.0 {
+            return 0.0;
+        }
         let max_d = self.max_d;
-        let mut reach = scratch.running[term];
-        for &r in tail {
-            debug_assert_eq!(r.term, term, "committed leaves belong to one term");
+        grow(&mut scratch.demand, self.n_local, 0);
+        grow(&mut scratch.pmax, self.n_local * max_d, 0.0);
+        let mut p_rem = 1.0;
+        for &r in remaining {
+            debug_assert_eq!(r.term, term, "remaining leaves belong to the open term");
             let flat = self.flat(r);
             let k = self.leaf_stream[flat] as usize;
             let d = self.leaf_items[flat];
-            let cov = &mut scratch.covered[term * self.n_local + k];
-            for t in (*cov + 1)..=d.max(*cov) {
-                let b = k * max_d + (t - 1) as usize;
-                scratch.bucket_f1[b] *= 1.0 - reach;
-                scratch.bucket_mask[b] |= 1u64 << (term as u32 & 63);
+            let p = self.leaf_prob[flat];
+            p_rem *= p;
+            if scratch.demand[k] == 0 {
+                scratch.touched.push(k);
             }
-            *cov = (*cov).max(d);
-            reach *= self.leaf_prob[flat];
-        }
-        scratch.running[term] = reach;
-        // The whole term is now scheduled: it completes, discounting
-        // factor 2 of every bucket it has no member in. `0` marks the
-        // completion (any value but the `u32::MAX` "open" sentinel).
-        scratch.completed_pos[term] = 0;
-        for b in 0..self.n_local * max_d {
-            if scratch.bucket_mask[b] >> (term as u32 & 63) & 1 == 0 {
-                scratch.bucket_f2[b] *= 1.0 - self.term_success[term];
+            scratch.demand[k] = scratch.demand[k].max(d);
+            for slot in &mut scratch.pmax[k * max_d..k * max_d + d as usize] {
+                if *slot < p {
+                    *slot = p;
+                }
             }
         }
+
+        let mut bound = 0.0;
+        for &k in &scratch.touched {
+            let unit = self.unit_cost[k];
+            if unit <= 0.0 {
+                continue;
+            }
+            let cov = scratch.covered[term * self.n_local + k] as usize;
+            for b in k * max_d + cov..k * max_d + scratch.demand[k] as usize {
+                let pmax = scratch.pmax[b];
+                let f3_floor = if pmax > 0.0 {
+                    prefix * p_rem / pmax
+                } else {
+                    0.0
+                };
+                bound += unit * scratch.bucket_f1[b] * scratch.bucket_f2[b] * f3_floor;
+            }
+        }
+        for &k in &scratch.touched {
+            scratch.demand[k] = 0;
+            scratch.pmax[k * max_d..(k + 1) * max_d].fill(0.0);
+        }
+        scratch.touched.clear();
+        bound
     }
 
     /// Number of terms (AND nodes) of the compiled tree.
@@ -727,20 +861,42 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
+    /// Expected cost of the prefix pushed by [`CostModel::push`].
+    #[inline]
+    pub fn pushed_cost(&self) -> f64 {
+        self.pushed_total
+    }
+
+    /// Number of leaves pushed by [`CostModel::push`].
+    #[inline]
+    pub fn pushed_len(&self) -> usize {
+        self.undo.len()
+    }
+
     /// Grows every buffer to fit `model` (no-op once large enough).
     fn reserve(&mut self, model: &CostModel) {
         let n_buckets = model.n_local * model.max_d;
+        self.reserve_pushed(model);
         grow(&mut self.pos, model.num_leaves, 0);
-        grow(&mut self.seen, model.n_terms, 0);
-        grow(&mut self.acquired, model.n_local, 0);
         grow(&mut self.eval_prob, model.num_leaves, 0.0);
-        grow(&mut self.running, model.n_terms, 1.0);
         grow(&mut self.completed_pos, model.n_terms, 0);
-        grow(&mut self.covered, model.n_terms * model.n_local, 0);
         grow(&mut self.bucket_start, n_buckets + 1, 0);
         grow(&mut self.cursor, n_buckets, 0);
         grow(&mut self.bucket_mask, n_buckets, 0);
         grow(&mut self.items, model.n_local, 0.0);
+    }
+
+    /// Grows the pushed-prefix state to fit `model` — only what
+    /// [`CostModel::push`] touches, so pricing one schedule on a fresh
+    /// scratch stays cheap.
+    fn reserve_pushed(&mut self, model: &CostModel) {
+        let n_buckets = model.n_local * model.max_d;
+        grow(&mut self.seen, model.n_terms, 0);
+        grow(&mut self.acquired, model.n_local, 0);
+        grow(&mut self.running, model.n_terms, 1.0);
+        grow(&mut self.covered, model.n_terms * model.n_local, 0);
+        grow(&mut self.bucket_f1, n_buckets, 1.0);
+        grow(&mut self.bucket_f2, n_buckets, 1.0);
     }
 
     fn grow_members(&mut self, n: usize) {
@@ -890,24 +1046,24 @@ mod tests {
 
     #[test]
     fn prefix_costs_match_the_incremental_evaluator_bitwise_totals() {
-        use crate::cost::incremental::DnfCostEvaluator;
         let (t, cat) = example();
         let model = CostModel::new(&t, &cat);
         let mut scratch = model.make_scratch();
+        let mut pushed = model.make_scratch();
         let mut rng = StdRng::seed_from_u64(17);
         let mut refs: Vec<LeafRef> = t.leaf_refs().collect();
         for _ in 0..30 {
             refs.shuffle(&mut rng);
-            let mut eval = DnfCostEvaluator::new(&t, &cat);
+            model.freeze_prefix(&[], &mut pushed);
             for cut in 0..=refs.len() {
-                let kernel = model.expected_cost_with_coverage(&refs[..cut], &[], &mut scratch);
+                let kernel = model.appended_cost(&refs[..cut], &[], &[], &mut scratch);
                 assert!(
-                    (kernel - eval.total_cost()).abs() < 1e-12,
+                    (kernel - pushed.pushed_cost()).abs() < 1e-12,
                     "prefix len {cut}: kernel {kernel} vs incremental {}",
-                    eval.total_cost()
+                    pushed.pushed_cost()
                 );
                 if cut < refs.len() {
-                    eval.push(refs[cut]);
+                    model.push(refs[cut], &mut pushed);
                 }
             }
         }
@@ -952,32 +1108,36 @@ mod tests {
 
     #[test]
     fn frozen_append_cost_matches_incremental_marginals() {
-        use crate::cost::incremental::DnfCostEvaluator;
         let (t, cat) = example();
         let model = CostModel::new(&t, &cat);
         let mut scratch = model.make_scratch();
-        // Freeze every whole-term prefix; price each remaining term.
+        let mut probe = model.make_scratch();
+        // Push every whole-term prefix; price each remaining term.
         let term_refs: Vec<Vec<LeafRef>> = (0..t.num_terms())
             .map(|i| (0..t.term(i).len()).map(|j| LeafRef::new(i, j)).collect())
             .collect();
         for placed in 0..t.num_terms() {
             let prefix: Vec<LeafRef> = term_refs[..placed].concat();
             let frozen_cost = model.freeze_prefix(&prefix, &mut scratch);
-            let mut eval = DnfCostEvaluator::new(&t, &cat);
-            for &r in &prefix {
-                eval.push(r);
-            }
-            assert!((frozen_cost - eval.total_cost()).abs() < 1e-12);
+            let kernel = model.appended_cost(&prefix, &[], &[], &mut probe);
+            assert!((frozen_cost - kernel).abs() < 1e-12);
             for (candidate, refs) in term_refs.iter().enumerate().skip(placed) {
                 let fast = model.frozen_append_cost(refs, &mut scratch);
-                let mut probe = eval.clone();
                 let mut slow = 0.0;
                 for &r in refs {
-                    slow += probe.push(r);
+                    slow += model.push(r, &mut scratch);
                 }
-                assert!(
-                    (fast - slow).abs() < 1e-12,
+                for _ in refs {
+                    model.pop(&mut scratch);
+                }
+                assert_eq!(
+                    fast, slow,
                     "prefix {placed} term {candidate}: frozen {fast} vs marginals {slow}"
+                );
+                let delta = model.appended_cost(&prefix, refs, &[], &mut probe) - kernel;
+                assert!(
+                    (fast - delta).abs() < 1e-12,
+                    "prefix {placed} term {candidate}: frozen {fast} vs appended {delta}"
                 );
             }
         }
@@ -997,7 +1157,9 @@ mod tests {
         model.freeze_prefix(&[], &mut committed);
         let mut prefix: Vec<LeafRef> = Vec::new();
         for (step, &i) in walk.iter().enumerate() {
-            model.frozen_commit_term(&term_refs[i], &mut committed);
+            for &r in &term_refs[i] {
+                model.push(r, &mut committed);
+            }
             prefix.extend(term_refs[i].iter().copied());
             let mut fresh = model.make_scratch();
             model.freeze_prefix(&prefix, &mut fresh);
@@ -1055,5 +1217,228 @@ mod tests {
         let literal = dnf_eval::expected_cost(&t, &cat, &s);
         let kernel = model.expected_cost(&s, &mut scratch);
         assert!((literal - kernel).abs() < 1e-9, "{literal} vs {kernel}");
+    }
+
+    /// The tree the push/pop tests have always run on.
+    fn evaluator_tree() -> (DnfTree, StreamCatalog) {
+        (
+            DnfTree::from_leaves(vec![
+                vec![leaf(0, 3, 0.4), leaf(1, 1, 0.7)],
+                vec![leaf(0, 5, 0.6), leaf(1, 2, 0.2)],
+                vec![leaf(0, 2, 0.9), leaf(2, 1, 0.5)],
+            ])
+            .unwrap(),
+            StreamCatalog::from_costs([2.0, 3.0, 0.5]).unwrap(),
+        )
+    }
+
+    fn pushed(model: &CostModel, order: &[LeafRef]) -> EvalScratch {
+        let mut scratch = model.make_scratch();
+        model.freeze_prefix(order, &mut scratch);
+        scratch
+    }
+
+    #[test]
+    fn marginals_sum_to_total() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut scratch = pushed(&model, &[]);
+        let s = DnfSchedule::declaration_order(&t);
+        let mut sum = 0.0;
+        for &r in s.order() {
+            sum += model.push(r, &mut scratch);
+        }
+        assert!((sum - scratch.pushed_cost()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn matches_literal_evaluator_on_random_schedules() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut refs: Vec<LeafRef> = t.leaf_refs().collect();
+        for _ in 0..50 {
+            refs.shuffle(&mut rng);
+            let s = DnfSchedule::new(refs.clone(), &t).unwrap();
+            let literal = dnf_eval::expected_cost(&t, &cat, &s);
+            let total = pushed(&model, s.order()).pushed_cost();
+            assert!(
+                (literal - total).abs() < 1e-10,
+                "literal {literal} vs incremental {total}"
+            );
+        }
+    }
+
+    #[test]
+    fn matches_enumeration_on_random_schedules() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut refs: Vec<LeafRef> = t.leaf_refs().collect();
+        for _ in 0..10 {
+            refs.shuffle(&mut rng);
+            let s = DnfSchedule::new(refs.clone(), &t).unwrap();
+            let exact = crate::cost::assignment::dnf_expected_cost(&t, &cat, &s);
+            assert!((exact - pushed(&model, s.order()).pushed_cost()).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn clone_preserves_independent_state() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let order: Vec<LeafRef> = t.leaf_refs().collect();
+        let mut a = pushed(&model, &order[..1]);
+        let mut b = a.clone();
+        model.push(order[1], &mut a);
+        model.push(order[2], &mut b);
+        assert_ne!(a.pushed_cost(), b.pushed_cost());
+        assert_eq!(a.pushed_len(), 2);
+        assert_eq!(b.pushed_len(), 2);
+    }
+
+    #[test]
+    fn survival_prob_tracks_completed_terms() {
+        // Stream 2 is read only by term 2, so its item pays factor 2 in
+        // full: the probability that no completed term succeeded.
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut scratch = pushed(&model, &[]);
+        let probe = LeafRef::new(2, 1);
+        assert_eq!(model.peek(probe, &scratch), 0.5);
+        model.push(LeafRef::new(0, 0), &mut scratch);
+        model.push(LeafRef::new(0, 1), &mut scratch);
+        // term 0 success prob = 0.4 * 0.7 = 0.28
+        assert!((model.peek(probe, &scratch) - 0.72 * 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn remaining_counts() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut scratch = pushed(&model, &[]);
+        assert_eq!(scratch.pushed_len(), 0);
+        model.push(LeafRef::new(1, 0), &mut scratch);
+        assert_eq!(scratch.pushed_len(), 1);
+        assert_eq!(model.pop(&mut scratch), LeafRef::new(1, 0));
+        assert_eq!(scratch.pushed_len(), 0);
+    }
+
+    #[test]
+    fn marginal_of_covered_item_is_zero() {
+        // Second leaf of a term on the same stream with smaller d: free.
+        let t = DnfTree::from_leaves(vec![vec![leaf(0, 5, 0.5), leaf(0, 3, 0.5)]]).unwrap();
+        let cat = StreamCatalog::unit(1);
+        let model = CostModel::new(&t, &cat);
+        let mut scratch = pushed(&model, &[]);
+        assert!(model.push(LeafRef::new(0, 0), &mut scratch) > 0.0);
+        assert_eq!(model.push(LeafRef::new(0, 1), &mut scratch), 0.0);
+    }
+
+    #[test]
+    fn pop_restores_state_bitwise() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let refs: Vec<LeafRef> = t.leaf_refs().collect();
+        let mut scratch = pushed(&model, &[refs[0], refs[2]]);
+        // Snapshot through observable behaviour: every peek must be
+        // identical after a push/pop round-trip (bitwise, not approx).
+        let before: Vec<f64> = refs[3..].iter().map(|&r| model.peek(r, &scratch)).collect();
+        let total = scratch.pushed_cost();
+        for &r in &refs[3..] {
+            model.push(r, &mut scratch);
+        }
+        for _ in &refs[3..] {
+            model.pop(&mut scratch);
+        }
+        assert_eq!(scratch.pushed_cost(), total, "total restored exactly");
+        assert_eq!(scratch.pushed_len(), 2);
+        let after: Vec<f64> = refs[3..].iter().map(|&r| model.peek(r, &scratch)).collect();
+        assert_eq!(before, after, "peeks restored exactly");
+        assert_eq!(
+            model.pop(&mut scratch),
+            refs[2],
+            "pop returns the removed leaf"
+        );
+    }
+
+    #[test]
+    fn push_pop_interleaving_matches_fresh_evaluator() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut refs: Vec<LeafRef> = t.leaf_refs().collect();
+        for _ in 0..20 {
+            refs.shuffle(&mut rng);
+            let mut walker = pushed(&model, &[]);
+            // Random walk: push, sometimes pop and re-push.
+            for &r in &refs {
+                model.push(r, &mut walker);
+                if rng.gen_bool(0.5) {
+                    model.pop(&mut walker);
+                    model.push(r, &mut walker);
+                }
+            }
+            assert_eq!(
+                walker.pushed_cost(),
+                pushed(&model, &refs).pushed_cost(),
+                "walked state equals freshly built state"
+            );
+        }
+    }
+
+    #[test]
+    fn completion_bound_is_admissible_for_open_terms() {
+        let (t, cat) = evaluator_tree();
+        let model = CostModel::new(&t, &cat);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut scratch = model.make_scratch();
+        for _ in 0..200 {
+            // Random prefix that leaves term `open` partially scheduled.
+            let open = rng.gen_range(0..t.num_terms());
+            let mut prefix: Vec<LeafRef> = Vec::new();
+            let mut rest: Vec<LeafRef> = Vec::new();
+            for (i, term) in t.terms().iter().enumerate() {
+                let mut refs: Vec<LeafRef> = (0..term.len()).map(|j| LeafRef::new(i, j)).collect();
+                refs.shuffle(&mut rng);
+                if i == open {
+                    let keep = rng.gen_range(0..term.len());
+                    rest = refs.split_off(keep);
+                    prefix.extend(refs);
+                } else if rng.gen_bool(0.5) {
+                    prefix.extend(refs);
+                }
+            }
+            // schedule prefix terms first (depth-first-ish), open last
+            model.freeze_prefix(&prefix, &mut scratch);
+            let bound = model.completion_lower_bound(open, &rest, &mut scratch);
+            // true cost of completing the open term, any order of `rest`
+            let mut true_cost = 0.0;
+            for &r in &rest {
+                true_cost += model.push(r, &mut scratch);
+            }
+            assert!(
+                bound <= true_cost + 1e-9,
+                "bound {bound} exceeds true completion {true_cost}"
+            );
+        }
+    }
+
+    #[test]
+    fn accepts_more_than_64_terms() {
+        // No term limit: 65 single-leaf terms on one stream push, peek
+        // and pop like any other tree.
+        let terms: Vec<Vec<Leaf>> = (0..65).map(|_| vec![leaf(0, 1, 0.5)]).collect();
+        let t = DnfTree::from_leaves(terms).unwrap();
+        let cat = StreamCatalog::unit(1);
+        let model = CostModel::new(&t, &cat);
+        let s = DnfSchedule::declaration_order(&t);
+        let mut scratch = pushed(&model, s.order());
+        let literal = dnf_eval::expected_cost(&t, &cat, &s);
+        assert!((scratch.pushed_cost() - literal).abs() < 1e-12);
+        let last = model.pop(&mut scratch);
+        assert_eq!(last, LeafRef::new(64, 0));
+        let peeked = model.peek(last, &scratch);
+        assert_eq!(model.push(last, &mut scratch), peeked);
     }
 }

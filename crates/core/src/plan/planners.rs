@@ -14,7 +14,7 @@
 use super::{finish_plan, unsupported, Plan, PlanBody, Planner, QueryRef};
 use crate::algo::heuristics::Heuristic;
 use crate::algo::{exhaustive, general, greedy, heuristics, nonlinear, read_once_dnf, smith};
-use crate::cost::{and_eval, dnf_eval};
+use crate::cost::and_eval;
 use crate::error::Result;
 use crate::stream::StreamCatalog;
 use std::time::Instant;
@@ -133,8 +133,7 @@ impl Planner for ReadOnceDnfPlanner {
         let tree = query
             .to_dnf_tree()
             .ok_or_else(|| unsupported(self, query))?;
-        let schedule = read_once_dnf::schedule_impl(&tree, catalog);
-        let cost = dnf_eval::expected_cost_fast(&tree, catalog, &schedule);
+        let (schedule, cost) = read_once_dnf::schedule_impl(&tree, catalog);
         Ok(finish_plan(
             self,
             query,
@@ -484,7 +483,7 @@ mod tests {
         let q = QueryRef::from(&tree);
 
         let plan = ReadOnceDnfPlanner.plan(&q, &cat).unwrap();
-        let direct = read_once_dnf::schedule_impl(&tree, &cat);
+        let (direct, _) = read_once_dnf::schedule_impl(&tree, &cat);
         assert_eq!(plan.body.as_dnf().unwrap(), &direct);
 
         for h in heuristics::paper_set(7) {

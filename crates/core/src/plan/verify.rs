@@ -20,7 +20,7 @@
 //!   by body class);
 //! * **bound soundness** — for depth-first DNF schedules, the
 //!   branch-and-bound admissible bound
-//!   ([`DnfCostEvaluator::completion_lower_bound`]) evaluated at the
+//!   ([`CostModel::completion_lower_bound`]) evaluated at the
 //!   empty search state never exceeds the verified cost. An inflated
 //!   bound would let the B&B prune the optimum; a cost below the bound
 //!   is a mispriced plan.
@@ -34,8 +34,7 @@
 
 use super::{Plan, PlanBody, QueryRef};
 use crate::algo::{general, nonlinear};
-use crate::cost::incremental::{BoundScratch, DnfCostEvaluator};
-use crate::cost::{and_eval, dnf_eval};
+use crate::cost::{and_eval, dnf_eval, CostModel, EvalScratch};
 use crate::leaf::LeafRef;
 use crate::plan::fingerprint::catalog_fingerprint;
 use crate::stream::StreamCatalog;
@@ -426,8 +425,7 @@ fn verify_bound(
     stored: Option<f64>,
     out: &mut Vec<PlanViolation>,
 ) {
-    // The evaluator's member masks hold at most 64 terms.
-    if tree.num_terms() > 64 || schedule.is_empty() || !schedule.is_depth_first(tree) {
+    if schedule.is_empty() || !schedule.is_depth_first(tree) {
         return;
     }
     let first_term = schedule.order()[0].term;
@@ -437,9 +435,10 @@ fn verify_bound(
         .copied()
         .take_while(|r| r.term == first_term)
         .collect();
-    let evaluator = DnfCostEvaluator::new(tree, catalog);
-    let mut scratch = BoundScratch::new();
-    let bound = evaluator.completion_lower_bound(first_term, &phase, &mut scratch);
+    let model = CostModel::new(tree, catalog);
+    let mut state = EvalScratch::new();
+    model.freeze_prefix(&[], &mut state);
+    let bound = model.completion_lower_bound(first_term, &phase, &mut state);
     // Check against the *claimed* cost when present (that is what the
     // B&B compares incumbents with), falling back to the recomputed
     // one; the ≤-tolerance mirrors COST_REL_TOL.

@@ -1,5 +1,5 @@
 //! Property tests pinning the compiled cost kernel and the incremental
-//! push/pop evaluator to the literal Proposition 2 transcription.
+//! push/pop state to the literal Proposition 2 transcription.
 //!
 //! The literal evaluator in `cost::dnf_eval` is the fidelity reference
 //! (it is itself validated against assignment enumeration); everything
@@ -8,12 +8,11 @@
 //!
 //! * `CostModel::expected_cost` / `expected_cost_with_coverage` and the
 //!   per-stream item decomposition (the arena kernel);
-//! * `DnfCostEvaluator` totals after arbitrary push/pop interleavings
-//!   (the branch-and-bound search state).
+//! * `CostModel::push` / `pop` totals after arbitrary push/pop
+//!   interleavings (the branch-and-bound search state).
 
 use paotr_core::cost::dnf_eval;
 use paotr_core::cost::model::{CostModel, EvalScratch};
-use paotr_core::cost::DnfCostEvaluator;
 use paotr_core::leaf::{Leaf, LeafRef};
 use paotr_core::prob::Prob;
 use paotr_core::schedule::DnfSchedule;
@@ -162,7 +161,7 @@ proptest! {
         }
     }
 
-    /// Push/pop interleavings leave the incremental evaluator in exactly
+    /// Push/pop interleavings leave the incremental state in exactly
     /// the state a fresh push-only walk produces, and its total matches
     /// the literal evaluator.
     #[test]
@@ -174,31 +173,77 @@ proptest! {
         let schedule = shuffled_schedule(&tree, seed);
         let literal = dnf_eval::expected_cost(&tree, &cat, &schedule);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut eval = DnfCostEvaluator::new(&tree, &cat);
+        let model = CostModel::new(&tree, &cat);
+        let mut eval = EvalScratch::new();
+        model.freeze_prefix(&[], &mut eval);
         for &r in schedule.order() {
-            eval.push(r);
+            model.push(r, &mut eval);
             // Random detours: back out up to the whole prefix, then
             // replay it; the state must be restored bitwise.
             if rng.gen_bool(0.4) {
-                let depth = rng.gen_range(1..=eval.len());
+                let depth = rng.gen_range(1..=eval.pushed_len());
                 let mut undone = Vec::with_capacity(depth);
                 for _ in 0..depth {
-                    undone.push(eval.pop());
+                    undone.push(model.pop(&mut eval));
                 }
                 for &u in undone.iter().rev() {
-                    eval.push(u);
+                    model.push(u, &mut eval);
                 }
             }
         }
         prop_assert!(
-            close(literal, eval.total_cost(), 1e-9),
+            close(literal, eval.pushed_cost(), 1e-9),
             "literal {literal} vs incremental {}",
-            eval.total_cost()
+            eval.pushed_cost()
         );
-        // and the kernel agrees with the incremental evaluator too
-        let model = CostModel::new(&tree, &cat);
+        // and the kernel agrees with the incremental state too
         let mut scratch = EvalScratch::new();
         let kernel = model.expected_cost(&schedule, &mut scratch);
-        prop_assert!(close(kernel, eval.total_cost(), 1e-9));
+        prop_assert!(close(kernel, eval.pushed_cost(), 1e-9));
+    }
+}
+
+/// A 100-term DNF — past the 64-term limit the incremental evaluator
+/// once had — plans with `read-once-dnf` and every heuristic, and each
+/// plan's stamped cost reproduces under the literal evaluator.
+#[test]
+fn hundred_term_plans_are_priced_like_the_literal_evaluator() {
+    use paotr_core::algo::heuristics::all_variants;
+    use paotr_core::plan::{PlanBody, PlannerRegistry, QueryRef};
+
+    let mut rng = StdRng::seed_from_u64(100);
+    let terms: Vec<Vec<Leaf>> = (0..100)
+        .map(|_| {
+            (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    Leaf::new(
+                        StreamId(rng.gen_range(0..STREAMS)),
+                        rng.gen_range(1..=5),
+                        Prob::new(rng.gen_range(0.02..0.98)).unwrap(),
+                    )
+                    .unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    let tree = DnfTree::from_leaves(terms).unwrap();
+    let cat = StreamCatalog::from_costs((0..STREAMS).map(|k| 1.0 + k as f64)).unwrap();
+    let registry = PlannerRegistry::with_defaults();
+    let query = QueryRef::from(&tree);
+    let names = std::iter::once("read-once-dnf")
+        .chain(all_variants().iter().map(|h| h.id()))
+        .collect::<Vec<_>>();
+    assert_eq!(names.len(), 14);
+    for name in names {
+        let plan = registry.get(name).unwrap().plan(&query, &cat).unwrap();
+        let PlanBody::Dnf(schedule) = &plan.body else {
+            panic!("{name}: DNF planners return DNF schedules");
+        };
+        let stamped = plan.expected_cost.unwrap();
+        let literal = dnf_eval::expected_cost(&tree, &cat, schedule);
+        assert!(
+            close(stamped, literal, 1e-9),
+            "{name}: stamped {stamped} vs literal {literal}"
+        );
     }
 }

@@ -16,7 +16,7 @@ use paotr_core::algo::heuristics::{
     and_ordered, stream_ordered, AndKey, CostMode, Heuristic, StreamConfig,
 };
 use paotr_core::algo::heuristics::{LeafOrder, StreamOrder};
-use paotr_core::cost::dnf_eval;
+use paotr_core::cost::{CostModel, EvalScratch};
 use paotr_gen::{fig5_grid, fig5_instance};
 use paotr_stats::Table;
 
@@ -70,8 +70,10 @@ pub fn run(opts: &Options, per_config: usize) -> Table {
         let tree = &inst.tree;
         let cat = &inst.catalog;
 
-        let cost =
-            |s: &paotr_core::schedule::DnfSchedule| dnf_eval::expected_cost_fast(tree, cat, s);
+        let model = CostModel::new(tree, cat);
+        let mut scratch = EvalScratch::new();
+        let mut cost =
+            |s: &paotr_core::schedule::DnfSchedule| model.freeze_prefix(s.order(), &mut scratch);
 
         // 1a: stream-ordered, increasing vs decreasing d.
         let inc_d = cost(&stream_ordered::schedule(

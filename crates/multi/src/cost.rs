@@ -5,16 +5,15 @@
 //! always a *prefix* of the most recent items — fully described by one
 //! number per stream. The model tracks the **expected** prefix length
 //! (`coverage`) as queries execute in order, and prices each query with
-//! [`dnf_eval::expected_items_with_coverage`]: items already covered by
+//! [`CostModel::expected_cost_with_coverage`]: items already covered by
 //! an earlier query's pull are free. This is the expected-state
 //! approximation of the true (stochastic) shared execution; the
 //! `streamsim` path in [`crate::sim`] validates it against measured
 //! energy.
 
 use crate::workload::Workload;
-use paotr_core::cost::dnf_eval;
+use paotr_core::cost::{CostModel, EvalScratch};
 use paotr_core::schedule::DnfSchedule;
-use paotr_core::stream::StreamId;
 
 /// Predicted costs of executing a workload jointly in `order` (one
 /// shared memory per tick), per query.
@@ -37,17 +36,12 @@ pub fn predict_shared<S: std::borrow::Borrow<DnfSchedule>>(
     let catalog = workload.catalog();
     let mut coverage = vec![0.0f64; catalog.len()];
     let mut per_query = vec![0.0f64; workload.len()];
+    let mut scratch = EvalScratch::new();
     for &q in order {
-        let items = dnf_eval::expected_items_with_coverage(
-            &workload.query(q).tree,
-            catalog,
-            schedules[q].borrow(),
-            &coverage,
-        );
-        per_query[q] = dot_costs(workload, &items);
-        for (c, i) in coverage.iter_mut().zip(&items) {
-            *c += i;
-        }
+        let model = CostModel::new(&workload.query(q).tree, catalog);
+        let order = schedules[q].borrow().order();
+        per_query[q] = model.expected_cost_with_coverage(order, &coverage, &mut scratch);
+        model.add_items_to(&scratch, &mut coverage);
     }
     SharedPrediction {
         per_query,
@@ -61,21 +55,15 @@ pub fn isolated_costs<S: std::borrow::Borrow<DnfSchedule>>(
     workload: &Workload,
     schedules: &[S],
 ) -> Vec<f64> {
+    let mut scratch = EvalScratch::new();
     workload
         .queries()
         .iter()
         .zip(schedules)
-        .map(|(q, s)| dnf_eval::expected_cost(&q.tree, workload.catalog(), s.borrow()))
+        .map(|(q, s)| {
+            CostModel::new(&q.tree, workload.catalog()).expected_cost(s.borrow(), &mut scratch)
+        })
         .collect()
-}
-
-/// Dot product of a per-stream item vector with the catalog costs.
-pub(crate) fn dot_costs(workload: &Workload, items: &[f64]) -> f64 {
-    items
-        .iter()
-        .enumerate()
-        .map(|(k, i)| i * workload.catalog().cost(StreamId(k)))
-        .sum()
 }
 
 #[cfg(test)]
@@ -85,7 +73,7 @@ mod tests {
     use paotr_core::leaf::Leaf;
     use paotr_core::plan::Engine;
     use paotr_core::prob::Prob;
-    use paotr_core::stream::StreamCatalog;
+    use paotr_core::stream::{StreamCatalog, StreamId};
     use paotr_core::tree::DnfTree;
 
     fn leaf(s: usize, d: u32, p: f64) -> Leaf {

@@ -1,7 +1,7 @@
 //! Workloads: sets of concurrent queries over one shared catalog, and
 //! the shared-stream interference analysis between them.
 
-use paotr_core::cost::dnf_eval;
+use paotr_core::cost::{CostModel, EvalScratch};
 use paotr_core::error::{Error, Result};
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
@@ -116,11 +116,16 @@ impl Workload {
     /// plan (the `engine`'s per-class optimal/best planner).
     pub fn interference(&self, engine: &Engine) -> Result<InterferenceReport> {
         let schedules = self.default_schedules(engine)?;
+        let mut scratch = EvalScratch::new();
         let per_query_items: Vec<Vec<f64>> = self
             .queries
             .iter()
             .zip(&schedules)
-            .map(|(q, s)| dnf_eval::expected_items_per_stream(&q.tree, &self.catalog, s))
+            .map(|(q, s)| {
+                let model = CostModel::new(&q.tree, &self.catalog);
+                model.expected_cost(s, &mut scratch);
+                model.items_vec(&scratch)
+            })
             .collect();
 
         let stream_sets: Vec<BTreeSet<StreamId>> = self

@@ -2,10 +2,10 @@
 //!
 //! The shared-streams cost semantics is implemented five ways (ground-
 //! truth interpreter, assignment enumeration, AND closed form, literal
-//! Proposition 2, incremental Proposition 2) plus Monte-Carlo. Any
+//! Proposition 2, incremental `CostModel` push/pop) plus Monte-Carlo. Any
 //! disagreement is a bug in at least one of them; proptest hunts for one.
 
-use paotr::core::cost::{and_eval, assignment, dnf_eval, montecarlo, DnfCostEvaluator};
+use paotr::core::cost::{and_eval, assignment, dnf_eval, montecarlo, CostModel};
 use paotr::core::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -48,12 +48,13 @@ fn random_schedule(inst: &DnfInstance, seed: u64) -> DnfSchedule {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Literal Prop. 2 == incremental evaluator, on arbitrary schedules.
+    /// Literal Prop. 2 == incremental push state, on arbitrary schedules.
     #[test]
     fn literal_equals_incremental(inst in dnf_instance(4, 3, 3), seed in any::<u64>()) {
         let s = random_schedule(&inst, seed);
         let literal = dnf_eval::expected_cost(&inst.tree, &inst.catalog, &s);
-        let fast = dnf_eval::expected_cost_fast(&inst.tree, &inst.catalog, &s);
+        let model = CostModel::new(&inst.tree, &inst.catalog);
+        let fast = model.freeze_prefix(s.order(), &mut model.make_scratch());
         prop_assert!((literal - fast).abs() < 1e-9 * (1.0 + literal.abs()),
             "literal {literal} vs incremental {fast}");
     }
@@ -85,14 +86,16 @@ proptest! {
     #[test]
     fn marginals_nonnegative_and_additive(inst in dnf_instance(4, 3, 3), seed in any::<u64>()) {
         let s = random_schedule(&inst, seed);
-        let mut eval = DnfCostEvaluator::new(&inst.tree, &inst.catalog);
+        let model = CostModel::new(&inst.tree, &inst.catalog);
+        let mut eval = model.make_scratch();
+        model.freeze_prefix(&[], &mut eval);
         let mut sum = 0.0;
         for &r in s.order() {
-            let m = eval.push(r);
+            let m = model.push(r, &mut eval);
             prop_assert!(m >= -1e-12, "negative marginal {m}");
             sum += m;
         }
-        prop_assert!((sum - eval.total_cost()).abs() < 1e-9);
+        prop_assert!((sum - eval.pushed_cost()).abs() < 1e-9);
     }
 
     /// Scaling every stream cost by a factor scales every schedule cost

@@ -3,8 +3,9 @@
 //! PR 4 rewrote the inner loops of the AND-ordered heuristics and the
 //! read-once DNF planner onto the compiled `CostModel` kernel. These
 //! tests pin the rewrite to the *original* implementations — rebuilt
-//! here verbatim on the public pre-kernel APIs (`DnfCostEvaluator`
-//! clone + push per candidate, per-term `AndTree` + `and_eval`) — and
+//! here on the public pre-kernel APIs (a push/pop probe of every
+//! candidate on the incremental `CostModel` state, per-term `AndTree` +
+//! `and_eval`) — and
 //! require **byte-identical** schedules on the exact instances the
 //! committed benchmarks run (`heuristics` / `evaluators` bench configs)
 //! plus a sweep of random shared instances.
@@ -12,7 +13,7 @@
 use paotr::core::prelude::*;
 use paotr_core::algo::heuristics::{and_ordered, AndKey, CostMode, Heuristic};
 use paotr_core::algo::read_once_dnf::or_ratio;
-use paotr_core::cost::{and_eval, dnf_eval, DnfCostEvaluator};
+use paotr_core::cost::{and_eval, dnf_eval, CostModel};
 use paotr_core::leaf::LeafRef;
 use paotr_core::plan::Engine;
 use paotr_gen::{random_dnf_instance, DnfConfig, ParamDistributions, Shape};
@@ -72,8 +73,8 @@ fn reference_term_plans(
 }
 
 /// The pre-rewrite AND-ordered implementation: static sorts on the
-/// summaries, dynamic re-evaluation through per-candidate
-/// `DnfCostEvaluator` clones.
+/// summaries, dynamic re-evaluation by pushing every candidate term on
+/// the incremental state and popping it back out.
 fn reference_and_ordered(
     tree: &DnfTree,
     catalog: &StreamCatalog,
@@ -104,15 +105,19 @@ fn reference_and_ordered(
         }
         CostMode::Dynamic => {
             let mut remaining: Vec<usize> = (0..plans.len()).collect();
-            let mut eval = DnfCostEvaluator::new(tree, catalog);
+            let model = CostModel::new(tree, catalog);
+            let mut eval = model.make_scratch();
+            model.freeze_prefix(&[], &mut eval);
             let mut order = Vec::with_capacity(tree.num_leaves());
             while !remaining.is_empty() {
                 let mut best: Option<(f64, usize, usize)> = None;
                 for (pos, &i) in remaining.iter().enumerate() {
-                    let mut probe = eval.clone();
                     let mut delta = 0.0;
                     for &r in &plans[i].0 {
-                        delta += probe.push(r);
+                        delta += model.push(r, &mut eval);
+                    }
+                    for _ in &plans[i].0 {
+                        model.pop(&mut eval);
                     }
                     let k = match key {
                         AndKey::DecreasingP => -plans[i].2,
@@ -130,7 +135,7 @@ fn reference_and_ordered(
                 let (_, pos, i) = best.expect("remaining is non-empty");
                 remaining.swap_remove(pos);
                 for &r in &plans[i].0 {
-                    eval.push(r);
+                    model.push(r, &mut eval);
                     order.push(r);
                 }
             }
