@@ -21,7 +21,7 @@ pub enum CheckError {
     /// A joint-plan violation (see [`crate::verify_joint`]).
     Joint(crate::plan::JointViolation),
     /// A snapshot-document violation (see [`crate::check_snapshot`]).
-    Snapshot(crate::snapshot::SnapshotViolation),
+    Snapshot(paotr_serverd::SnapshotViolation),
     /// A qlang source lint (see [`crate::lint_query`]).
     Lint(crate::qlint::QueryLint),
 }
@@ -32,7 +32,7 @@ impl CheckError {
         match self {
             CheckError::Plan { violation, .. } => violation.rule(),
             CheckError::Joint(v) => v.rule(),
-            CheckError::Snapshot(v) => v.rule(),
+            CheckError::Snapshot(v) => v.rule.name(),
             CheckError::Lint(l) => l.rule.name(),
         }
     }
@@ -56,7 +56,7 @@ impl CheckError {
                 None => violation.path().to_string(),
             },
             CheckError::Joint(v) => v.path(),
-            CheckError::Snapshot(v) => v.path(),
+            CheckError::Snapshot(v) => v.path.clone(),
             CheckError::Lint(l) => format!("byte {}", l.offset),
         }
     }
@@ -70,7 +70,7 @@ impl fmt::Display for CheckError {
                 None => write!(f, "{violation}"),
             },
             CheckError::Joint(v) => write!(f, "{v}"),
-            CheckError::Snapshot(v) => write!(f, "{v}"),
+            CheckError::Snapshot(v) => write!(f, "{}", v.detail),
             CheckError::Lint(l) => write!(f, "{l}"),
         }
     }

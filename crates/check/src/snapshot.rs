@@ -1,634 +1,22 @@
-//! Static validation of daemon snapshot documents.
+//! `paotr check snapshot`: parse a v1/v2 snapshot document, run
+//! [`Snapshot::validate`] on it, and report every violation.
 //!
-//! `paotr check snapshot <path>` runs these checks on a v1/v2 snapshot
-//! *before* a daemon ever restores it: referential integrity between
-//! sessions and the catalog, monotone tick counters, and refcount
-//! balance in the arrangements section (persisted reader counts must
-//! equal the acquisitions the sessions would recompute — the same
-//! cross-check `Daemon::from_snapshot` performs, done here without
-//! building a daemon). A snapshot that passes may still fail to
-//! restore for environmental reasons (planner name unknown to a future
-//! build, say), but one that fails here is definitely corrupt.
+//! The rules are the ones `Daemon::from_snapshot` enforces (it refuses
+//! any violation `validate` reports), so a snapshot this check accepts
+//! restores, and one it rejects is refused by a restore under the same
+//! rule names.
 
 use crate::report::{CheckError, CheckReport};
-use paotr_core::cost::arrange::ArrangeTerm;
-use paotr_serverd::snapshot::SessionSnap;
+pub use paotr_serverd::snapshot::{Rule, SnapshotViolation};
 use paotr_serverd::Snapshot;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
 
-/// One statically checkable defect in a snapshot document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotViolation {
-    /// The document does not parse at all.
-    ParseFailed {
-        /// The parser's error.
-        detail: String,
-    },
-    /// Two sessions share an id.
-    DuplicateSessionId {
-        /// The duplicated id.
-        id: u64,
-    },
-    /// `order` is not a permutation of the session ids.
-    OrderMismatch {
-        /// What is missing, duplicated, or unknown.
-        detail: String,
-    },
-    /// `next_id` does not strictly exceed every session id, so a future
-    /// registration would collide.
-    NextIdBehind {
-        /// The stored `next_id`.
-        next_id: u64,
-        /// The largest live session id.
-        max_session: u64,
-    },
-    /// More live sessions than `config.max_sessions` allows.
-    SessionLimitExceeded {
-        /// Live session count.
-        sessions: usize,
-        /// The configured ceiling.
-        limit: usize,
-    },
-    /// A counter runs backwards (registration after the snapshot tick,
-    /// pending-before-registration, telemetry disagreeing with `tick`).
-    NonMonotoneTick {
-        /// Path into the snapshot.
-        path: String,
-        /// The inconsistent values.
-        detail: String,
-    },
-    /// A catalog entry is unusable (duplicate name, non-finite or
-    /// non-positive cost).
-    CatalogInvalid {
-        /// Path into the snapshot.
-        path: String,
-        /// What is wrong with the entry.
-        detail: String,
-    },
-    /// A session's query source does not parse/compile, or is not
-    /// DNF-shaped.
-    SessionSourceInvalid {
-        /// The session id.
-        id: u64,
-        /// The compiler's error.
-        detail: String,
-    },
-    /// A session references a stream the snapshot catalog lacks.
-    UnresolvedStream {
-        /// The session id.
-        id: u64,
-        /// The stream name.
-        stream: String,
-    },
-    /// A session's window exceeds `config.max_window`.
-    WindowLimitExceeded {
-        /// The session id.
-        id: u64,
-        /// The offending window and the limit.
-        detail: String,
-    },
-    /// A session's persisted state disagrees with its query (wrong
-    /// calibration arity, successes exceeding totals, probabilities
-    /// outside [0, 1], bad weight, invalid schedule).
-    SessionStateInvalid {
-        /// The session id.
-        id: u64,
-        /// Path within the session.
-        path: String,
-        /// The inconsistency.
-        detail: String,
-    },
-    /// The snapshot persists arrangements although the config has them
-    /// off (or a v1 document carries an arrangements section).
-    ArrangementsUnexpected {
-        /// Why the section cannot be there.
-        detail: String,
-    },
-    /// An arrangement entry is malformed (unknown stream, zero window,
-    /// duplicate `(stream, window)` key, clock regressions).
-    ArrangementInvalid {
-        /// Index into `arrangements.entries`.
-        index: usize,
-        /// What is malformed.
-        detail: String,
-    },
-    /// A persisted reader refcount differs from the acquisitions the
-    /// sessions recompute.
-    RefcountImbalance {
-        /// The arrangement's stream id.
-        stream: usize,
-        /// The arrangement's window.
-        window: u32,
-        /// The refcount the snapshot persists.
-        persisted: u32,
-        /// The refcount the sessions actually hold.
-        expected: u32,
-    },
-    /// Sessions read through an arrangement the snapshot does not
-    /// persist.
-    MissingArrangement {
-        /// The arrangement's stream id.
-        stream: usize,
-        /// The arrangement's window.
-        window: u32,
-    },
-}
-
-impl SnapshotViolation {
-    /// Stable kebab-case rule name.
-    pub fn rule(&self) -> &'static str {
-        match self {
-            SnapshotViolation::ParseFailed { .. } => "parse-failed",
-            SnapshotViolation::DuplicateSessionId { .. } => "duplicate-session-id",
-            SnapshotViolation::OrderMismatch { .. } => "order-mismatch",
-            SnapshotViolation::NextIdBehind { .. } => "next-id-behind",
-            SnapshotViolation::SessionLimitExceeded { .. } => "session-limit-exceeded",
-            SnapshotViolation::NonMonotoneTick { .. } => "non-monotone-tick",
-            SnapshotViolation::CatalogInvalid { .. } => "catalog-invalid",
-            SnapshotViolation::SessionSourceInvalid { .. } => "session-source-invalid",
-            SnapshotViolation::UnresolvedStream { .. } => "unresolved-stream",
-            SnapshotViolation::WindowLimitExceeded { .. } => "window-limit-exceeded",
-            SnapshotViolation::SessionStateInvalid { .. } => "session-state-invalid",
-            SnapshotViolation::ArrangementsUnexpected { .. } => "arrangements-unexpected",
-            SnapshotViolation::ArrangementInvalid { .. } => "arrangement-invalid",
-            SnapshotViolation::RefcountImbalance { .. } => "refcount-imbalance",
-            SnapshotViolation::MissingArrangement { .. } => "missing-arrangement",
-        }
-    }
-
-    /// Path into the snapshot document.
-    pub fn path(&self) -> String {
-        match self {
-            SnapshotViolation::ParseFailed { .. } => "document".into(),
-            SnapshotViolation::DuplicateSessionId { id } => format!("sessions[id={id}]"),
-            SnapshotViolation::OrderMismatch { .. } => "order".into(),
-            SnapshotViolation::NextIdBehind { .. } => "next_id".into(),
-            SnapshotViolation::SessionLimitExceeded { .. } => "sessions".into(),
-            SnapshotViolation::NonMonotoneTick { path, .. } => path.clone(),
-            SnapshotViolation::CatalogInvalid { path, .. } => path.clone(),
-            SnapshotViolation::SessionSourceInvalid { id, .. } => {
-                format!("sessions[id={id}].source")
-            }
-            SnapshotViolation::UnresolvedStream { id, .. } => format!("sessions[id={id}]"),
-            SnapshotViolation::WindowLimitExceeded { id, .. } => format!("sessions[id={id}]"),
-            SnapshotViolation::SessionStateInvalid { id, path, .. } => {
-                format!("sessions[id={id}].{path}")
-            }
-            SnapshotViolation::ArrangementsUnexpected { .. } => "arrangements".into(),
-            SnapshotViolation::ArrangementInvalid { index, .. } => {
-                format!("arrangements.entries[{index}]")
-            }
-            SnapshotViolation::RefcountImbalance { stream, window, .. }
-            | SnapshotViolation::MissingArrangement { stream, window } => {
-                format!("arrangements.entries[stream={stream},window={window}]")
-            }
-        }
-    }
-}
-
-impl fmt::Display for SnapshotViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotViolation::ParseFailed { detail } => write!(f, "does not parse: {detail}"),
-            SnapshotViolation::DuplicateSessionId { id } => {
-                write!(f, "session id {id} appears twice")
-            }
-            SnapshotViolation::OrderMismatch { detail } => {
-                write!(f, "order is not a permutation of the session ids: {detail}")
-            }
-            SnapshotViolation::NextIdBehind {
-                next_id,
-                max_session,
-            } => write!(
-                f,
-                "next_id {next_id} does not exceed live session id {max_session}"
-            ),
-            SnapshotViolation::SessionLimitExceeded { sessions, limit } => {
-                write!(f, "{sessions} sessions exceed max_sessions {limit}")
-            }
-            SnapshotViolation::NonMonotoneTick { path, detail } => {
-                write!(f, "{path}: counter not monotone: {detail}")
-            }
-            SnapshotViolation::CatalogInvalid { path, detail } => write!(f, "{path}: {detail}"),
-            SnapshotViolation::SessionSourceInvalid { id, detail } => {
-                write!(f, "session {id}: {detail}")
-            }
-            SnapshotViolation::UnresolvedStream { id, stream } => {
-                write!(f, "session {id}: stream `{stream}` missing from catalog")
-            }
-            SnapshotViolation::WindowLimitExceeded { id, detail } => {
-                write!(f, "session {id}: {detail}")
-            }
-            SnapshotViolation::SessionStateInvalid { id, path, detail } => {
-                write!(f, "session {id} {path}: {detail}")
-            }
-            SnapshotViolation::ArrangementsUnexpected { detail } => write!(f, "{detail}"),
-            SnapshotViolation::ArrangementInvalid { index, detail } => {
-                write!(f, "entry {index}: {detail}")
-            }
-            SnapshotViolation::RefcountImbalance {
-                stream,
-                window,
-                persisted,
-                expected,
-            } => write!(
-                f,
-                "stream {stream} window {window}: persists {persisted} readers, \
-                 sessions hold {expected}"
-            ),
-            SnapshotViolation::MissingArrangement { stream, window } => write!(
-                f,
-                "sessions read through an arrangement the snapshot does not persist \
-                 (stream {stream} window {window})"
-            ),
-        }
-    }
-}
-
-/// A compiled-out view of one session: its per-global-stream widest
-/// windows, or `None` when the source itself is invalid (reported
-/// separately).
-fn session_windows(
-    snap: &SessionSnap,
-    catalog_names: &HashMap<String, usize>,
-    report: &mut CheckReport,
-) -> Option<(Vec<(usize, u32)>, usize)> {
-    let push =
-        |report: &mut CheckReport, v: SnapshotViolation| report.push(CheckError::Snapshot(v));
-    let expr = match paotr_qlang::parse(&snap.source) {
-        Ok(e) => e,
-        Err(e) => {
-            push(
-                report,
-                SnapshotViolation::SessionSourceInvalid {
-                    id: snap.id,
-                    detail: format!("unparseable source: {}", e.message),
-                },
-            );
-            return None;
-        }
-    };
-    let compiled = match paotr_qlang::compile(&expr, &HashMap::new()) {
-        Ok(c) => c,
-        Err(e) => {
-            push(
-                report,
-                SnapshotViolation::SessionSourceInvalid {
-                    id: snap.id,
-                    detail: e.message,
-                },
-            );
-            return None;
-        }
-    };
-    let Some(dnf) = compiled.tree.as_dnf() else {
-        push(
-            report,
-            SnapshotViolation::SessionSourceInvalid {
-                id: snap.id,
-                detail: "source is not DNF-shaped".into(),
-            },
-        );
-        return None;
-    };
-    let num_leaves = compiled.tree.num_leaves();
-    // Widest window per *global* stream id, resolving by name the way
-    // `restore_session` does.
-    let mut windows: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut ok = true;
-    for k in 0..compiled.catalog.len() {
-        let name = compiled.catalog.name(paotr_core::stream::StreamId(k));
-        let Some(&global) = catalog_names.get(&name) else {
-            push(
-                report,
-                SnapshotViolation::UnresolvedStream {
-                    id: snap.id,
-                    stream: name,
-                },
-            );
-            ok = false;
-            continue;
-        };
-        let widest = dnf
-            .leaves()
-            .filter(|(_, leaf)| leaf.stream.0 == k)
-            .map(|(_, leaf)| leaf.items)
-            .max()
-            .unwrap_or(0);
-        windows.insert(global, widest);
-    }
-    ok.then(|| (windows.into_iter().collect(), num_leaves))
-}
-
-/// Statically validates a parsed snapshot document. See the module
-/// docs for the invariant list.
+/// Validates a parsed snapshot document.
 pub fn check_snapshot(snap: &Snapshot) -> CheckReport {
     let mut report = CheckReport::new(format!("snapshot[v{}]", snap.version));
-    let push =
-        |report: &mut CheckReport, v: SnapshotViolation| report.push(CheckError::Snapshot(v));
-
-    // Catalog: unique names, usable costs.
-    report.checks_run += 1;
-    let mut catalog_names: HashMap<String, usize> = HashMap::new();
-    for (k, (name, cost)) in snap.catalog.iter().enumerate() {
-        if catalog_names.insert(name.clone(), k).is_some() {
-            push(
-                &mut report,
-                SnapshotViolation::CatalogInvalid {
-                    path: format!("catalog[{k}]"),
-                    detail: format!("duplicate stream name `{name}`"),
-                },
-            );
-        }
-        if !cost.is_finite() || *cost <= 0.0 {
-            push(
-                &mut report,
-                SnapshotViolation::CatalogInvalid {
-                    path: format!("catalog[{k}]"),
-                    detail: format!("stream `{name}` has unusable cost {cost}"),
-                },
-            );
-        }
+    report.checks_run = Rule::ALL.len();
+    for v in snap.validate() {
+        report.push(CheckError::Snapshot(v));
     }
-
-    // Session registry integrity.
-    report.checks_run += 1;
-    let mut ids = BTreeSet::new();
-    for s in &snap.sessions {
-        if !ids.insert(s.id) {
-            push(
-                &mut report,
-                SnapshotViolation::DuplicateSessionId { id: s.id },
-            );
-        }
-    }
-    if let Some(&max_id) = ids.iter().next_back() {
-        if snap.next_id <= max_id {
-            push(
-                &mut report,
-                SnapshotViolation::NextIdBehind {
-                    next_id: snap.next_id,
-                    max_session: max_id,
-                },
-            );
-        }
-    }
-    if snap.sessions.len() > snap.config.max_sessions {
-        push(
-            &mut report,
-            SnapshotViolation::SessionLimitExceeded {
-                sessions: snap.sessions.len(),
-                limit: snap.config.max_sessions,
-            },
-        );
-    }
-    let order_set: BTreeSet<u64> = snap.order.iter().copied().collect();
-    if order_set != ids || snap.order.len() != snap.sessions.len() {
-        push(
-            &mut report,
-            SnapshotViolation::OrderMismatch {
-                detail: format!(
-                    "order lists {} ids over {} sessions",
-                    snap.order.len(),
-                    snap.sessions.len()
-                ),
-            },
-        );
-    }
-
-    // Monotone tick counters.
-    report.checks_run += 1;
-    if snap.telemetry.ticks != snap.tick {
-        push(
-            &mut report,
-            SnapshotViolation::NonMonotoneTick {
-                path: "telemetry.ticks".into(),
-                detail: format!(
-                    "telemetry counts {} ticks, snapshot is at tick {}",
-                    snap.telemetry.ticks, snap.tick
-                ),
-            },
-        );
-    }
-    for s in &snap.sessions {
-        if s.registered_tick > snap.tick {
-            push(
-                &mut report,
-                SnapshotViolation::NonMonotoneTick {
-                    path: format!("sessions[id={}].registered_tick", s.id),
-                    detail: format!(
-                        "registered at tick {} after snapshot tick {}",
-                        s.registered_tick, snap.tick
-                    ),
-                },
-            );
-        }
-        if let Some(p) = s.pending_since {
-            if p > snap.tick {
-                push(
-                    &mut report,
-                    SnapshotViolation::NonMonotoneTick {
-                        path: format!("sessions[id={}].pending_since", s.id),
-                        detail: format!("pending since tick {p} after snapshot tick {}", snap.tick),
-                    },
-                );
-            }
-        }
-    }
-
-    // Per-session referential integrity and state consistency; collect
-    // the arrangement acquisitions each valid session would hold.
-    report.checks_run += 2;
-    let mut expected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
-    for s in &snap.sessions {
-        if !s.weight.is_finite() || s.weight <= 0.0 {
-            push(
-                &mut report,
-                SnapshotViolation::SessionStateInvalid {
-                    id: s.id,
-                    path: "weight".into(),
-                    detail: format!("unusable weight {}", s.weight),
-                },
-            );
-        }
-        for (i, (&succ, &total)) in s.successes.iter().zip(&s.totals).enumerate() {
-            if succ > total {
-                push(
-                    &mut report,
-                    SnapshotViolation::SessionStateInvalid {
-                        id: s.id,
-                        path: format!("successes[{i}]"),
-                        detail: format!("{succ} successes out of {total} trials"),
-                    },
-                );
-            }
-        }
-        for (i, &p) in s.calibrated.iter().enumerate() {
-            if !(0.0..=1.0).contains(&p) {
-                push(
-                    &mut report,
-                    SnapshotViolation::SessionStateInvalid {
-                        id: s.id,
-                        path: format!("calibrated[{i}]"),
-                        detail: format!("probability {p} outside [0, 1]"),
-                    },
-                );
-            }
-        }
-        let Some((windows, num_leaves)) = session_windows(s, &catalog_names, &mut report) else {
-            continue;
-        };
-        if s.calibrated.len() != num_leaves {
-            push(
-                &mut report,
-                SnapshotViolation::SessionStateInvalid {
-                    id: s.id,
-                    path: "calibrated".into(),
-                    detail: format!(
-                        "calibration covers {} leaves, query has {num_leaves}",
-                        s.calibrated.len()
-                    ),
-                },
-            );
-        }
-        if s.schedule.len() != num_leaves {
-            push(
-                &mut report,
-                SnapshotViolation::SessionStateInvalid {
-                    id: s.id,
-                    path: "schedule".into(),
-                    detail: format!(
-                        "schedule covers {} leaves, query has {num_leaves}",
-                        s.schedule.len()
-                    ),
-                },
-            );
-        }
-        for &(_, w) in &windows {
-            if w > snap.config.max_window {
-                push(
-                    &mut report,
-                    SnapshotViolation::WindowLimitExceeded {
-                        id: s.id,
-                        detail: format!("window {w} exceeds max_window {}", snap.config.max_window),
-                    },
-                );
-            }
-        }
-        // The acquisitions this session holds: exactly the daemon's
-        // maintain-vs-repull rule, one reader re-pulling `w` items per
-        // tick against one delta item.
-        if snap.config.arrange.is_some() {
-            for &(k, w) in &windows {
-                if w > 0 && ArrangeTerm::new(w, 1, 1.0, f64::from(w)).should_materialize() {
-                    *expected.entry((k, w)).or_default() += 1;
-                }
-            }
-        }
-    }
-
-    // Arrangements: allowed, well-formed, refcount-balanced.
-    report.checks_run += 2;
-    match &snap.arrangements {
-        None => {}
-        Some(arr) => {
-            if snap.config.arrange.is_none() {
-                push(
-                    &mut report,
-                    SnapshotViolation::ArrangementsUnexpected {
-                        detail: "snapshot persists arrangements but config.arrange is off".into(),
-                    },
-                );
-            }
-            let mut keys = BTreeSet::new();
-            for (i, e) in arr.entries.iter().enumerate() {
-                if e.stream >= snap.catalog.len() {
-                    push(
-                        &mut report,
-                        SnapshotViolation::ArrangementInvalid {
-                            index: i,
-                            detail: format!("stream {} not in catalog", e.stream),
-                        },
-                    );
-                }
-                if e.window == 0 {
-                    push(
-                        &mut report,
-                        SnapshotViolation::ArrangementInvalid {
-                            index: i,
-                            detail: "zero-item window".into(),
-                        },
-                    );
-                }
-                if !keys.insert((e.stream, e.window)) {
-                    push(
-                        &mut report,
-                        SnapshotViolation::ArrangementInvalid {
-                            index: i,
-                            detail: format!(
-                                "duplicate arrangement for stream {} window {}",
-                                e.stream, e.window
-                            ),
-                        },
-                    );
-                }
-                // `maintained_to` is stream time, not the store's
-                // maintenance clock — the two advance at different
-                // rates, so no cross-check is possible statically.
-                if let Some(z) = e.zero_reader_since {
-                    if z > arr.clock {
-                        push(
-                            &mut report,
-                            SnapshotViolation::NonMonotoneTick {
-                                path: format!("arrangements.entries[{i}].zero_reader_since"),
-                                detail: format!("idle since {z} past store clock {}", arr.clock),
-                            },
-                        );
-                    }
-                }
-            }
-            // Refcount balance against the sessions' recomputed
-            // acquisitions (only meaningful when every session
-            // compiled; source errors were already reported).
-            let sources_ok = !report.errors.iter().any(|e| {
-                matches!(
-                    e,
-                    CheckError::Snapshot(
-                        SnapshotViolation::SessionSourceInvalid { .. }
-                            | SnapshotViolation::UnresolvedStream { .. }
-                    )
-                )
-            });
-            if sources_ok {
-                let mut expected = expected.clone();
-                for e in &arr.entries {
-                    let want = expected.remove(&(e.stream, e.window)).unwrap_or(0);
-                    if e.readers != want {
-                        push(
-                            &mut report,
-                            SnapshotViolation::RefcountImbalance {
-                                stream: e.stream,
-                                window: e.window,
-                                persisted: e.readers,
-                                expected: want,
-                            },
-                        );
-                    }
-                }
-                for &(k, w) in expected.keys() {
-                    push(
-                        &mut report,
-                        SnapshotViolation::MissingArrangement {
-                            stream: k,
-                            window: w,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
     report
 }
 
@@ -639,9 +27,8 @@ pub fn check_snapshot_str(input: &str) -> CheckReport {
         Err(e) => {
             let mut report = CheckReport::new("snapshot");
             report.checks_run += 1;
-            report.push(CheckError::Snapshot(SnapshotViolation::ParseFailed {
-                detail: e.to_string(),
-            }));
+            let v = SnapshotViolation::new(Rule::ParseFailed, "document", e.to_string());
+            report.push(CheckError::Snapshot(v));
             report
         }
     }

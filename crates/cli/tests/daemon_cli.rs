@@ -161,3 +161,40 @@ fn generous_check_budget_passes() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// A snapshot that breaks a restore rule is refused with a typed error
+/// before the daemon serves anything: a non-zero exit that is not a
+/// panic (101), `invalid snapshot` on stderr, and the file untouched.
+#[test]
+fn invalid_snapshots_are_refused_without_a_panic_or_a_rewrite() {
+    let fixtures: [(&str, &[u8]); 2] = [
+        (
+            "window_over_limit",
+            include_bytes!("../../check/tests/fixtures/snapshot_window_over_limit.snap"),
+        ),
+        (
+            "idle_arrangement_out_of_catalog",
+            include_bytes!(
+                "../../check/tests/fixtures/snapshot_idle_arrangement_out_of_catalog.snap"
+            ),
+        ),
+    ];
+    for (name, bytes) in fixtures {
+        let path = std::env::temp_dir().join(format!("paotr_daemon_cli_{name}.snap"));
+        let path = path.to_str().unwrap();
+        std::fs::write(path, bytes).unwrap();
+        // No stdin script: the daemon exits before it would read one.
+        let out = Command::new(BIN)
+            .args(["serve", "--daemon", "--snapshot", path])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run daemon");
+        let after = std::fs::read(path).unwrap();
+        std::fs::remove_file(path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: restore accepted it");
+        assert_ne!(out.status.code(), Some(101), "{name} panicked: {stderr}");
+        assert!(stderr.contains("invalid snapshot"), "{name}: {stderr}");
+        assert_eq!(after, bytes, "{name}: the snapshot file was rewritten");
+    }
+}

@@ -21,7 +21,7 @@
 use crate::json::{parse as json_parse, Json};
 use crate::proto::{error_response, ok_response, parse_command, Command};
 use crate::registry::SessionRegistry;
-use crate::snapshot::{SessionSnap, Snapshot};
+use crate::snapshot::{Restored, SessionSnap, Snapshot, SnapshotError};
 use crate::telemetry::Telemetry;
 use crate::{Error, Result};
 use paotr_core::cost::ArrangeTerm;
@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use stream_sim::{
     ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy, Scheduler,
-    SensorModel, SensorSource, SimStream, TraceLog, Verdict,
+    SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
 };
 
 /// Domain separation for per-stream RNG seeds.
@@ -244,15 +244,9 @@ pub struct Daemon {
 /// The arrangements one session's reads should go through: each stream
 /// the query touches at the session's widest window there, whenever
 /// maintaining beats re-pulling even for this single reader (the store
-/// coalesces further readers for free).
-fn session_acquisitions(registry: &SessionRegistry, id: u64) -> Vec<(StreamId, u32)> {
-    let n = registry.catalog().len();
-    let Some(session) = registry.session(id) else {
-        return Vec::new();
-    };
-    session
-        .sim
-        .max_windows(n)
+/// coalesces further readers for free). `streams` is the catalog size.
+pub(crate) fn session_acquisitions(sim: &SimQuery, streams: usize) -> Vec<(StreamId, u32)> {
+    sim.max_windows(streams)
         .iter()
         .enumerate()
         .filter(|&(_, &w)| {
@@ -263,6 +257,11 @@ fn session_acquisitions(registry: &SessionRegistry, id: u64) -> Vec<(StreamId, u
         })
         .map(|(k, &w)| (StreamId(k), w))
         .collect()
+}
+
+/// A restored arrangement the store refuses, as a typed snapshot error.
+fn invalid_arrangement(m: String) -> Error {
+    Error::Snapshot(SnapshotError::Invalid(format!("arrangements: {m}")))
 }
 
 impl Daemon {
@@ -348,8 +347,10 @@ impl Daemon {
         let id = self
             .registry
             .register(source, weight, self.tick, &self.engine)?;
-        if let Some(store) = self.arrangements.as_mut() {
-            let pairs = session_acquisitions(&self.registry, id);
+        if let (Some(store), Some(session)) =
+            (self.arrangements.as_mut(), self.registry.session(id))
+        {
+            let pairs = session_acquisitions(&session.sim, self.registry.catalog().len());
             for &(k, w) in &pairs {
                 store.acquire(k, w);
             }
@@ -588,23 +589,20 @@ impl Daemon {
         }
     }
 
-    /// Restores a daemon from a snapshot: sessions are recompiled from
-    /// their sources against the persisted catalog, calibration and
-    /// schedules are adopted verbatim, and every stream is replayed to
-    /// the snapshot tick. Counters continue exactly from their
-    /// persisted values.
+    /// Restores a daemon from a snapshot that passes
+    /// [`Snapshot::validate`]: sessions are recompiled from their
+    /// sources against the persisted catalog, calibration and schedules
+    /// are adopted verbatim, arrangement refcounts are re-acquired, and
+    /// every stream is replayed to the snapshot tick. Counters continue
+    /// exactly from their persisted values.
     pub fn from_snapshot(snap: &Snapshot) -> Result<Daemon> {
-        let invalid = |m: String| Error::Snapshot(crate::snapshot::SnapshotError::Invalid(m));
-        let (registry, pending) = snap.restore_registry()?;
-
-        // Rebuild the arrangement store: persisted shells and counters,
-        // reader refcounts cross-checked against the sessions that must
-        // hold them (acquisitions are recomputed, not persisted).
+        let Restored {
+            registry,
+            pending,
+            acquired,
+        } = snap.restore()?;
         let mut arrangements = snap.config.arrange.map(ArrangementStore::new);
-        if let Some(asnap) = &snap.arrangements {
-            let store = arrangements.as_mut().ok_or_else(|| {
-                invalid("snapshot persists arrangements but config.arrange is off".into())
-            })?;
+        if let (Some(store), Some(asnap)) = (arrangements.as_mut(), &snap.arrangements) {
             for e in &asnap.entries {
                 store
                     .restore_arrangement(
@@ -614,7 +612,7 @@ impl Daemon {
                         e.maintained_to,
                         e.zero_reader_since,
                     )
-                    .map_err(|m| invalid(format!("arrangements: {m}")))?;
+                    .map_err(invalid_arrangement)?;
             }
             store.restore_counters(
                 asnap.clock,
@@ -623,38 +621,6 @@ impl Daemon {
                 asnap.maintained_items,
                 asnap.evictions,
             );
-        }
-        let mut acquired = BTreeMap::new();
-        if let Some(store) = &arrangements {
-            let ids: Vec<u64> = registry.sessions().map(|s| s.id).collect();
-            let mut expected: BTreeMap<(usize, u32), u32> = BTreeMap::new();
-            for id in ids {
-                let pairs = session_acquisitions(&registry, id);
-                for &(k, w) in &pairs {
-                    *expected.entry((k.0, w)).or_default() += 1;
-                }
-                if !pairs.is_empty() {
-                    acquired.insert(id, pairs);
-                }
-            }
-            for a in store.iter() {
-                let want = expected.remove(&(a.stream().0, a.window())).unwrap_or(0);
-                if a.readers() != want {
-                    return Err(invalid(format!(
-                        "arrangement for stream {} window {} persists {} readers, sessions hold {}",
-                        a.stream(),
-                        a.window(),
-                        a.readers(),
-                        want
-                    )));
-                }
-            }
-            if let Some((&(k, w), _)) = expected.iter().next() {
-                return Err(invalid(format!(
-                    "sessions read through an arrangement the snapshot does not persist \
-                     (stream {k} window {w})"
-                )));
-            }
         }
 
         let faults = FaultPlan::new(snap.config.faults.unwrap_or_else(FaultSpec::none));
@@ -675,7 +641,7 @@ impl Daemon {
             last_verdicts: Vec::new(),
         };
         daemon.ensure_streams();
-        daemon.refill_arrangements();
+        daemon.refill_arrangements()?;
         Ok(daemon)
     }
 
@@ -685,9 +651,9 @@ impl Daemon {
     /// maintenance (the catch-up absorb restores it to a full window
     /// before any read can be served), so replay after a restore stays
     /// tick-for-tick identical to the uninterrupted run.
-    fn refill_arrangements(&mut self) {
+    fn refill_arrangements(&mut self) -> Result<()> {
         let Some(store) = self.arrangements.as_mut() else {
-            return;
+            return Ok(());
         };
         let shells: Vec<(StreamId, u32, u64)> = store
             .iter()
@@ -695,7 +661,10 @@ impl Daemon {
             .map(|a| (a.stream(), a.window(), a.maintained_to()))
             .collect();
         for (k, window, maintained_to) in shells {
-            let stream = &self.streams[k.0];
+            let stream = self
+                .streams
+                .get(k.0)
+                .ok_or_else(|| invalid_arrangement(format!("stream {k} has no replayed data")))?;
             // Drop items produced after the persisted maintenance
             // point; what remains (newest first) ends at maintained_to.
             let newer = stream.now().saturating_sub(maintained_to) as usize;
@@ -703,11 +672,14 @@ impl Daemon {
                 continue;
             }
             let take = (stream.len() - newer).min(window as usize);
-            let newest = stream.recent(stream.len()).expect("buffered items exist");
+            let newest = stream
+                .recent(stream.len())
+                .ok_or_else(|| invalid_arrangement(format!("stream {k} lost its buffer")))?;
             store
                 .refill(k, window, &newest[newer..newer + take])
-                .expect("shell restored above");
+                .map_err(invalid_arrangement)?;
         }
+        Ok(())
     }
 
     /// Saves a snapshot to `path`.

@@ -20,7 +20,8 @@
 //!   serve loops (stdin/stdout and TCP);
 //! * [`snapshot`] — the versioned on-disk state: calibration, plan
 //!   state, telemetry. Rendering a parsed snapshot reproduces it
-//!   byte-for-byte, and restores continue counters exactly;
+//!   byte-for-byte, [`Snapshot::validate`] is the one rule set a
+//!   restore enforces, and restores continue counters exactly;
 //! * [`telemetry`] — live counters rendered through `paotr_stats` and
 //!   queryable over the protocol;
 //! * [`proto`] — the wire commands (`register`, `unregister`, `tick`,
@@ -55,7 +56,9 @@ pub mod telemetry;
 pub use daemon::{Config, Daemon, TcpOptions};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use registry::{Session, SessionRegistry};
-pub use snapshot::{ArrangeEntrySnap, ArrangeSnap, Snapshot, SnapshotError};
+pub use snapshot::{
+    ArrangeEntrySnap, ArrangeSnap, Rule, Snapshot, SnapshotError, SnapshotViolation,
+};
 pub use telemetry::Telemetry;
 
 use std::fmt;

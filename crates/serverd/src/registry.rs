@@ -366,7 +366,7 @@ impl SessionRegistry {
     }
 
     /// Restores a registry from snapshot parts (crate-internal; the
-    /// snapshot module validates the parts first).
+    /// parts come from a snapshot that passed `Snapshot::validate`).
     pub(crate) fn from_restored_parts(parts: RestoredParts) -> Result<SessionRegistry> {
         let RestoredParts {
             planner,
@@ -381,25 +381,7 @@ impl SessionRegistry {
         let mut registry = SessionRegistry::new(&planner, max_sessions, max_window)?;
         registry.shared = shared;
         registry.catalog = catalog;
-        for s in sessions {
-            if s.id >= next_id {
-                return Err(Error::Rejected(format!(
-                    "session id {} not below next_id {next_id}",
-                    s.id
-                )));
-            }
-            if registry.sessions.insert(s.id, s).is_some() {
-                return Err(Error::Rejected("duplicate session id".into()));
-            }
-        }
-        let mut in_order: Vec<u64> = order.clone();
-        in_order.sort_unstable();
-        let live: Vec<u64> = registry.sessions.keys().copied().collect();
-        if in_order != live {
-            return Err(Error::Rejected(
-                "execution order does not match the live session set".into(),
-            ));
-        }
+        registry.sessions = sessions.into_iter().map(|s| (s.id, s)).collect();
         registry.order = order;
         registry.next_id = next_id;
         Ok(registry)
@@ -440,12 +422,15 @@ fn plan_schedule(engine: &Engine, tree: &DnfTree, catalog: &StreamCatalog) -> Re
 
 /// Validates that `order` (as `(term, leaf)` pairs) is a permutation of
 /// `tree`'s leaves; used by snapshot restore.
-pub(crate) fn schedule_from_pairs(pairs: &[(usize, usize)], tree: &DnfTree) -> Result<DnfSchedule> {
+pub(crate) fn schedule_from_pairs(
+    pairs: &[(usize, usize)],
+    tree: &DnfTree,
+) -> std::result::Result<DnfSchedule, String> {
     let refs: Vec<LeafRef> = pairs
         .iter()
         .map(|&(term, leaf)| LeafRef { term, leaf })
         .collect();
-    DnfSchedule::new(refs, tree).map_err(|e| Error::Rejected(format!("invalid schedule: {e}")))
+    DnfSchedule::new(refs, tree).map_err(|e| format!("invalid schedule: {e}"))
 }
 
 #[cfg(test)]

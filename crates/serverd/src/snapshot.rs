@@ -14,15 +14,20 @@
 //! reproduces the bytes exactly (pinned by test and by the committed
 //! compatibility fixture). Corrupt or truncated input surfaces as a
 //! typed [`SnapshotError`], never a panic.
+//!
+//! [`Snapshot::validate`] holds every rule a parsed snapshot must keep
+//! — catalog, registry, counters, per-session state, arrangements and
+//! their refcounts. A restore refuses any violation before building
+//! anything, and `paotr check snapshot` reports the same list.
 
-use crate::daemon::Config;
+use crate::daemon::{session_acquisitions, Config};
 use crate::json::{parse, Json, JsonError};
 use crate::registry::{schedule_from_pairs, Session, SessionRegistry};
 use crate::telemetry::Telemetry;
-use crate::{Error, Result};
-use paotr_core::stream::StreamCatalog;
+use crate::Result;
+use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_exec::DriftState;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use stream_sim::{SimLeaf, SimQuery};
 
@@ -61,6 +66,145 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// One rule of [`Snapshot::validate`], with a stable kebab-case
+/// [`Rule::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rule {
+    /// The document does not parse (reported by `paotr check`; a parsed
+    /// [`Snapshot`] cannot break it).
+    ParseFailed,
+    /// The config names an unknown planner or a zero ceiling.
+    ConfigInvalid,
+    /// A catalog entry has a duplicate name, or a cost that is not
+    /// finite and > 0.
+    CatalogInvalid,
+    /// Two sessions share an id.
+    DuplicateSessionId,
+    /// `order` is not a permutation of the session ids.
+    OrderMismatch,
+    /// `next_id` does not exceed every session id, so a future
+    /// registration would collide.
+    NextIdBehind,
+    /// More sessions than `config.max_sessions`.
+    SessionLimitExceeded,
+    /// A counter runs backwards: telemetry ticks other than `tick`, a
+    /// registration or pending request after `tick`, an idle time after
+    /// the arrangement clock.
+    NonMonotoneTick,
+    /// A session's source does not compile to a DNF query.
+    SessionSourceInvalid,
+    /// A session reads a stream the catalog lacks.
+    UnresolvedStream,
+    /// A session's window exceeds `config.max_window`.
+    WindowLimitExceeded,
+    /// A session's weight, calibration, observations or schedule do not
+    /// fit its query.
+    SessionStateInvalid,
+    /// Arrangements are persisted while `config.arrange` is off.
+    ArrangementsUnexpected,
+    /// An arrangement entry is malformed: stream outside the catalog,
+    /// zero window, duplicate `(stream, window)`, readers while in
+    /// grace, or maintained past the stream's time.
+    ArrangementInvalid,
+    /// A persisted reader refcount differs from the acquisitions the
+    /// sessions hold.
+    RefcountImbalance,
+    /// Sessions read through an arrangement the snapshot does not
+    /// persist.
+    MissingArrangement,
+}
+
+impl Rule {
+    /// Every rule.
+    pub const ALL: [Rule; 16] = [
+        Rule::ParseFailed,
+        Rule::ConfigInvalid,
+        Rule::CatalogInvalid,
+        Rule::DuplicateSessionId,
+        Rule::OrderMismatch,
+        Rule::NextIdBehind,
+        Rule::SessionLimitExceeded,
+        Rule::NonMonotoneTick,
+        Rule::SessionSourceInvalid,
+        Rule::UnresolvedStream,
+        Rule::WindowLimitExceeded,
+        Rule::SessionStateInvalid,
+        Rule::ArrangementsUnexpected,
+        Rule::ArrangementInvalid,
+        Rule::RefcountImbalance,
+        Rule::MissingArrangement,
+    ];
+
+    /// Stable kebab-case rule name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::ParseFailed => "parse-failed",
+            Rule::ConfigInvalid => "config-invalid",
+            Rule::CatalogInvalid => "catalog-invalid",
+            Rule::DuplicateSessionId => "duplicate-session-id",
+            Rule::OrderMismatch => "order-mismatch",
+            Rule::NextIdBehind => "next-id-behind",
+            Rule::SessionLimitExceeded => "session-limit-exceeded",
+            Rule::NonMonotoneTick => "non-monotone-tick",
+            Rule::SessionSourceInvalid => "session-source-invalid",
+            Rule::UnresolvedStream => "unresolved-stream",
+            Rule::WindowLimitExceeded => "window-limit-exceeded",
+            Rule::SessionStateInvalid => "session-state-invalid",
+            Rule::ArrangementsUnexpected => "arrangements-unexpected",
+            Rule::ArrangementInvalid => "arrangement-invalid",
+            Rule::RefcountImbalance => "refcount-imbalance",
+            Rule::MissingArrangement => "missing-arrangement",
+        }
+    }
+}
+
+/// One broken [`Rule`], located by a path into the snapshot document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotViolation {
+    /// The rule.
+    pub rule: Rule,
+    /// Where, e.g. `sessions[id=2].calibrated[0]`.
+    pub path: String,
+    /// What is wrong there.
+    pub detail: String,
+}
+
+impl SnapshotViolation {
+    /// A violation of `rule` at `path`.
+    pub fn new(rule: Rule, path: impl Into<String>, detail: impl Into<String>) -> Self {
+        SnapshotViolation {
+            rule,
+            path: path.into(),
+            detail: detail.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for SnapshotViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at {}: {}", self.rule.name(), self.path, self.detail)
+    }
+}
+
+/// What [`Snapshot::check`] builds on its way through the rules: the
+/// violations, plus the catalog, compiled sessions and arrangement
+/// acquisitions a restore adopts when there are none.
+struct Checked {
+    violations: Vec<SnapshotViolation>,
+    catalog: StreamCatalog,
+    sessions: Vec<Session>,
+    acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
+}
+
+/// The restored state of a valid snapshot.
+pub(crate) struct Restored {
+    pub registry: SessionRegistry,
+    /// Pending request per session: the tick it first arrived.
+    pub pending: BTreeMap<u64, u64>,
+    /// The `(stream, window)` pairs each session holds a reader on.
+    pub acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
+}
 
 /// One persisted session.
 #[derive(Debug, Clone, PartialEq)]
@@ -307,37 +451,230 @@ impl Snapshot {
         }
     }
 
-    /// Rebuilds the session registry (and the pending-request map) this
-    /// snapshot describes. Every session's source is recompiled against
-    /// the persisted catalog; calibration and schedules are adopted
-    /// verbatim after validation.
-    pub(crate) fn restore_registry(&self) -> Result<(SessionRegistry, BTreeMap<u64, u64>)> {
-        let mut catalog = StreamCatalog::new();
-        for (name, cost) in &self.catalog {
-            catalog
-                .add_named(name, *cost)
-                .map_err(|e| SnapshotError::Invalid(format!("catalog: {e}")))?;
+    /// Every rule this snapshot breaks, in document order — not just the
+    /// first. [`Daemon::from_snapshot`](crate::Daemon::from_snapshot)
+    /// refuses a snapshot with any violation and `paotr check snapshot`
+    /// reports them, so both apply exactly this rule set.
+    pub fn validate(&self) -> Vec<SnapshotViolation> {
+        self.check().violations
+    }
+
+    /// Runs the rules, compiling each session through the one restore
+    /// path ([`restore_session`]) and deriving its arrangement
+    /// acquisitions through the rule `register` uses.
+    fn check(&self) -> Checked {
+        use Rule::*;
+        let mut out = Vec::new();
+        let mut flag = |rule, path: String, detail: String| {
+            out.push(SnapshotViolation::new(rule, path, detail));
+        };
+        let cfg = &self.config;
+        if let Err(e) = SessionRegistry::new(&cfg.planner, cfg.max_sessions, cfg.max_window) {
+            flag(ConfigInvalid, "config".into(), e.to_string());
         }
+
+        // A bad catalog entry still takes its id (at unit cost, unnamed
+        // when its name is taken), so sessions resolve names to the ids
+        // the snapshot means.
+        let mut catalog = StreamCatalog::new();
+        for (k, (name, cost)) in self.catalog.iter().enumerate() {
+            let usable = cost.is_finite() && *cost > 0.0;
+            if !usable {
+                let detail = format!("stream `{name}` has unusable cost {cost}");
+                flag(CatalogInvalid, format!("catalog[{k}]"), detail);
+            }
+            if let Err(e) = catalog.add_named(name, if usable { *cost } else { 1.0 }) {
+                flag(CatalogInvalid, format!("catalog[{k}]"), e.to_string());
+                catalog.add(1.0).expect("unit cost is valid");
+            }
+        }
+
+        let mut ids = BTreeSet::new();
+        for s in &self.sessions {
+            if !ids.insert(s.id) {
+                let path = format!("sessions[id={}]", s.id);
+                flag(DuplicateSessionId, path, "id appears twice".into());
+            }
+        }
+        if let Some(&max) = ids.last().filter(|&&max| self.next_id <= max) {
+            let detail = format!("{} does not exceed live session id {max}", self.next_id);
+            flag(NextIdBehind, "next_id".into(), detail);
+        }
+        if self.sessions.len() > cfg.max_sessions {
+            let detail = format!(
+                "{} sessions exceed max_sessions {}",
+                self.sessions.len(),
+                cfg.max_sessions
+            );
+            flag(SessionLimitExceeded, "sessions".into(), detail);
+        }
+        if self.order.iter().copied().collect::<BTreeSet<_>>() != ids
+            || self.order.len() != self.sessions.len()
+        {
+            let detail = format!(
+                "lists {} ids over {} sessions, not a permutation of the session ids",
+                self.order.len(),
+                self.sessions.len()
+            );
+            flag(OrderMismatch, "order".into(), detail);
+        }
+
+        if self.telemetry.ticks != self.tick {
+            let detail = format!(
+                "{} ticks counted, snapshot is at tick {}",
+                self.telemetry.ticks, self.tick
+            );
+            flag(NonMonotoneTick, "telemetry.ticks".into(), detail);
+        }
+        for s in &self.sessions {
+            for (field, t) in [
+                ("registered_tick", Some(s.registered_tick)),
+                ("pending_since", s.pending_since),
+            ] {
+                if let Some(t) = t.filter(|&t| t > self.tick) {
+                    let path = format!("sessions[id={}].{field}", s.id);
+                    let detail = format!("tick {t} is after snapshot tick {}", self.tick);
+                    flag(NonMonotoneTick, path, detail);
+                }
+            }
+        }
+
         let mut sessions = Vec::with_capacity(self.sessions.len());
-        let mut pending = BTreeMap::new();
+        let mut acquired = BTreeMap::new();
+        let mut holds: BTreeMap<(usize, u32), u32> = BTreeMap::new();
         for snap in &self.sessions {
-            let session = restore_session(snap, &catalog)?;
-            if let Some(t) = snap.pending_since {
-                pending.insert(snap.id, t);
+            if !(snap.weight.is_finite() && snap.weight > 0.0) {
+                let path = format!("sessions[id={}].weight", snap.id);
+                flag(
+                    SessionStateInvalid,
+                    path,
+                    format!("unusable weight {}", snap.weight),
+                );
+            }
+            let session = match restore_session(snap, &catalog) {
+                Ok(session) => session,
+                Err(v) => {
+                    flag(v.rule, v.path, v.detail);
+                    continue;
+                }
+            };
+            let widest = session.sim.max_windows(catalog.len()).into_iter().max();
+            if let Some(w) = widest.filter(|&w| w > cfg.max_window) {
+                let path = format!("sessions[id={}]", snap.id);
+                let detail = format!("window {w} exceeds max_window {}", cfg.max_window);
+                flag(WindowLimitExceeded, path, detail);
+            }
+            if cfg.arrange.is_some() {
+                let pairs = session_acquisitions(&session.sim, catalog.len());
+                for &(k, w) in &pairs {
+                    *holds.entry((k.0, w)).or_default() += 1;
+                }
+                if !pairs.is_empty() {
+                    acquired.insert(snap.id, pairs);
+                }
             }
             sessions.push(session);
+        }
+
+        if self.arrangements.is_some() && cfg.arrange.is_none() {
+            let detail = "snapshot persists arrangements but config.arrange is off";
+            flag(ArrangementsUnexpected, "arrangements".into(), detail.into());
+        }
+        let (clock, entries) = self
+            .arrangements
+            .as_ref()
+            .map_or((0, &[][..]), |a| (a.clock, &a.entries[..]));
+        // Stream `k` holds `max_window + tick` items at the snapshot
+        // tick (`Daemon::ensure_streams`); maintenance never runs ahead.
+        let stream_time = self.tick.saturating_add(u64::from(cfg.max_window));
+        let mut keys = BTreeSet::new();
+        for (i, e) in entries.iter().enumerate() {
+            let path = || format!("arrangements.entries[{i}]");
+            if e.stream >= self.catalog.len() {
+                let detail = format!("stream {} not in catalog", e.stream);
+                flag(ArrangementInvalid, path(), detail);
+            }
+            if e.window == 0 {
+                flag(ArrangementInvalid, path(), "zero-item window".into());
+            }
+            if !keys.insert((e.stream, e.window)) {
+                let detail = format!("duplicate (stream {}, window {})", e.stream, e.window);
+                flag(ArrangementInvalid, path(), detail);
+            }
+            if e.readers > 0 && e.zero_reader_since.is_some() {
+                let detail = "an arrangement with readers cannot be in grace";
+                flag(ArrangementInvalid, path(), detail.into());
+            }
+            if e.maintained_to >= stream_time {
+                let detail = format!(
+                    "maintained to {}, but the stream is at {stream_time} (max_window + tick)",
+                    e.maintained_to
+                );
+                flag(ArrangementInvalid, path(), detail);
+            }
+            if let Some(z) = e.zero_reader_since.filter(|&z| z > clock) {
+                let detail = format!("idle since {z}, after store clock {clock}");
+                flag(NonMonotoneTick, path() + ".zero_reader_since", detail);
+            }
+        }
+        // Refcounts balance against what the sessions hold, once every
+        // session compiled (a failed one was reported above).
+        if cfg.arrange.is_some() && sessions.len() == self.sessions.len() {
+            for e in entries {
+                let want = holds.remove(&(e.stream, e.window)).unwrap_or(0);
+                if e.readers != want {
+                    let path = format!("arrangements[stream={},window={}]", e.stream, e.window);
+                    let detail = format!("persists {} readers, sessions hold {want}", e.readers);
+                    flag(RefcountImbalance, path, detail);
+                }
+            }
+            for (k, w) in holds.into_keys() {
+                let detail = "sessions read through an arrangement the snapshot does not persist";
+                flag(
+                    MissingArrangement,
+                    format!("arrangements[stream={k},window={w}]"),
+                    detail.into(),
+                );
+            }
+        }
+
+        Checked {
+            violations: out,
+            catalog,
+            sessions,
+            acquired,
+        }
+    }
+
+    /// Rebuilds the session registry, pending requests and arrangement
+    /// acquisitions of a snapshot that passes [`Snapshot::validate`];
+    /// any violation is a [`SnapshotError::Invalid`] naming them all.
+    pub(crate) fn restore(&self) -> Result<Restored> {
+        let checked = self.check();
+        if !checked.violations.is_empty() {
+            let all: Vec<String> = checked.violations.iter().map(|v| v.to_string()).collect();
+            return Err(SnapshotError::Invalid(all.join("; ")).into());
         }
         let registry = SessionRegistry::from_restored_parts(crate::registry::RestoredParts {
             planner: self.config.planner.clone(),
             max_sessions: self.config.max_sessions,
             max_window: self.config.max_window,
             shared: self.shared,
-            catalog,
-            sessions,
+            catalog: checked.catalog,
+            sessions: checked.sessions,
             order: self.order.clone(),
             next_id: self.next_id,
         })?;
-        Ok((registry, pending))
+        let pending = self
+            .sessions
+            .iter()
+            .filter_map(|s| Some((s.id, s.pending_since?)))
+            .collect();
+        Ok(Restored {
+            registry,
+            pending,
+            acquired: checked.acquired,
+        })
     }
 }
 
@@ -461,31 +798,35 @@ fn session_from_json(v: &Json) -> std::result::Result<SessionSnap, String> {
     })
 }
 
-/// Recompiles one persisted session against the restored catalog and
-/// adopts its calibration and schedule after validating both.
-fn restore_session(snap: &SessionSnap, catalog: &StreamCatalog) -> Result<Session> {
-    let fail = |m: String| Error::Snapshot(SnapshotError::Invalid(m));
-    let expr = paotr_qlang::parse(&snap.source).map_err(|e| {
-        fail(format!(
-            "session {}: unparseable source: {}",
-            snap.id, e.message
-        ))
-    })?;
+/// Recompiles one persisted session against the snapshot catalog and
+/// adopts its calibration and schedule; the first rule the session
+/// breaks on the way is the error.
+fn restore_session(
+    snap: &SessionSnap,
+    catalog: &StreamCatalog,
+) -> std::result::Result<Session, SnapshotViolation> {
+    let at = |field: &str| format!("sessions[id={}].{field}", snap.id);
+    let source =
+        |detail: String| SnapshotViolation::new(Rule::SessionSourceInvalid, at("source"), detail);
+    let state = |field: &str, detail: String| {
+        SnapshotViolation::new(Rule::SessionStateInvalid, at(field), detail)
+    };
+    let expr = paotr_qlang::parse(&snap.source)
+        .map_err(|e| source(format!("unparseable source: {}", e.message)))?;
     let compiled = paotr_qlang::compile(&expr, &std::collections::HashMap::new())
-        .map_err(|e| fail(format!("session {}: {}", snap.id, e.message)))?;
+        .map_err(|e| source(e.message))?;
     let local_sim = paotr_qlang::to_sim_query(&expr, &compiled)
-        .ok_or_else(|| fail(format!("session {}: source is not DNF-shaped", snap.id)))?;
-    let mut map = Vec::with_capacity(compiled.catalog.len());
-    for k in 0..compiled.catalog.len() {
-        let name = compiled.catalog.name(paotr_core::stream::StreamId(k));
-        let global = catalog.find(&name).ok_or_else(|| {
-            fail(format!(
-                "session {}: stream `{name}` missing from catalog",
-                snap.id
-            ))
-        })?;
-        map.push(global);
-    }
+        .ok_or_else(|| source("source is not DNF-shaped".into()))?;
+    let map = (0..compiled.catalog.len())
+        .map(|k| {
+            let name = compiled.catalog.name(StreamId(k));
+            catalog.find(&name).ok_or_else(|| {
+                let path = format!("sessions[id={}]", snap.id);
+                let detail = format!("stream `{name}` missing from catalog");
+                SnapshotViolation::new(Rule::UnresolvedStream, path, detail)
+            })
+        })
+        .collect::<std::result::Result<Vec<_>, _>>()?;
     let sim = SimQuery::new(
         local_sim
             .terms()
@@ -500,21 +841,23 @@ fn restore_session(snap: &SessionSnap, catalog: &StreamCatalog) -> Result<Sessio
             })
             .collect(),
     )
-    .map_err(|e| fail(format!("session {}: {e}", snap.id)))?;
+    .map_err(|e| source(e.to_string()))?;
 
+    // One probability in [0, 1] per leaf.
     if snap.calibrated.len() != sim.num_leaves() {
-        return Err(fail(format!(
-            "session {}: calibration covers {} leaves, query has {}",
-            snap.id,
+        let detail = format!(
+            "calibration covers {} leaves, query has {}",
             snap.calibrated.len(),
             sim.num_leaves()
-        )));
+        );
+        return Err(state("calibrated", detail));
     }
-    if snap.calibrated.iter().any(|p| !p.is_finite()) {
-        return Err(fail(format!(
-            "session {}: non-finite calibrated probability",
-            snap.id
-        )));
+    let mut calibrated = snap.calibrated.iter().enumerate();
+    if let Some((i, p)) = calibrated.find(|(_, p)| !(0.0..=1.0).contains(*p)) {
+        return Err(state(
+            &format!("calibrated[{i}]"),
+            format!("probability {p} outside [0, 1]"),
+        ));
     }
     let tree = sim.skeleton(&snap.calibrated);
     let mut drift = DriftState::new(&tree);
@@ -524,9 +867,8 @@ fn restore_session(snap: &SessionSnap, catalog: &StreamCatalog) -> Result<Sessio
             snap.successes.clone(),
             snap.totals.clone(),
         )
-        .map_err(|e| fail(format!("session {}: {e}", snap.id)))?;
-    let schedule = schedule_from_pairs(&snap.schedule, &tree)
-        .map_err(|e| fail(format!("session {}: {e}", snap.id)))?;
+        .map_err(|e| state("successes", e))?;
+    let schedule = schedule_from_pairs(&snap.schedule, &tree).map_err(|e| state("schedule", e))?;
     Ok(Session {
         id: snap.id,
         name: format!("c{}", snap.id),
@@ -544,6 +886,7 @@ fn restore_session(snap: &SessionSnap, catalog: &StreamCatalog) -> Result<Sessio
 mod tests {
     use super::*;
     use crate::daemon::Daemon;
+    use crate::Error;
 
     fn populated_daemon() -> Daemon {
         let mut d = Daemon::new(Config {
