@@ -8,8 +8,8 @@ use paotr_core::prelude::*;
 use rand::prelude::*;
 use std::hint::black_box;
 use stream_sim::{
-    Comparator, EnergyModel, Engine, MemoryPolicy, PipelineConfig, Predicate, SensorModel,
-    SensorSource, SimLeaf, SimQuery, SimStream, WindowOp,
+    Comparator, EnergyMeter, EnergyModel, MemoryPolicy, PipelineConfig, Predicate, Scheduler,
+    SensorModel, SensorSource, SimLeaf, SimQuery, SimStream, WindowOp,
 };
 
 fn query() -> (SimQuery, StreamCatalog) {
@@ -84,13 +84,13 @@ fn bench_engine_evaluation(c: &mut Criterion) {
         s.advance_by(16, &mut rng);
     }
     let schedule = DnfSchedule::from_order_unchecked(q.leaf_refs());
-    let mut engine = Engine::new(
-        cat.len(),
-        MemoryPolicy::ClearEachQuery,
-        EnergyModel::from_catalog(&cat),
-    );
+    let mut scheduler = Scheduler::new(cat.len(), MemoryPolicy::ClearEachQuery);
+    let mut meter = EnergyMeter::new(EnergyModel::from_catalog(&cat));
     c.bench_function("engine_evaluate", |b| {
-        b.iter(|| black_box(engine.evaluate(&q, &schedule, &streams, None)))
+        b.iter(|| {
+            scheduler.begin_tick(&[&q], &streams);
+            black_box(scheduler.run_query(&q, &schedule, &streams, &mut meter, None))
+        })
     });
 }
 

@@ -33,13 +33,11 @@ fn bench_planning(c: &mut Criterion) {
                 })
             });
         }
-        // Per-round fan-out over the persistent worker pool: gates the
-        // round-dispatch overhead (one condvar broadcast per round, no
-        // thread spawning) alongside the sequential planner above.
+        // Per-round fan-out over four scoped threads: gates the
+        // round-dispatch overhead alongside the sequential planner above.
         if queries >= 64 {
             let pooled = paotr_multi::SharedGreedyPlanner {
                 threads: paotr_par::ThreadCount::Fixed(4),
-                replan_bound: 0.0,
             };
             group.bench_with_input(
                 BenchmarkId::new("shared-greedy-pool4", queries),

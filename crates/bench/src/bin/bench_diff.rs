@@ -30,6 +30,7 @@
 //! falls back to `mean_ns` for artifacts produced before medians were
 //! recorded). Parsing is a deliberately tiny hand-rolled scanner so the
 //! tool stays dependency-free.
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

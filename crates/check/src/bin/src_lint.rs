@@ -4,6 +4,7 @@
 //! the current directory to the first ancestor containing both a
 //! `Cargo.toml` and a `crates/` directory. Prints one line per finding
 //! and exits non-zero when anything fired.
+#![forbid(unsafe_code)]
 
 use paotr_check::srclint::lint_tree;
 use std::path::PathBuf;

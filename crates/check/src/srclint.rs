@@ -10,9 +10,8 @@
 //! * **bare-unwrap** — `.unwrap()` with no message in library code.
 //!   Outside tests and bins an invariant worth unwrapping is worth
 //!   documenting (`expect("why this holds")`) or worth a typed error.
-//! * **unsafe-block** — `unsafe` anywhere but the two audited files
-//!   (`par/src/pool.rs`, `serverd/src/json.rs`). New unsafe code must
-//!   land in an audited file or carry an explicit allow.
+//! * **unsafe-block** — `unsafe` anywhere, test modules included. Every
+//!   crate root also carries `#![forbid(unsafe_code)]`.
 //!
 //! Any line can opt out with an inline `// lint:allow(<rule>)` on the
 //! same line or the line directly above; the escape hatch is meant to
@@ -27,9 +26,6 @@ use std::path::{Path, PathBuf};
 
 /// Rule identifiers, as written inside `lint:allow(..)`.
 pub const RULES: [&str; 3] = ["float-cmp", "bare-unwrap", "unsafe-block"];
-
-/// Files where `unsafe` is permitted (workspace-relative, audited).
-pub const UNSAFE_ALLOWED: [&str; 2] = ["crates/par/src/pool.rs", "crates/serverd/src/json.rs"];
 
 /// Crates whose `src/` is binary-facing: `bare-unwrap` does not apply
 /// (a CLI that unwraps prints a panic to its own user; the daemon and
@@ -117,7 +113,6 @@ pub fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
         || BIN_CRATES
             .iter()
             .any(|c| norm.starts_with(&format!("{c}/")));
-    let unsafe_allowed = UNSAFE_ALLOWED.iter().any(|f| norm.ends_with(f));
 
     let mut hits = Vec::new();
     let mut prev: Option<&str> = None;
@@ -168,9 +163,9 @@ pub fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
             });
         }
 
-        // unsafe-block: the keyword outside the audited files. Test
-        // modules are not exempt — unsafe in tests is still unsafe.
-        if !unsafe_allowed && !allowed("unsafe-block", line, prev) {
+        // unsafe-block: the keyword anywhere. Test modules are not
+        // exempt — unsafe in tests is still unsafe.
+        if !allowed("unsafe-block", line, prev) {
             let mut search = 0;
             while let Some(pos) = line[search..].find("unsafe") {
                 let idx = search + pos;
@@ -286,9 +281,6 @@ mod tests {
         assert_eq!(rules_of("crates/core/src/x.rs", bad), ["unsafe-block"]);
         let tested = format!("#[cfg(test)]\nmod tests {{\n{bad}}}\n");
         assert_eq!(rules_of("crates/core/src/x.rs", &tested), ["unsafe-block"]);
-        for audited in UNSAFE_ALLOWED {
-            assert!(rules_of(audited, bad).is_empty(), "{audited}");
-        }
         // identifier containing the substring is not the keyword
         let ident = "forbid_unsafe_code_everywhere();\n";
         assert!(rules_of("crates/core/src/x.rs", ident).is_empty());

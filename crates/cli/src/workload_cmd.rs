@@ -109,7 +109,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     );
     println!();
 
-    // `--threads` pins the shared-greedy evaluation pool (planning
+    // `--threads` pins shared-greedy's per-round fan-out (planning
     // results are identical at any thread count; this is a wall-clock
     // knob).
     let with_threads = |mut planners: Vec<Box<dyn WorkloadPlanner>>| {
@@ -118,7 +118,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 if p.name() == "shared-greedy" {
                     *p = Box::new(SharedGreedyPlanner {
                         threads: paotr_par::ThreadCount::Fixed(t),
-                        ..Default::default()
                     });
                 }
             }

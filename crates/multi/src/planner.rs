@@ -27,16 +27,15 @@
 //! * every candidate is priced through a compiled, allocation-free
 //!   [`CostModel`] kernel (per-call work scales with the query's own
 //!   streams, not the catalog);
-//! * per-round candidate evaluation fans out over the **persistent**
-//!   `paotr_par` worker pool ([`SharedGreedyPlanner::threads`]) with one
-//!   evaluation scratch per worker per round — no thread spawning and no
-//!   per-candidate allocation in the round loop;
+//! * wide rounds fan candidate evaluation out over `paotr_par`'s scoped
+//!   threads ([`SharedGreedyPlanner::threads`]) with one evaluation
+//!   scratch per participating thread per round — no per-candidate
+//!   allocation in the round loop;
 //! * the expensive coalescing *re-plan* of a candidate is cached and
-//!   only recomputed when the coverage on that query's streams moved by
-//!   more than [`SharedGreedyPlanner::replan_bound`] since the cached
-//!   re-plan — with the default bound of `0.0` the cached plan is
-//!   reused exactly when it is provably identical, so results match the
-//!   always-replan loop while skipping its redundant work.
+//!   recomputed only when the coverage on that query's streams has moved
+//!   since the cached re-plan — the cached plan is reused exactly when it
+//!   is provably identical, so results match the always-replan loop
+//!   while skipping its redundant work.
 
 use crate::cost::{isolated_costs, predict_shared};
 use crate::workload::{extract_schedule, Workload};
@@ -288,30 +287,22 @@ impl WorkloadPlanner for IndependentPlanner {
 /// stream pulls coalesce, and scoring candidates by marginal cost minus
 /// the coverage benefit they create for the queries still waiting.
 ///
-/// See the module docs for the planning-time levers (`threads`,
-/// `replan_bound`, the [`CostModel`] kernel).
+/// See the module docs for the planning-time levers (`threads`, the
+/// re-plan cache, the [`CostModel`] kernel).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedGreedyPlanner {
     /// Worker threads for per-round candidate evaluation
     /// (`ThreadCount::Auto` by default; results are identical at any
     /// thread count).
     pub threads: ThreadCount,
-    /// A cached coalescing re-plan is reused while the coverage on the
-    /// candidate's streams has moved by at most this many expected items
-    /// since the re-plan ran. `0.0` (default) reuses only provably
-    /// identical re-plans; larger bounds trade plan quality for planning
-    /// time (predicted costs stay exact — only the searched schedule may
-    /// be staler).
-    pub replan_bound: f64,
 }
 
 impl SharedGreedyPlanner {
-    /// Single-threaded, exact-reuse configuration (the reference
-    /// behaviour; useful for deterministic timing comparisons).
+    /// Single-threaded configuration (the reference behaviour; useful
+    /// for deterministic timing comparisons).
     pub fn sequential() -> SharedGreedyPlanner {
         SharedGreedyPlanner {
             threads: ThreadCount::Fixed(1),
-            replan_bound: 0.0,
         }
     }
 
@@ -374,7 +365,6 @@ impl SharedGreedyPlanner {
         max_window: &[u32],
         coverage: &[f64],
         cached: Option<&ReplanCache>,
-        replan_bound: f64,
         catalog_fp: u64,
         scratch: &mut EvalScratch,
     ) -> Result<CandidateEval> {
@@ -399,14 +389,15 @@ impl SharedGreedyPlanner {
         }
 
         // Candidate B: the coalescing re-plan. Reuse the cached one
-        // while the coverage on this query's streams has not moved by
-        // more than the bound since it was computed; its cost below is
-        // exact either way.
+        // while the coverage on this query's streams has not moved since
+        // it was computed (a re-plan would then be identical).
         let cache_valid = cached.is_some_and(|c| {
             model
                 .touched_streams()
                 .zip(&c.cov_snapshot)
-                .all(|(s, &snap)| (coverage[s.0] - snap).abs() <= replan_bound)
+                // `<= 0.0`, not `==`: non-finite coverage never counts
+                // as unchanged.
+                .all(|(s, &snap)| (coverage[s.0] - snap).abs() <= 0.0)
         });
         let (plan_b, sched_b, fresh_replan) = if cache_valid {
             let c = cached.expect("checked above");
@@ -506,7 +497,7 @@ impl WorkloadPlanner for SharedGreedyPlanner {
 
         while !remaining.is_empty() {
             // Phase 1: exact candidate evaluations — independent per
-            // candidate, fanned out over the pool for wide rounds.
+            // candidate, fanned out over scoped threads for wide rounds.
             let evaluate = |&q: &usize, scratch: &mut EvalScratch| {
                 Self::evaluate_candidate(
                     q,
@@ -517,14 +508,13 @@ impl WorkloadPlanner for SharedGreedyPlanner {
                     &max_windows[q],
                     &coverage,
                     replans[q].as_ref(),
-                    self.replan_bound,
                     catalog_fp,
                     scratch,
                 )
             };
             let evals: Vec<CandidateEval> = if workers > 1 && remaining.len() >= 16 {
-                // Persistent pool + one scratch per participating worker
-                // for the whole round (not one per candidate).
+                // One scratch per participating thread for the whole
+                // round (not one per candidate).
                 paotr_par::par_map_init(&remaining, self.threads, EvalScratch::new, |q, scratch| {
                     evaluate(q, scratch)
                 })
@@ -801,26 +791,29 @@ mod tests {
     #[test]
     fn parallel_and_sequential_shared_greedy_agree() {
         // 20 queries: wide enough that the first rounds take the
-        // par_map fan-out path (the pool engages at >= 16 remaining
+        // par_map fan-out path (it engages at >= 16 remaining
         // candidates), then drain through the sequential tail.
-        let (trees, catalog) = paotr_gen::workload::workload_instance(
-            paotr_gen::workload::WorkloadConfig::with_overlap(20, 0.6),
-            0,
-        );
-        let w = Workload::from_trees(trees, catalog).unwrap();
-        let engine = Engine::new();
-        let seq = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
-        let par = SharedGreedyPlanner {
-            threads: ThreadCount::Fixed(4),
-            replan_bound: 0.0,
+        for seed in 0..4 {
+            let (trees, catalog) = paotr_gen::workload::workload_instance(
+                paotr_gen::workload::WorkloadConfig::with_overlap(20, 0.6),
+                seed,
+            );
+            let w = Workload::from_trees(trees, catalog).unwrap();
+            let engine = Engine::new();
+            let seq = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
+            for threads in [2, 3, 4] {
+                let par = SharedGreedyPlanner {
+                    threads: ThreadCount::Fixed(threads),
+                }
+                .plan(&w, &engine)
+                .unwrap();
+                assert_eq!(seq.order, par.order, "seed {seed}, {threads} threads");
+                assert_eq!(seq.predicted_costs, par.predicted_costs);
+                assert_eq!(seq.plans, par.plans);
+                assert_eq!(seq.schedules, par.schedules);
+                assert_eq!(seq.materialized, par.materialized);
+            }
         }
-        .plan(&w, &engine)
-        .unwrap();
-        assert_eq!(seq.order, par.order);
-        assert_eq!(seq.predicted_costs, par.predicted_costs);
-        assert_eq!(seq.plans, par.plans);
-        assert_eq!(seq.schedules, par.schedules);
-        assert_eq!(seq.materialized, par.materialized);
     }
 
     #[test]
@@ -854,37 +847,6 @@ mod tests {
         let w = overlapping_workload();
         let jp = IndependentPlanner.plan(&w, &Engine::new()).unwrap();
         assert!(jp.materialized.is_empty());
-    }
-
-    #[test]
-    fn replan_bound_trades_work_not_correctness() {
-        let w = overlapping_workload();
-        let engine = Engine::new();
-        let weights = w.weights();
-        let exact = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
-        let bounded = SharedGreedyPlanner {
-            threads: ThreadCount::Fixed(1),
-            replan_bound: 100.0, // effectively never re-plan twice
-        }
-        .plan(&w, &engine)
-        .unwrap();
-        // Bounded re-planning may keep staler coalescing schedules, but
-        // predicted costs stay exact and never beat-worse-than the
-        // independent baseline (candidate A is always available).
-        assert!(
-            bounded.aggregate_predicted(&weights) <= bounded.aggregate_independent(&weights) + 1e-9
-        );
-        // per-query predictions are real costs of the chosen schedules
-        for (q, (s, &c)) in bounded
-            .schedules
-            .iter()
-            .zip(&bounded.predicted_costs)
-            .enumerate()
-        {
-            DnfSchedule::new(s.order().to_vec(), &w.query(q).tree).unwrap();
-            assert!(c.is_finite());
-        }
-        let _ = exact;
     }
 
     #[test]

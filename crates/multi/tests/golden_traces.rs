@@ -5,7 +5,7 @@
 //! pre-refactor execution paths' energy traces.
 //!
 //! The constants below were captured from the repository state *before*
-//! `streamsim::Engine::evaluate_workload` and `multi::sim::simulate`
+//! the single-query engine's workload loop and `multi::sim::simulate`
 //! were ported onto the unified `stream_sim::runtime` (`Scheduler` +
 //! `EnergyMeter`): the seed scenario from `multi/sim.rs` plus the three
 //! bench workload shapes (4 / 16 / 64 queries at 0.6 overlap, instance

@@ -1,64 +1,57 @@
-//! # paotr-par — a persistent-worker parallel-map substrate
+//! # paotr-par — a scoped-thread parallel map
 //!
-//! The paper's experiments sweep hundreds of thousands of independent
-//! problem instances, and the multi-query planners fan candidate
-//! evaluations out every greedy round; this crate provides the
-//! embarrassingly-parallel plumbing without pulling in a full framework:
-//!
-//! * [`par_map`] / [`par_map_indexed`] — dynamic scheduling via chunked
-//!   atomic-index claiming over a slice: the range is split into
-//!   `2 × workers` chunks, each participant drains its own chunks and
-//!   then *steals* from the others', so wide cheap-item sweeps don't
-//!   contend on one cursor and a slow chunk doesn't serialize the rest;
-//! * [`par_tasks`] — the same, generating work items from an index range
-//!   (avoids materializing inputs);
-//! * [`par_tasks_with_progress`] — adds a completion callback for progress
-//!   meters;
-//! * [`par_tasks_init`] / [`par_map_init`] — a per-worker state built
-//!   once per job (how planners reuse evaluation scratch across a
-//!   round's candidates instead of allocating per candidate).
-//!
-//! Everything runs on the lazily-started **persistent**
-//! [`WorkerPool`](pool::WorkerPool) ([`pool::WorkerPool::global`]):
-//! repeated fan-outs — a shared-greedy planning round, one sweep cell —
-//! cost a condvar broadcast instead of a `std::thread::scope` spawn +
-//! join per call. Scheduling is dynamic on purpose: per-instance cost
-//! varies by orders of magnitude (a branch-and-bound on one instance can
-//! dwarf a heuristic on another), so static chunking would leave threads
-//! idle. Results travel back over a channel and are re-assembled in
-//! input order, so output order is deterministic regardless of thread
-//! interleaving. Worker panics propagate to the caller when the job
-//! completes; nested fan-outs from a pool worker run inline (no
-//! deadlock, see [`pool::on_pool_worker`]).
+//! Each fan-out is one `std::thread::scope`: the caller plus `threads − 1`
+//! scoped workers claim task indices one at a time from an atomic cursor,
+//! so one slow task never serializes the range. Results come back in input
+//! order, a worker's panic reaches the caller with its payload, and a
+//! nested fan-out runs inline.
+#![forbid(unsafe_code)]
 
-pub mod pool;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-pub use pool::{num_threads, on_pool_worker, ThreadCount, WorkerPool};
+/// How many threads a parallel operation should use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ThreadCount {
+    /// `PAOTR_THREADS` if set and parseable, else the available parallelism.
+    #[default]
+    Auto,
+    /// Exactly this many threads (clamped to at least 1).
+    Fixed(usize),
+}
 
-/// Applies `f` to every element of `items` in parallel, preserving input
-/// order in the output.
+impl ThreadCount {
+    /// Resolves the policy to a concrete thread count (`>= 1`).
+    pub fn resolve(self) -> usize {
+        match self {
+            ThreadCount::Fixed(n) => n.max(1),
+            ThreadCount::Auto => std::env::var("PAOTR_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .or_else(|| std::thread::available_parallelism().ok().map(Into::into))
+                .map_or(1, |n| n.max(1)),
+        }
+    }
+}
+
+thread_local! {
+    /// True while this thread takes part in a fan-out.
+    static IN_FAN_OUT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Maps `f` over `items` in parallel, preserving input order.
 pub fn par_map<T, R, F>(items: &[T], threads: ThreadCount, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, threads, |_, t| f(t))
+    par_tasks(items.len(), threads, |i| f(&items[i]))
 }
 
-/// [`par_map`] with the element index passed to `f`.
-pub fn par_map_indexed<T, R, F>(items: &[T], threads: ThreadCount, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_tasks(items.len(), threads, |i| f(i, &items[i]))
-}
-
-/// [`par_map`] with a per-worker state: `init` runs once per
-/// participating worker, and every call that worker claims gets the
-/// state mutably (e.g. a reusable evaluation scratch).
+/// [`par_map`] with a per-thread state (e.g. a reusable scratch): `init`
+/// runs once per participating thread.
 pub fn par_map_init<T, R, S, I, F>(items: &[T], threads: ThreadCount, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -66,11 +59,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&T, &mut S) -> R + Sync,
 {
-    par_tasks_init(items.len(), threads, init, |i, s| f(&items[i], s))
+    fan_out(items.len(), threads, init, |i, s| f(&items[i], s), |_| {})
 }
 
-/// Runs `n` index-addressed tasks in parallel and collects their results
-/// in index order.
+/// Runs tasks `0..n` in parallel; results come back in index order.
 pub fn par_tasks<R, F>(n: usize, threads: ThreadCount, f: F) -> Vec<R>
 where
     R: Send,
@@ -79,32 +71,75 @@ where
     par_tasks_with_progress(n, threads, f, |_| {})
 }
 
-/// [`par_tasks`] with a per-worker state (see [`par_map_init`]).
-pub fn par_tasks_init<R, S, I, F>(n: usize, threads: ThreadCount, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    WorkerPool::global().par_tasks_init(n, threads, init, f, |_| {})
-}
-
-/// [`par_tasks`] with a callback invoked after each task completes
-/// (with the number of completed tasks so far). The callback runs on the
-/// submitting thread, so it may be slow without stalling workers.
+/// [`par_tasks`] with a callback on the calling thread after each task
+/// completes, given the count so far (strictly increasing, ending at `n`).
 pub fn par_tasks_with_progress<R, F, P>(n: usize, threads: ThreadCount, f: F, progress: P) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
     P: FnMut(usize),
 {
-    WorkerPool::global().par_tasks_with_progress(n, threads, f, progress)
+    fan_out(n, threads, || (), |i, _| f(i), progress)
+}
+
+/// The driver behind every `par_*` function; nested fan-outs get no workers.
+fn fan_out<R, S, I, F, P>(n: usize, threads: ThreadCount, init: I, f: F, mut progress: P) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(usize, &mut S) -> R + Sync,
+    P: FnMut(usize),
+{
+    let nested = IN_FAN_OUT.replace(true);
+    let participants = if nested { 1 } else { threads.resolve() };
+    let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // One participant; its results come back through `join`, so `Relaxed` suffices.
+    let drain = |after_each: &mut dyn FnMut()| {
+        IN_FAN_OUT.set(true);
+        let mut state = init();
+        let mut ran = Vec::new();
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+        while let Some(i) = claim() {
+            ran.push((i, f(i, &mut state)));
+            done.fetch_add(1, Ordering::Relaxed);
+            after_each();
+        }
+        ran
+    };
+    let parts = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..participants.min(n))
+                .map(|_| scope.spawn(|| drain(&mut || {})))
+                .collect();
+            let mut reported = 0;
+            let mut report = || {
+                let now = done.load(Ordering::Relaxed);
+                (std::mem::replace(&mut reported, now) + 1..=now).for_each(&mut progress);
+            };
+            let mut parts = vec![drain(&mut report)];
+            for worker in workers {
+                parts.push(worker.join().unwrap_or_else(|p| resume_unwind(p)));
+            }
+            report();
+            parts
+        })
+    }));
+    IN_FAN_OUT.set(nested);
+    let parts = parts.unwrap_or_else(|p| resume_unwind(p));
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter().map(|r| r.expect("task ran")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread::{current, sleep};
+
+    const TWO: ThreadCount = ThreadCount::Fixed(2);
+    const FOUR: ThreadCount = ThreadCount::Fixed(4);
 
     #[test]
     fn map_preserves_order() {
@@ -115,72 +150,101 @@ mod tests {
 
     #[test]
     fn indexed_map_sees_correct_indices() {
-        let items = vec!["a", "b", "c"];
-        let out = par_map_indexed(&items, ThreadCount::Fixed(2), |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c"]);
+        let out = par_tasks(3, TWO, |i| format!("{i}{}", ["a", "b", "c"][i]));
+        assert_eq!(out, ["0a", "1b", "2c"]);
     }
 
     #[test]
     fn tasks_handle_empty_and_single() {
-        let out: Vec<u32> = par_tasks(0, ThreadCount::Fixed(4), |_| unreachable!());
-        assert!(out.is_empty());
-        let out = par_tasks(1, ThreadCount::Fixed(4), |i| i + 10);
-        assert_eq!(out, vec![10]);
+        assert!(par_tasks(0, FOUR, |_| -> u32 { unreachable!() }).is_empty());
+        assert_eq!(par_tasks(1, FOUR, |i| i + 10), [10]);
     }
 
     #[test]
     fn single_thread_path_matches_parallel_path() {
         let seq = par_tasks(100, ThreadCount::Fixed(1), |i| i * i);
-        let par = par_tasks(100, ThreadCount::Fixed(7), |i| i * i);
-        assert_eq!(seq, par);
+        for threads in [ThreadCount::Fixed(0), FOUR, ThreadCount::Auto] {
+            assert_eq!(seq, par_tasks(100, threads, |i| i * i));
+        }
+        assert_eq!(ThreadCount::Fixed(0).resolve(), 1);
+        assert!(ThreadCount::Auto.resolve() >= 1);
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let n = 10_000;
-        let out = par_tasks(n, ThreadCount::Fixed(16), |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), n as u64);
-        assert_eq!(out.len(), n);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i);
+        for (n, threads) in [(10_000, 16), (97, 8), (5, 4), (16, 8), (3, 2), (1000, 3)] {
+            let ran = AtomicUsize::new(0);
+            let out = par_tasks(n, ThreadCount::Fixed(threads), |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(ran.into_inner(), n);
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
         }
+    }
+
+    #[test]
+    fn uneven_workloads_balance_dynamically() {
+        let out = par_tasks(128, FOUR, |i| {
+            if i < 8 || i % 16 == 0 {
+                sleep(std::time::Duration::from_millis(2));
+            }
+            i * 3
+        });
+        assert_eq!(out, (0..128).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn per_worker_state_is_reused_within_a_job() {
+        let inits = AtomicUsize::new(0);
+        let init = || (inits.fetch_add(1, Ordering::Relaxed), current().id());
+        let out = par_map_init(&[(); 100], FOUR, init, |_, (_, id)| *id == current().id());
+        assert_eq!(out, [true; 100], "each state stays on its thread");
+        assert!((1..=4).contains(&inits.into_inner()));
     }
 
     #[test]
     fn progress_is_monotone_and_complete() {
         let mut seen = Vec::new();
-        par_tasks_with_progress(50, ThreadCount::Fixed(4), |i| i, |done| seen.push(done));
-        assert_eq!(seen.len(), 50);
-        assert!(seen.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*seen.last().unwrap(), 50);
+        par_tasks_with_progress(50, FOUR, |i| i, |done| seen.push(done));
+        assert_eq!(seen, (1..=50).collect::<Vec<_>>());
+        // A panicking callback lets the workers drain, then propagates.
+        let ran = AtomicUsize::new(0);
+        let task = |_| ran.fetch_add(1, Ordering::Relaxed);
+        let run = || par_tasks_with_progress(64, FOUR, task, |done| assert_ne!(done, 3));
+        assert!(catch_unwind(AssertUnwindSafe(run)).is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 64, "workers drained first");
+        assert!(!IN_FAN_OUT.get(), "the next fan-out gets workers again");
     }
 
     #[test]
     #[should_panic]
     fn worker_panics_propagate() {
-        par_tasks(8, ThreadCount::Fixed(4), |i| {
-            if i == 3 {
+        par_tasks(8, FOUR, |i| assert_ne!(i, 3, "boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        // The two tasks meet at the barrier: one runs on a worker.
+        let (caller, barrier) = (current().id(), std::sync::Barrier::new(2));
+        par_tasks(2, TWO, |_| {
+            barrier.wait();
+            if current().id() != caller {
                 panic!("boom");
             }
-            i
         });
     }
 
     #[test]
-    fn uneven_workloads_balance_dynamically() {
-        // Tasks with wildly different costs still complete; dynamic
-        // scheduling means total wall time ~ max single task, which we
-        // can't assert portably — but correctness we can.
-        let out = par_tasks(64, ThreadCount::Fixed(8), |i| {
-            if i % 16 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            i as u64
-        });
-        assert_eq!(out.iter().sum::<u64>(), (0..64).sum::<u64>());
+    fn nested_fan_outs_run_inline() {
+        let inline = |_| {
+            let me = current().id();
+            par_tasks(3, TWO, |_| current().id()) == [me; 3]
+        };
+        assert_eq!(par_tasks(4, TWO, inline), [true; 4]);
+        let mut from_progress = Vec::new();
+        par_tasks_with_progress(6, TWO, |i| i, |done| from_progress.push(inline(done)));
+        assert_eq!(from_progress, [true; 6]);
     }
 }

@@ -208,21 +208,21 @@ impl std::error::Error for JsonError {}
 
 /// Parses one complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
+/// A cursor over the input. `pos` is a byte offset that only ever
+/// advances past ASCII bytes or whole characters, so it always sits on a
+/// char boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -235,13 +235,13 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -254,7 +254,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -350,7 +350,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = std::str::from_utf8(hex)
@@ -368,11 +369,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // One whole character (`pos` is on a char boundary).
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -389,7 +387,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             message: format!("bad number `{text}`"),
             offset: start,
@@ -455,6 +453,22 @@ mod tests {
             let err = parse(src).expect_err(src);
             assert!(err.offset <= src.len(), "{src}: offset {}", err.offset);
         }
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips_in_keys_and_values() {
+        // 2-, 3- and 4-byte characters, next to escapes and ASCII.
+        let src = r#"{"caf\u00e9":"é","日本":["日本語","a😀b"],"😀":"\"é\"\n"}"#;
+        let v = parse(src).unwrap();
+        assert_eq!(v.get("café").and_then(Json::as_str), Some("é"));
+        let arr = v.get("日本").and_then(Json::as_arr).unwrap();
+        assert_eq!(arr[0].as_str(), Some("日本語"));
+        assert_eq!(arr[1].as_str(), Some("a😀b"));
+        assert_eq!(v.get("😀").and_then(Json::as_str), Some("\"é\"\n"));
+        let out = v.to_string_compact();
+        assert!(out.contains("日本語") && out.contains("a😀b"), "{out}");
+        assert_eq!(parse(&out).unwrap(), v);
+        assert_eq!(parse(&out).unwrap().to_string_compact(), out);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! d.unregister(id).unwrap();
 //! assert_eq!(d.telemetry().ticks, 20);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod daemon;
 pub mod json;

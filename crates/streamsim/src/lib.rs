@@ -18,10 +18,8 @@
 //! * [`runtime`] — the **unified tick-driven execution runtime**: the
 //!   [`StreamSource`] read interface, the pull-coalescing
 //!   [`Scheduler`] and the [`EnergyMeter`] — the single implementation
-//!   every execution path (single-query engine, multi-query shared
-//!   ticks, the serving loop) runs on;
-//! * [`engine`] — the historical single-query surface, now a thin
-//!   adapter over [`runtime`];
+//!   every execution path (single queries, multi-query shared ticks,
+//!   the serving loop) runs on;
 //! * [`trace`] — execution traces and probability calibration ("inferred
 //!   from historical traces", as the paper assumes);
 //! * [`simulate`] — the calibrate–schedule–measure pipeline.
@@ -29,7 +27,6 @@
 
 pub mod device;
 pub mod energy;
-pub mod engine;
 pub mod predicate;
 pub mod query;
 pub mod runtime;
@@ -40,7 +37,6 @@ pub mod trace;
 
 pub use device::{DeviceMemory, MemoryPolicy};
 pub use energy::EnergyModel;
-pub use engine::Engine;
 pub use paotr_arrange::{ArrangeConfig, ArrangeStats, ArrangementStore};
 pub use predicate::{Comparator, Predicate, WindowOp};
 pub use query::{SimLeaf, SimQuery};

@@ -1,9 +1,9 @@
 //! The unified tick-driven execution runtime.
 //!
-//! Every execution path of the workspace — the single-query
-//! [`Engine`](crate::engine::Engine), the multi-query shared-pull loop
-//! in `paotr_multi::sim`, and the serving loop in `paotr_exec` — runs
-//! on the three pieces of this module:
+//! Every execution path of the workspace — the calibrate–schedule–
+//! measure pipeline in [`crate::simulate`], the multi-query shared-pull
+//! loop in `paotr_multi::sim`, and the serving loop in `paotr_exec` —
+//! runs on the three pieces of this module:
 //!
 //! * [`StreamSource`] — the read interface a stream must offer the
 //!   executor (`now` + `recent`), implemented by the sensor-backed
@@ -19,8 +19,7 @@
 //!
 //! The split matters because the pull-coalescing loop is the semantics
 //! the paper's cost model prices; having exactly one implementation
-//! (instead of the three that previously lived in `engine.rs`,
-//! `multi/sim.rs` and `core/cost/execution.rs`) is what makes the
+//! (instead of one per execution path) is what makes the
 //! serving-layer features — admission control, drift re-planning —
 //! safe to build: they observe the same energies the planners predict.
 
@@ -704,6 +703,208 @@ mod tests {
     fn meter(costs: &[f64]) -> EnergyMeter {
         let cat = StreamCatalog::from_costs(costs.iter().copied()).unwrap();
         EnergyMeter::new(EnergyModel::from_catalog(&cat))
+    }
+
+    fn cmp_leaf(stream: usize, window: u32, cmp: Comparator, thr: f64) -> SimLeaf {
+        SimLeaf {
+            stream: StreamId(stream),
+            predicate: Predicate::new(WindowOp::Avg, window, cmp, thr),
+        }
+    }
+
+    /// A scheduler with no retention and a meter over `costs`.
+    fn device(costs: &[f64]) -> (Scheduler, EnergyMeter) {
+        let sched = Scheduler::new(costs.len(), MemoryPolicy::ClearEachQuery);
+        (sched, meter(costs))
+    }
+
+    /// One query at the current tick: the memory policy, then the loop.
+    fn evaluate(
+        (sched, m): &mut (Scheduler, EnergyMeter),
+        q: &SimQuery,
+        s: &DnfSchedule,
+        streams: &[SimStream],
+        trace: Option<&mut TraceLog>,
+    ) -> QueryOutcome {
+        sched.begin_tick(std::slice::from_ref(&q), streams);
+        sched.run_query(q, s, streams, m, trace)
+    }
+
+    #[test]
+    fn true_query_shortcircuits_remaining_terms() {
+        // stream 0 constant 50: AVG < 70 true. Term 0 true -> stop.
+        let q = SimQuery::new(vec![
+            vec![cmp_leaf(0, 5, Comparator::Lt, 70.0)],
+            vec![cmp_leaf(1, 4, Comparator::Gt, 100.0)],
+        ])
+        .unwrap();
+        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
+        let mut d = device(&[1.0, 1.0]);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let out = evaluate(&mut d, &q, &s, &streams, None);
+        assert!(out.value);
+        assert_eq!(out.evaluated, 1);
+        assert_eq!(out.cost, 5.0);
+        assert_eq!(out.items_pulled, vec![5, 0]);
+    }
+
+    #[test]
+    fn shared_windows_pay_only_missing_items() {
+        // Both leaves on stream 0, same term: windows 5 then 8 -> 5 + 3.
+        let q = SimQuery::new(vec![vec![leaf(0, 5, 70.0), leaf(0, 8, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let mut d = device(&[2.0]);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let out = evaluate(&mut d, &q, &s, &streams, None);
+        assert!(out.value);
+        assert_eq!(out.items_pulled, vec![8]);
+        assert_eq!(out.cost, 16.0);
+    }
+
+    #[test]
+    fn false_leaf_kills_term_and_skips_its_leaves() {
+        let q = SimQuery::new(vec![
+            vec![cmp_leaf(0, 2, Comparator::Gt, 100.0), leaf(1, 6, 70.0)],
+            vec![leaf(1, 3, 70.0)],
+        ])
+        .unwrap();
+        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
+        let mut d = device(&[1.0, 1.0]);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let out = evaluate(&mut d, &q, &s, &streams, None);
+        // leaf (0,0): avg 50 > 100 false -> term 0 dead, (0,1) skipped.
+        // leaf (1,0): true -> query true. Cost = 2 + 3.
+        assert!(out.value);
+        assert_eq!(out.evaluated, 2);
+        assert_eq!(out.cost, 5.0);
+    }
+
+    #[test]
+    fn retain_policy_reuses_overlapping_windows_across_ticks() {
+        let q = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let mut d = (Scheduler::new(1, MemoryPolicy::Retain), meter(&[1.0]));
+        let mut stream = constant_stream(50.0, 10);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let out1 = evaluate(&mut d, &q, &s, std::slice::from_ref(&stream), None);
+        assert_eq!(out1.cost, 5.0);
+        // advance one tick: only 1 new item needed
+        let mut rng = StdRng::seed_from_u64(1);
+        stream.advance(&mut rng);
+        let out2 = evaluate(&mut d, &q, &s, std::slice::from_ref(&stream), None);
+        assert_eq!(out2.cost, 1.0);
+        assert_eq!(d.1.total_cost(), 6.0);
+        assert_eq!(d.1.evaluations(), 2);
+    }
+
+    #[test]
+    fn clear_policy_matches_abstract_model_every_time() {
+        let q = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let mut d = device(&[1.0]);
+        let mut stream = constant_stream(50.0, 10);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..3 {
+            let out = evaluate(&mut d, &q, &s, std::slice::from_ref(&stream), None);
+            assert_eq!(out.cost, 5.0);
+            stream.advance(&mut rng);
+        }
+    }
+
+    #[test]
+    fn shared_tick_makes_items_free_for_later_queries() {
+        // Two queries reading the same stream: q0 pulls 8 items, q1
+        // needs 5 of them.
+        let q0 = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
+        let q1 = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let s0 = DnfSchedule::from_order_unchecked(q0.leaf_refs());
+        let s1 = DnfSchedule::from_order_unchecked(q1.leaf_refs());
+        let workload = [(&q0, &s0), (&q1, &s1)];
+
+        let (mut sched, mut iso) = device(&[1.0]);
+        let outs = sched.run_tick(&workload, &streams, false, &mut iso, None);
+        assert_eq!(outs[0].cost, 8.0);
+        assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
+        assert_eq!(iso.total_cost(), 13.0);
+
+        let (mut sched, mut shared) = device(&[1.0]);
+        let outs = sched.run_tick(&workload, &streams, true, &mut shared, None);
+        assert_eq!(outs[0].cost, 8.0);
+        assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
+        assert_eq!(shared.total_cost(), 8.0);
+        assert_eq!(outs[1].items_pulled, vec![0]);
+    }
+
+    #[test]
+    fn shared_tick_order_changes_who_pays() {
+        let big = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
+        let small = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let sb = DnfSchedule::from_order_unchecked(big.leaf_refs());
+        let ss = DnfSchedule::from_order_unchecked(small.leaf_refs());
+
+        // small first: pays 5, then big tops up 3. Total unchanged.
+        let (mut sched, mut m) = device(&[1.0]);
+        let pairs = [(&small, &ss), (&big, &sb)];
+        let outs = sched.run_tick(&pairs, &streams, true, &mut m, None);
+        assert_eq!(outs[0].cost, 5.0);
+        assert_eq!(outs[1].cost, 3.0);
+        assert_eq!(m.total_cost(), 8.0);
+    }
+
+    #[test]
+    fn workload_matches_per_query_evaluate_when_isolated() {
+        let q0 = SimQuery::new(vec![vec![
+            leaf(0, 4, 70.0),
+            cmp_leaf(1, 2, Comparator::Gt, 100.0),
+        ]])
+        .unwrap();
+        let q1 = SimQuery::new(vec![vec![leaf(1, 3, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
+        let s0 = DnfSchedule::from_order_unchecked(q0.leaf_refs());
+        let s1 = DnfSchedule::from_order_unchecked(q1.leaf_refs());
+        let pairs = [(&q0, &s0), (&q1, &s1)];
+
+        let (mut sched, mut a) = device(&[1.0, 2.0]);
+        let outs = sched.run_tick(&pairs, &streams, false, &mut a, None);
+        let mut b = device(&[1.0, 2.0]);
+        let o0 = evaluate(&mut b, &q0, &s0, &streams, None);
+        let o1 = evaluate(&mut b, &q1, &s1, &streams, None);
+        assert_eq!(outs, vec![o0, o1]);
+        assert_eq!(a.total_cost(), b.1.total_cost());
+        assert_eq!(a.evaluations(), 2);
+
+        // ...including under Retain, whose cross-evaluation retention
+        // must not be wiped by the non-shared path.
+        let mut sched = Scheduler::new(2, MemoryPolicy::Retain);
+        let mut a = meter(&[1.0, 2.0]);
+        let outs = sched.run_tick(&pairs, &streams, false, &mut a, None);
+        let mut b = (Scheduler::new(2, MemoryPolicy::Retain), meter(&[1.0, 2.0]));
+        let o0 = evaluate(&mut b, &q0, &s0, &streams, None);
+        let o1 = evaluate(&mut b, &q1, &s1, &streams, None);
+        assert_eq!(outs, vec![o0, o1]);
+        assert!(
+            outs[1].items_pulled[1] < 3,
+            "retained items from q0 serve part of q1's window"
+        );
+    }
+
+    #[test]
+    fn trace_records_every_evaluated_leaf() {
+        let q = SimQuery::new(vec![vec![
+            leaf(0, 2, 70.0),
+            cmp_leaf(1, 3, Comparator::Gt, 100.0),
+        ]])
+        .unwrap();
+        let streams = vec![constant_stream(50.0, 10), constant_stream(50.0, 10)];
+        let mut d = device(&[1.0, 1.0]);
+        let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
+        let mut log = TraceLog::default();
+        let out = evaluate(&mut d, &q, &s, &streams, Some(&mut log));
+        assert_eq!(out.evaluated, 2);
+        assert_eq!(log.len(), 2);
+        assert!(log.records()[0].value);
+        assert!(!log.records()[1].value);
     }
 
     #[test]

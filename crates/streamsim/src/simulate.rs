@@ -18,8 +18,8 @@
 
 use crate::device::MemoryPolicy;
 use crate::energy::EnergyModel;
-use crate::engine::Engine;
 use crate::query::SimQuery;
+use crate::runtime::{EnergyMeter, Scheduler};
 use crate::source::SensorSource;
 use crate::stream::SimStream;
 use crate::trace::{calibrated_skeleton, TraceLog};
@@ -105,13 +105,15 @@ pub fn run_pipeline(
     }
 
     let energy = EnergyModel::from_catalog(catalog);
-    let mut engine = Engine::new(catalog.len(), config.policy, energy.clone());
+    let mut scheduler = Scheduler::new(catalog.len(), config.policy);
+    let mut meter = EnergyMeter::new(energy.clone());
 
     // Phase 1: warm-up with the declaration-order schedule, tracing.
     let naive = DnfSchedule::from_order_unchecked(query.leaf_refs());
     let mut log = TraceLog::default();
     for _ in 0..config.warmup_evaluations {
-        engine.evaluate(query, &naive, &streams, Some(&mut log));
+        scheduler.begin_tick(&[query], &streams);
+        scheduler.run_query(query, &naive, &streams, &mut meter, Some(&mut log));
         for s in &mut streams {
             s.advance_by(config.ticks_between, &mut rng);
         }
@@ -124,12 +126,14 @@ pub fn run_pipeline(
     // Phase 3: schedule.
     let schedule = make_schedule(&skeleton, catalog);
 
-    // Phase 4: measure with a fresh meter.
-    let mut engine = Engine::new(catalog.len(), config.policy, energy);
+    // Phase 4: measure with a fresh device memory and meter.
+    let mut scheduler = Scheduler::new(catalog.len(), config.policy);
+    let mut meter = EnergyMeter::new(energy);
     let mut truths = 0usize;
     let mut items = vec![0u64; catalog.len()];
     for _ in 0..config.measure_evaluations {
-        let out = engine.evaluate(query, &schedule, &streams, None);
+        scheduler.begin_tick(&[query], &streams);
+        let out = scheduler.run_query(query, &schedule, &streams, &mut meter, None);
         truths += usize::from(out.value);
         for (acc, &n) in items.iter_mut().zip(&out.items_pulled) {
             *acc += u64::from(n);
@@ -140,7 +144,7 @@ pub fn run_pipeline(
     }
 
     PipelineReport {
-        mean_cost: engine.total_cost() / config.measure_evaluations.max(1) as f64,
+        mean_cost: meter.total_cost() / config.measure_evaluations.max(1) as f64,
         truth_rate: truths as f64 / config.measure_evaluations.max(1) as f64,
         items_pulled: items,
         skeleton,
