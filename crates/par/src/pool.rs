@@ -1,29 +1,14 @@
-//! Thread-count policy and the persistent worker pool.
-//!
-//! Experiments read the desired parallelism from (in priority order) an
-//! explicit [`ThreadCount::Fixed`], the `PAOTR_THREADS` environment
-//! variable, or the machine's available parallelism.
-//!
-//! [`WorkerPool`] is the substrate behind every `par_*` free function in
-//! this crate: a set of **persistent** worker threads, spawned lazily on
-//! first use and grown on demand up to the largest parallelism any job
-//! requests, shut down when the pool is dropped. Planners that fan the
-//! same shape of work out every round (the shared-greedy candidate
-//! scorer, the experiment sweeps) previously paid a full
-//! `std::thread::scope` spawn + join per round; against the pool a round
-//! costs one condvar broadcast and one join wait.
+//! The fan-out driver: for one call, the caller plus `threads − 1` scoped
+//! workers claim task indices one at a time from an atomic cursor.
 
-use std::num::NonZeroUsize;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
 
-/// How many worker threads a parallel operation should use.
+/// How many threads a parallel operation should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadCount {
-    /// Resolve from `PAOTR_THREADS` or the machine's available
-    /// parallelism.
+    /// `PAOTR_THREADS` if set and parseable, else the available parallelism.
     #[default]
     Auto,
     /// Exactly this many threads (clamped to at least 1).
@@ -35,446 +20,85 @@ impl ThreadCount {
     pub fn resolve(self) -> usize {
         match self {
             ThreadCount::Fixed(n) => n.max(1),
-            ThreadCount::Auto => num_threads(),
+            ThreadCount::Auto => std::env::var("PAOTR_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .or_else(|| std::thread::available_parallelism().ok().map(Into::into))
+                .map_or(1, |n| n.max(1)),
         }
     }
-}
-
-/// The `Auto` policy: `PAOTR_THREADS` if set and parseable, otherwise the
-/// machine's available parallelism (1 if unknown).
-pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("PAOTR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 thread_local! {
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// Depth of `run_job` frames on this thread (a submitter collecting
-    /// results). A progress callback that fans out again must run
-    /// inline: re-locking the non-reentrant submit mutex would
-    /// self-deadlock.
-    static SUBMITTING: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// True while this thread takes part in a fan-out.
+    static IN_FAN_OUT: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True on threads owned by a [`WorkerPool`]. Parallel entry points use
-/// this to run nested fan-outs inline instead of submitting to the pool
-/// a worker is already part of (which would deadlock the job queue).
-pub fn on_pool_worker() -> bool {
-    IS_POOL_WORKER.with(|w| w.get())
-}
-
-/// True while this thread is inside a pool submission (collecting a
-/// job's results). Nested fan-outs — e.g. from a progress callback —
-/// run inline instead of re-entering the submit lock.
-fn submitting() -> bool {
-    SUBMITTING.with(|s| s.get() > 0)
-}
-
-/// Type-erased pointer to a job's worker body. The referent outlives the
-/// job (the submitter blocks until every participant finished), which is
-/// what makes the `Send` below sound.
-struct TaskPtr(*const (dyn Fn() + Sync));
-// SAFETY: the pointee is `Sync` (shared calls from many threads are
-// fine) and `run_job` keeps it alive until the last participant checked
-// out, so shipping the pointer to worker threads is sound.
-unsafe impl Send for TaskPtr {}
-
-/// One in-flight job: the body every participating worker runs, slot
-/// accounting, and the first panic payload (re-thrown by the submitter).
-struct ActiveJob {
-    task: TaskPtr,
-    /// Maximum number of workers that may participate.
-    slots: usize,
-    /// Workers that acquired a slot (ran or are running the body).
-    joined: usize,
-    /// Participants that finished running the body.
-    done: usize,
-    /// Workers (participating or not) that observed this job. Completion
-    /// additionally requires every worker alive at submit time to have
-    /// checked in — afterwards `joined` can no longer grow.
-    checked_in: usize,
-    /// Worker count at submit time (the check-in target).
-    workers: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl ActiveJob {
-    fn complete(&self) -> bool {
-        self.checked_in == self.workers && self.done == self.joined
-    }
-}
-
-#[derive(Default)]
-struct JobSlot {
-    epoch: u64,
-    job: Option<ActiveJob>,
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct Shared {
-    slot: Mutex<JobSlot>,
-    /// Workers park here between jobs.
-    wake: Condvar,
-    /// The submitter parks here until the job completes.
-    done: Condvar,
-}
-
-/// A persistent worker pool with the same `par_map` / `par_tasks`
-/// surface as the crate's free functions (which route through
-/// [`WorkerPool::global`]). Threads are spawned lazily on first use,
-/// grown on demand up to the largest parallelism a job requests, and
-/// joined when the pool is dropped. One job runs at a time; submissions
-/// from foreign threads serialize, and submissions from the pool's own
-/// workers run inline (see [`on_pool_worker`]).
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    /// Serializes jobs (one broadcast at a time).
-    submit: Mutex<()>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Default for WorkerPool {
-    fn default() -> WorkerPool {
-        WorkerPool::new()
-    }
-}
-
-impl WorkerPool {
-    /// An empty pool; workers are spawned on first use.
-    pub fn new() -> WorkerPool {
-        WorkerPool {
-            shared: Arc::new(Shared::default()),
-            submit: Mutex::new(()),
-            workers: Mutex::new(Vec::new()),
+/// The driver behind every `par_*` function; nested fan-outs get no workers.
+pub(crate) fn fan_out<R, S, I, F, P>(
+    n: usize,
+    threads: ThreadCount,
+    init: I,
+    f: F,
+    mut progress: P,
+) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(usize, &mut S) -> R + Sync,
+    P: FnMut(usize),
+{
+    let nested = IN_FAN_OUT.replace(true);
+    let participants = if nested { 1 } else { threads.resolve() };
+    let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // One participant; its results come back through `join`, so `Relaxed` suffices.
+    let drain = |after_each: &mut dyn FnMut()| {
+        IN_FAN_OUT.set(true);
+        let mut state = init();
+        let mut ran = Vec::new();
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+        while let Some(i) = claim() {
+            ran.push((i, f(i, &mut state)));
+            done.fetch_add(1, Ordering::Relaxed);
+            after_each();
         }
-    }
-
-    /// The process-wide pool every `par_*` free function runs on.
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(WorkerPool::new)
-    }
-
-    /// Number of worker threads currently alive.
-    pub fn workers(&self) -> usize {
-        lock(&self.workers).len()
-    }
-
-    /// [`par_tasks_with_progress`](crate::par_tasks_with_progress) on
-    /// this pool.
-    pub fn par_tasks_with_progress<R, F, P>(
-        &self,
-        n: usize,
-        threads: ThreadCount,
-        f: F,
-        progress: P,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-        P: FnMut(usize),
-    {
-        self.par_tasks_init(n, threads, || (), move |i, _| f(i), progress)
-    }
-
-    /// [`par_tasks`](crate::par_tasks) on this pool.
-    pub fn par_tasks<R, F>(&self, n: usize, threads: ThreadCount, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.par_tasks_with_progress(n, threads, f, |_| {})
-    }
-
-    /// [`par_map`](crate::par_map) on this pool.
-    pub fn par_map<T, R, F>(&self, items: &[T], threads: ThreadCount, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.par_tasks(items.len(), threads, |i| f(&items[i]))
-    }
-
-    /// The workhorse: `n` index-addressed tasks with a per-participant
-    /// state (built once per participating worker by `init`, handed
-    /// mutably to every task that worker claims). The state is how
-    /// planners reuse evaluation scratch across a round's candidates
-    /// instead of allocating per candidate.
-    pub fn par_tasks_init<R, S, I, F, P>(
-        &self,
-        n: usize,
-        threads: ThreadCount,
-        init: I,
-        f: F,
-        mut progress: P,
-    ) -> Vec<R>
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> R + Sync,
-        P: FnMut(usize),
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots = threads.resolve().min(n);
-        if slots <= 1 || on_pool_worker() || submitting() {
-            // Sequential path: also the nested-submission fallback, so
-            // neither a pool worker nor a collecting submitter (e.g. a
-            // progress callback) fanning out again can deadlock.
-            let mut state = init();
-            return (0..n)
-                .map(|i| {
-                    let r = f(i, &mut state);
-                    progress(i + 1);
-                    r
-                })
+        ran
+    };
+    let parts = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..participants.min(n))
+                .map(|_| scope.spawn(|| drain(&mut || {})))
                 .collect();
-        }
-
-        // Chunked work-stealing claiming: the task range is split into
-        // `2 × slots` chunks, each with its own atomic cursor. A
-        // participant drains its own chunk pair first (no contention on
-        // a single shared cache line for wide, cheap-item sweeps), then
-        // sweeps the remaining chunks stealing whatever is left — so a
-        // slow task in one chunk never serializes the rest of the
-        // range behind it.
-        struct Chunk {
-            next: AtomicUsize,
-            end: usize,
-        }
-        let chunk_count = (2 * slots).min(n);
-        let chunks: Vec<Chunk> = (0..chunk_count)
-            .map(|c| Chunk {
-                next: AtomicUsize::new(c * n / chunk_count),
-                end: (c + 1) * n / chunk_count,
-            })
-            .collect();
-        let participant = AtomicUsize::new(0);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-        let body = move || {
-            let tx = tx.clone();
-            let me = participant.fetch_add(1, Ordering::Relaxed);
-            let mut state = init();
-            'chunks: for offset in 0..chunk_count {
-                let chunk = &chunks[(me * 2 + offset) % chunk_count];
-                loop {
-                    let i = chunk.next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunk.end {
-                        break;
-                    }
-                    let r = f(i, &mut state);
-                    if tx.send((i, r)).is_err() {
-                        break 'chunks;
-                    }
-                }
+            let mut reported = 0;
+            let mut report = || {
+                let now = done.load(Ordering::Relaxed);
+                (std::mem::replace(&mut reported, now) + 1..=now).for_each(&mut progress);
+            };
+            let mut parts = vec![drain(&mut report)];
+            for worker in workers {
+                parts.push(worker.join().unwrap_or_else(|p| resume_unwind(p)));
             }
-        };
-
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        self.run_job(slots, &body, |shared| {
-            // Collect on the submitting thread. Every task sends exactly
-            // one message unless a worker panicked, so either the count
-            // completes or the panic flag breaks the wait.
-            let mut got = 0usize;
-            while got < n {
-                match rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok((i, r)) => {
-                        debug_assert!(out[i].is_none(), "task {i} delivered twice");
-                        out[i] = Some(r);
-                        got += 1;
-                        progress(got);
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        let slot = lock(&shared.slot);
-                        if slot.job.as_ref().is_some_and(|j| j.panic.is_some()) {
-                            break;
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        });
-        out.into_iter()
-            .map(|o| o.expect("job completed, every task delivered"))
-            .collect()
+            report();
+            parts
+        })
+    }));
+    IN_FAN_OUT.set(nested);
+    let parts = parts.unwrap_or_else(|p| resume_unwind(p));
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        out[i] = Some(r);
     }
-
-    /// Publishes `body` as the next job, lets `collect` drain results on
-    /// the calling thread, then blocks until every participant checked
-    /// out and re-throws the first panic (`collect`'s own before any
-    /// worker's). `body` must not be touched again once this returns
-    /// (the raw task pointer dies here).
-    ///
-    /// The completion wait runs even when `collect` unwinds (a panicking
-    /// progress callback, say): returning early would free the closure
-    /// frame while workers still execute it through the raw pointer.
-    fn run_job(&self, slots: usize, body: &(dyn Fn() + Sync), collect: impl FnOnce(&Shared)) {
-        let _serial = lock(&self.submit);
-        let workers = self.ensure_workers(slots);
-        // SAFETY: `run_job` does not return before every participant
-        // finished with the pointee (the unconditional completion wait
-        // below), so erasing the lifetime for the trait-object pointer
-        // is sound.
-        let task = TaskPtr(unsafe {
-            std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body)
-        });
-        {
-            let mut slot = lock(&self.shared.slot);
-            slot.epoch += 1;
-            slot.job = Some(ActiveJob {
-                task,
-                slots,
-                joined: 0,
-                done: 0,
-                checked_in: 0,
-                workers,
-                panic: None,
-            });
-        }
-        self.shared.wake.notify_all();
-
-        SUBMITTING.with(|s| s.set(s.get() + 1));
-        let collected = catch_unwind(AssertUnwindSafe(|| collect(&self.shared)));
-        SUBMITTING.with(|s| s.set(s.get() - 1));
-
-        let mut slot = lock(&self.shared.slot);
-        while !slot.job.as_ref().expect("job in flight").complete() {
-            slot = self
-                .shared
-                .done
-                .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        let job = slot.job.take().expect("job in flight");
-        drop(slot);
-        if let Err(payload) = collected {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = job.panic {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Ensures at least `want` workers are alive; returns the worker
-    /// count. Called with the submit lock held, so no job is in flight
-    /// while the pool grows.
-    fn ensure_workers(&self, want: usize) -> usize {
-        let mut workers = lock(&self.workers);
-        while workers.len() < want {
-            let shared = Arc::clone(&self.shared);
-            let name = format!("paotr-pool-{}", workers.len());
-            workers.push(
-                std::thread::Builder::new()
-                    .name(name)
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker"),
-            );
-        }
-        workers.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut slot = lock(&self.shared.slot);
-            slot.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for handle in lock(&self.workers).drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    IS_POOL_WORKER.with(|w| w.set(true));
-    let mut last_epoch = 0u64;
-    let mut slot = lock(&shared.slot);
-    loop {
-        if slot.shutdown {
-            return;
-        }
-        let fresh = slot.epoch != last_epoch && slot.job.is_some();
-        if !fresh {
-            slot = shared
-                .wake
-                .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            continue;
-        }
-        last_epoch = slot.epoch;
-        let job = slot.job.as_mut().expect("checked above");
-        job.checked_in += 1;
-        let participate = job.joined < job.slots;
-        if participate {
-            job.joined += 1;
-            let task = job.task.0;
-            drop(slot);
-            // SAFETY: the submitter keeps the pointee alive until this
-            // participant reports done (the completion wait in
-            // `run_job`), which happens strictly after this call.
-            let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*task)() }));
-            slot = lock(&shared.slot);
-            let job = slot.job.as_mut().expect("job outlives its participants");
-            job.done += 1;
-            if let Err(payload) = outcome {
-                job.panic.get_or_insert(payload);
-            }
-        }
-        shared.done.notify_all();
-    }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    out.into_iter().map(|r| r.expect("task ran")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{par_tasks, par_tasks_with_progress};
+    use std::thread::{current, sleep};
 
-    #[test]
-    fn chunked_claiming_covers_every_task_for_awkward_shapes() {
-        // n not divisible by the chunk count, n smaller than 2×slots,
-        // n equal to the chunk count: every index must be produced
-        // exactly once, in order.
-        let pool = WorkerPool::new();
-        for (n, threads) in [(97usize, 8usize), (5, 4), (16, 8), (3, 2), (1000, 3)] {
-            let out = pool.par_tasks(n, ThreadCount::Fixed(threads), |i| i);
-            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
-        }
-    }
-
-    #[test]
-    fn one_slow_chunk_does_not_serialize_the_sweep() {
-        // A pathological workload where the first chunk's tasks are
-        // slow: the other participants must steal the rest rather than
-        // idle. We can only assert correctness portably, but with
-        // per-chunk cursors every task still runs exactly once.
-        let pool = WorkerPool::new();
-        let ran = AtomicUsize::new(0);
-        let out = pool.par_tasks(128, ThreadCount::Fixed(4), |i| {
-            if i < 8 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            ran.fetch_add(1, Ordering::Relaxed);
-            i * 3
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 128);
-        assert_eq!(out, (0..128).map(|i| i * 3).collect::<Vec<_>>());
-    }
+    const TWO: ThreadCount = ThreadCount::Fixed(2);
+    const FOUR: ThreadCount = ThreadCount::Fixed(4);
 
     #[test]
     fn fixed_clamps_to_one() {
@@ -488,155 +112,80 @@ mod tests {
     }
 
     #[test]
-    fn pool_spawns_lazily_and_grows_on_demand() {
-        let pool = WorkerPool::new();
-        assert_eq!(pool.workers(), 0, "no job yet, no threads");
-        let out = pool.par_tasks(8, ThreadCount::Fixed(2), |i| i * 2);
-        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(pool.workers(), 2);
-        let out = pool.par_tasks(16, ThreadCount::Fixed(4), |i| i + 1);
-        assert_eq!(out.len(), 16);
-        assert_eq!(pool.workers(), 4, "grown to the widest request");
-        // narrower follow-up jobs reuse the pool without shrinking it
-        let out = pool.par_tasks(4, ThreadCount::Fixed(2), |i| i);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(pool.workers(), 4);
-    }
-
-    #[test]
-    fn pool_reuses_threads_across_many_rounds() {
-        let pool = WorkerPool::new();
-        for round in 0..200 {
-            let out = pool.par_tasks(5, ThreadCount::Fixed(3), |i| i + round);
-            assert_eq!(out, (0..5).map(|i| i + round).collect::<Vec<_>>());
+    fn chunked_claiming_covers_every_task_for_awkward_shapes() {
+        // n not divisible by the thread count, n smaller than 2×threads,
+        // n equal to twice the thread count: every index exactly once, in order.
+        for (n, threads) in [(97, 8), (5, 4), (16, 8), (3, 2), (1000, 3)] {
+            let out = par_tasks(n, ThreadCount::Fixed(threads), |i| i);
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
         }
-        assert_eq!(pool.workers(), 3, "200 rounds, 3 threads total");
     }
 
     #[test]
-    fn pool_drop_joins_workers() {
-        let pool = WorkerPool::new();
-        pool.par_tasks(4, ThreadCount::Fixed(2), |i| i);
-        drop(pool); // must not hang
+    fn one_slow_chunk_does_not_serialize_the_sweep() {
+        // The first tasks are slow; the other participants keep claiming.
+        let ran = AtomicUsize::new(0);
+        let out = par_tasks(128, FOUR, |i| {
+            if i < 8 {
+                sleep(std::time::Duration::from_millis(2));
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+            i * 3
+        });
+        assert_eq!(ran.into_inner(), 128);
+        assert_eq!(out, (0..128).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn pool_panics_propagate_to_the_submitter() {
-        let pool = WorkerPool::new();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.par_tasks(8, ThreadCount::Fixed(2), |i| {
-                if i == 3 {
-                    panic!("boom");
-                }
-                i
-            })
-        }));
-        assert!(result.is_err());
-        // the pool survives the panic and serves the next job
-        let out = pool.par_tasks(4, ThreadCount::Fixed(2), |i| i);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn per_worker_state_is_reused_within_a_job() {
-        let pool = WorkerPool::new();
-        // Each participant counts its tasks in its own state; the sum of
-        // all per-state counts must equal n (every task ran once, under
-        // exactly one state).
-        let total = AtomicUsize::new(0);
-        struct Counter<'a> {
-            local: usize,
-            total: &'a AtomicUsize,
-        }
-        impl Drop for Counter<'_> {
-            fn drop(&mut self) {
-                self.total.fetch_add(self.local, Ordering::Relaxed);
-            }
-        }
-        let out = pool.par_tasks_init(
-            100,
-            ThreadCount::Fixed(4),
-            || Counter {
-                local: 0,
-                total: &total,
-            },
-            |i, c| {
-                c.local += 1;
-                i
-            },
-            |_| {},
-        );
-        assert_eq!(out.len(), 100);
-        assert_eq!(total.load(Ordering::Relaxed), 100);
+        let run = || par_tasks(8, TWO, |i| assert_ne!(i, 3, "boom"));
+        assert!(catch_unwind(AssertUnwindSafe(run)).is_err());
+        assert!(!IN_FAN_OUT.get(), "the next fan-out gets workers again");
+        assert_eq!(par_tasks(4, TWO, |i| i), [0, 1, 2, 3]);
     }
 
     #[test]
     fn progress_panics_wait_for_workers_and_propagate() {
-        // A panicking progress callback must not return early from the
-        // job (workers still hold the raw task pointer); it must wait,
-        // then re-throw, leaving the pool serviceable.
-        let pool = WorkerPool::new();
+        // A panicking callback lets the workers drain, then propagates.
         let ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.par_tasks_with_progress(
-                64,
-                ThreadCount::Fixed(4),
-                |i| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    i
-                },
-                |done| {
-                    if done == 3 {
-                        panic!("progress abort");
-                    }
-                },
-            )
-        }));
-        assert!(result.is_err());
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            64,
-            "workers drained the job before the panic resumed"
-        );
-        let out = pool.par_tasks(4, ThreadCount::Fixed(2), |i| i);
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        let task = |_| ran.fetch_add(1, Ordering::Relaxed);
+        let run = || par_tasks_with_progress(64, FOUR, task, |done| assert_ne!(done, 3));
+        assert!(catch_unwind(AssertUnwindSafe(run)).is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 64, "workers drained first");
+        assert!(!IN_FAN_OUT.get(), "the next fan-out gets workers again");
+        assert_eq!(par_tasks(4, TWO, |i| i), [0, 1, 2, 3]);
     }
 
     #[test]
     fn fanning_out_from_a_progress_callback_runs_inline() {
-        let pool = WorkerPool::new();
-        let nested_sum = AtomicUsize::new(0);
-        let out = pool.par_tasks_with_progress(
+        let mut inline = Vec::new();
+        let out = par_tasks_with_progress(
             6,
-            ThreadCount::Fixed(2),
+            TWO,
             |i| i,
-            |done| {
-                // re-entering the same pool from the collecting thread
-                // must not self-deadlock on the submit lock
-                let inner: usize = pool
-                    .par_tasks(3, ThreadCount::Fixed(2), |j| j + done)
-                    .into_iter()
-                    .sum();
-                nested_sum.fetch_add(inner, Ordering::Relaxed);
+            |_| {
+                let me = current().id();
+                inline.push(par_tasks(3, TWO, |_| current().id()) == [me; 3]);
             },
         );
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert!(nested_sum.load(Ordering::Relaxed) > 0);
+        assert_eq!(out, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(inline, [true; 6]);
     }
 
     #[test]
     fn nested_submissions_run_inline() {
-        let pool = WorkerPool::global();
-        let out = pool.par_tasks(4, ThreadCount::Fixed(2), |i| {
-            assert!(on_pool_worker());
-            // a nested fan-out must not deadlock the pool
-            let inner: Vec<usize> =
-                WorkerPool::global().par_tasks(3, ThreadCount::Fixed(2), |j| i * 10 + j);
-            inner.iter().sum::<usize>()
+        let out = par_tasks(4, TWO, |i| {
+            assert!(IN_FAN_OUT.get());
+            let me = current().id();
+            let inner = par_tasks(3, TWO, |j| (current().id() == me, i * 10 + j));
+            assert!(inner.iter().all(|&(inline, _)| inline));
+            inner.iter().map(|&(_, v)| v).sum::<usize>()
         });
-        assert_eq!(out.len(), 4);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (0..3).map(|j| i * 10 + j).sum::<usize>());
-        }
+        assert_eq!(
+            out,
+            (0..4)
+                .map(|i| (0..3).map(|j| i * 10 + j).sum::<usize>())
+                .collect::<Vec<_>>()
+        );
     }
 }
