@@ -24,6 +24,11 @@ fn corruptions() -> Vec<(&'static str, Edits, Rule)> {
     let one = |from: &'static str, to: &str| vec![(from, to.to_string())];
     vec![
         (
+            "max_window over the ceiling",
+            one(r#""max_window":24"#, r#""max_window":65537"#),
+            Rule::ConfigInvalid,
+        ),
+        (
             "window over max_window",
             one(r#""max_window":24"#, r#""max_window":6"#),
             Rule::WindowLimitExceeded,

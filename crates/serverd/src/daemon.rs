@@ -65,7 +65,8 @@ pub struct Config {
     pub replan_after: u64,
     /// Hard ceiling on live sessions (keeps daemon memory bounded).
     pub max_sessions: usize,
-    /// Hard ceiling on any predicate window (bounds stream buffers).
+    /// Hard ceiling on any predicate window (bounds stream buffers);
+    /// at most [`crate::MAX_WINDOW`].
     pub max_window: u32,
     /// Persistent stream arrangements; `None` re-pulls every window.
     pub arrange: Option<ArrangeConfig>,

@@ -56,7 +56,7 @@ pub mod telemetry;
 
 pub use daemon::{Config, Daemon, TcpOptions};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
-pub use registry::{Session, SessionRegistry};
+pub use registry::{Session, SessionRegistry, MAX_WINDOW};
 pub use snapshot::{
     ArrangeEntrySnap, ArrangeSnap, Rule, Snapshot, SnapshotError, SnapshotViolation,
 };

@@ -29,6 +29,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use stream_sim::{SimLeaf, SimQuery};
 
+/// Largest accepted `max_window`. Every stream buffer is sized from
+/// `max_window` and a new stream replays `max_window + tick` items, so
+/// the ceiling keeps one configuration value from wedging or aborting
+/// the daemon at its first tick.
+pub const MAX_WINDOW: u32 = 65_536;
+
 /// One live registered query.
 #[derive(Debug, Clone)]
 pub struct Session {
@@ -70,7 +76,8 @@ pub struct SessionRegistry {
 impl SessionRegistry {
     /// An empty registry planning through `planner` (a
     /// `paotr_multi::planner_names()` entry), holding at most
-    /// `max_sessions` sessions with windows at most `max_window`.
+    /// `max_sessions` sessions with windows at most `max_window`
+    /// (itself at most [`MAX_WINDOW`]).
     pub fn new(planner: &str, max_sessions: usize, max_window: u32) -> Result<SessionRegistry> {
         if planner_by_name(planner).is_none() {
             return Err(Error::Rejected(format!(
@@ -82,6 +89,11 @@ impl SessionRegistry {
             return Err(Error::Rejected(
                 "max_sessions and max_window must be positive".into(),
             ));
+        }
+        if max_window > MAX_WINDOW {
+            return Err(Error::Rejected(format!(
+                "max_window {max_window} exceeds the limit {MAX_WINDOW}"
+            )));
         }
         Ok(SessionRegistry {
             sessions: BTreeMap::new(),
@@ -484,6 +496,15 @@ mod tests {
             Err(Error::Query(_))
         ));
         assert!(r.is_empty(), "failed registrations leave no sessions");
+
+        // The window ceiling is checked before any stream exists.
+        for bad in [0, MAX_WINDOW + 1, u32::MAX] {
+            assert!(matches!(
+                SessionRegistry::new("shared-greedy", 16, bad),
+                Err(Error::Rejected(_))
+            ));
+        }
+        assert!(SessionRegistry::new("shared-greedy", 16, MAX_WINDOW).is_ok());
 
         let mut tiny = SessionRegistry::new("shared-greedy", 1, 64).unwrap();
         tiny.register(Q_A, 1.0, 0, &engine).unwrap();

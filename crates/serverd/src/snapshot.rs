@@ -74,7 +74,8 @@ pub enum Rule {
     /// The document does not parse (reported by `paotr check`; a parsed
     /// [`Snapshot`] cannot break it).
     ParseFailed,
-    /// The config names an unknown planner or a zero ceiling.
+    /// The config names an unknown planner, a zero ceiling, or a
+    /// `max_window` above [`crate::MAX_WINDOW`].
     ConfigInvalid,
     /// A catalog entry has a duplicate name, or a cost that is not
     /// finite and > 0.
