@@ -49,10 +49,11 @@ fn bench_dnf_evaluators(c: &mut Criterion) {
     group.finish();
 }
 
-/// The compiled arena kernel vs. the literal transcription — the
-/// `BENCH_core.json` group CI
-/// regression-checks (planners bottom out in thousands of these calls
-/// per joint-planning invocation).
+/// The compiled evaluator vs. the literal transcription — the
+/// `BENCH_core.json` group CI regression-checks (planners bottom out in
+/// thousands of these calls per joint-planning invocation). A `kernel`
+/// row times one reset of `CostModel`'s push state plus one push per
+/// leaf; `kernel_coverage` does the same under prior coverage.
 fn bench_cost_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("cost_kernel");
     for (n, m) in [(2usize, 5usize), (5, 10), (10, 20)] {

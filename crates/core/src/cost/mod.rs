@@ -9,7 +9,7 @@
 //! | [`assignment`] | exact expectation by enumeration | any tree, small `L` | `O(2^L * L)` |
 //! | [`and_eval`] | closed form | AND-trees | `O(m)` |
 //! | [`dnf_eval`] | Proposition 2, literal (the oracle) | DNF trees | `O(L * D * N^2)` |
-//! | [`model`] | Proposition 2, compiled arenas and push/pop state | DNF trees | same, allocation-free |
+//! | [`model`] | Proposition 2, compiled push/pop state | DNF trees | same, allocation-free |
 //! | [`montecarlo`] | sampling | any tree | `O(samples * L)` |
 
 pub mod and_eval;

@@ -1,8 +1,8 @@
-//! The compiled, allocation-free cost kernel.
+//! The compiled, allocation-free Proposition-2 evaluator.
 //!
-//! [`CostModel`] compiles one `(DnfTree, StreamCatalog)` pair into flat
-//! arena arrays — leaf probabilities, window sizes and *local* stream
-//! ids (only the streams the tree actually touches), term boundaries as
+//! [`CostModel`] compiles one `(DnfTree, StreamCatalog)` pair once into
+//! flat arrays — leaf probabilities, window sizes and *local* stream ids
+//! (only the streams the tree actually touches), term boundaries as
 //! index ranges into one backing `Vec` — so that evaluating a schedule
 //! costs no heap allocation and no work proportional to the catalog
 //! size. A reusable [`EvalScratch`] holds every per-call buffer; after
@@ -11,21 +11,25 @@
 //!
 //! Semantics are identical to the literal Proposition 2 transcription in
 //! [`crate::cost::dnf_eval`] (property tests pin the two to ≤ 1e-9
-//! relative error); this kernel exists because every planner — the
+//! relative error); this evaluator exists because every planner — the
 //! greedy multi-query loops above all — bottoms out in thousands of
 //! schedule evaluations per planning call. The catalog-size independence
 //! matters in multi-query serving: a 128-query workload may catalog
 //! hundreds of streams while each query reads a handful.
 //!
-//! The scratch also carries the one *incremental* Proposition-2 state
+//! There is one algorithm, an *incremental* state on the scratch
 //! ([`CostModel::push`] / [`CostModel::pop`] / [`CostModel::peek`] /
 //! [`CostModel::completion_lower_bound`]): per `(stream, item)` bucket,
 //! factor 1 is the product of `1 - reach` over the bucket's members in
 //! push order and factor 2 the product of `1 - success` over completed
 //! terms without a member there, so a leaf's marginal cost is an
-//! `O(window)` sum. The branch-and-bound walks it, the dynamic
-//! heuristics extend it term by term, and every planner prices its
-//! final schedule with it.
+//! `O(window)` sum. Prior coverage (items an earlier query already
+//! pulled this tick) only changes where factor 1 starts: item `t` of
+//! stream `k` starts at `clamp(t - coverage_k, 0, 1)`, the fraction of
+//! it still to pay for. Pricing a whole schedule, with or without
+//! coverage, resets the state and pushes the schedule; the
+//! branch-and-bound walks it, the dynamic heuristics extend it term by
+//! term, and the joint planners read its per-stream items.
 
 use crate::leaf::LeafRef;
 use crate::schedule::DnfSchedule;
@@ -62,47 +66,33 @@ pub struct CostModel {
     unit_cost: Vec<f64>,
 }
 
-/// Reusable per-evaluation buffers for a [`CostModel`]. One scratch per
-/// thread; sized on first use and only regrown when bound to a larger
-/// model. It also holds the incremental pushed-prefix state of
-/// [`CostModel::push`], which any other evaluation on it discards.
+/// Reusable per-evaluation buffers for a [`CostModel`]: the pushed
+/// prefix of [`CostModel::push`] and the temporaries of the isolated-term
+/// and completion-bound helpers. One scratch per thread; sized on first
+/// use and only regrown when bound to a larger model. Pricing a schedule
+/// on it replaces the pushed prefix.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    /// Schedule position of each flat leaf.
-    pos: Vec<u32>,
-    /// Scheduled-leaf count per term (partial-order completion test).
+    /// Pushed-leaf count per term (completion test).
     seen: Vec<u32>,
     /// Items acquired per local stream (isolated term evaluation).
     acquired: Vec<u32>,
-    /// Reach probability of each flat leaf within its term.
-    eval_prob: Vec<f64>,
-    /// Running per-term prefix probability (build-time temporary).
+    /// Reach probability per term: the product of its pushed leaves'
+    /// probabilities.
     running: Vec<f64>,
-    /// Position after which each term is fully scheduled.
-    completed_pos: Vec<u32>,
-    /// Items of each (term, local stream) already required by earlier
-    /// same-term leaves (the first-case test of Proposition 2).
-    covered: Vec<u32>,
-    /// Member arena bucketed by `(local stream, item)`: bucket `b` holds
-    /// `member_*[bucket_start[b]..bucket_start[b + 1]]`.
-    bucket_start: Vec<u32>,
-    cursor: Vec<u32>,
-    member_term: Vec<u32>,
-    member_pos: Vec<u32>,
-    member_eval: Vec<f64>,
-    /// Term bitmask per bucket (valid when the model has ≤ 64 terms).
-    bucket_mask: Vec<u64>,
-    /// Expected items pulled per *local* stream — the evaluation output.
-    items: Vec<f64>,
-    /// Pushed-prefix factor 1 per bucket: `Π (1 - reach)` over the
-    /// bucket's members, in push order (see [`CostModel::push`]). The
-    /// pushed state also reuses `running` (reach per term), `seen` and
-    /// `covered`: term `a` has a member in bucket `(k, t)` exactly when
+    /// Items of each (term, local stream) already required by the
+    /// term's pushed leaves (the first-case test of Proposition 2): term
+    /// `a` has a member in bucket `(k, t)` exactly when
     /// `t <= covered[a][k]`.
+    covered: Vec<u32>,
+    /// Expected items the pushed prefix pulls per *local* stream.
+    items: Vec<f64>,
+    /// Factor 1 per bucket: the unpaid fraction of the item under prior
+    /// coverage times `Π (1 - reach)` over the bucket's members, in push
+    /// order (see [`CostModel::push`]).
     bucket_f1: Vec<f64>,
-    /// Pushed-prefix factor 2 per bucket: `Π (1 - success)` over
-    /// completed terms without a member in the bucket, in completion
-    /// order.
+    /// Factor 2 per bucket: `Π (1 - success)` over completed terms
+    /// without a member in the bucket, in completion order.
     bucket_f2: Vec<f64>,
     /// Expected cost of the pushed prefix.
     pushed_total: f64,
@@ -125,6 +115,7 @@ pub struct EvalScratch {
 struct Undo {
     leaf: LeafRef,
     total: f64,
+    items: f64,
     reach: f64,
     covered: u32,
     completed: bool,
@@ -214,7 +205,8 @@ impl CostModel {
         self.global_of_local.iter().map(|&g| StreamId(g as usize))
     }
 
-    /// Expected cost of `schedule` — Proposition 2, arena kernel.
+    /// Expected cost of `schedule` — Proposition 2, priced by pushing
+    /// the schedule onto a reset state (see [`CostModel::freeze_prefix`]).
     pub fn expected_cost(&self, schedule: &DnfSchedule, scratch: &mut EvalScratch) -> f64 {
         self.expected_cost_with_coverage(schedule.order(), &[], scratch)
     }
@@ -223,14 +215,18 @@ impl CostModel {
     /// *prior coverage* (see
     /// [`crate::cost::dnf_eval::expected_items_with_coverage`]).
     /// `coverage` is indexed by global stream id and may be empty (no
-    /// coverage). After the call, [`CostModel::items_per_stream`] and
-    /// [`CostModel::add_items_to`] expose the per-stream item
-    /// decomposition of the returned cost.
+    /// coverage); coverage equal to a stream's widest window makes its
+    /// pulls free, which is how maintained arrangements are priced.
+    ///
+    /// The call resets the pushed state on `scratch` under `coverage`
+    /// and pushes `order`, so afterwards [`CostModel::items_per_stream`]
+    /// and [`CostModel::add_items_to`] expose the per-stream item
+    /// decomposition of the returned cost, and further pushes extend the
+    /// order under the same coverage.
     ///
     /// `order` may be any *prefix* of a schedule — a subset of the
     /// model's leaves, each at most once. Terms with unscheduled leaves
-    /// are treated as never completing within the prefix, exactly like
-    /// [`CostModel::push`]ing the same prefix.
+    /// never complete within the prefix.
     ///
     /// # Panics
     /// Panics when `coverage` is neither empty nor `catalog.len()` long,
@@ -241,309 +237,98 @@ impl CostModel {
         coverage: &[f64],
         scratch: &mut EvalScratch,
     ) -> f64 {
-        self.appended_cost(order, &[], coverage, scratch)
-    }
-
-    /// Expected cost of `order` when the streams flagged in `arranged`
-    /// (catalog-indexed; may be empty) are served from maintained
-    /// arrangements: their pulls are free — the maintenance that pays
-    /// for them is priced separately, per stream, by
-    /// [`crate::cost::arrange::ArrangeTerm`] — while unarranged streams
-    /// keep their full re-pull cost. Implemented as full prior coverage
-    /// on the arranged streams, so the short-circuiting expectation
-    /// stays exact.
-    pub fn expected_cost_arranged(
-        &self,
-        order: &[LeafRef],
-        arranged: &[bool],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        assert!(
-            arranged.is_empty() || arranged.len() == self.catalog_len,
-            "arranged must be empty or have one entry per catalog stream"
-        );
-        if arranged.iter().all(|&a| !a) {
-            return self.expected_cost_with_coverage(order, &[], scratch);
-        }
-        let coverage: Vec<f64> = (0..self.catalog_len)
-            .map(|k| {
-                if arranged[k] {
-                    f64::from(self.max_window(StreamId(k)))
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        self.expected_cost_with_coverage(order, &coverage, scratch)
-    }
-
-    /// Expected cost of the (possibly partial) schedule `prefix ⧺ tail`
-    /// without materializing the concatenation — the *schedule-delta*
-    /// primitive of the dynamic heuristics: evaluating
-    /// `appended_cost(prefix, candidate, ..) - appended_cost(prefix, &[], ..)`
-    /// prices a candidate extension with zero allocation.
-    pub fn appended_cost(
-        &self,
-        prefix: &[LeafRef],
-        tail: &[LeafRef],
-        coverage: &[f64],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        assert!(
-            coverage.is_empty() || coverage.len() == self.catalog_len,
-            "coverage must be empty or have one entry per catalog stream"
-        );
-        debug_assert!(
-            prefix.len() + tail.len() <= self.num_leaves,
-            "schedule uses each leaf at most once"
-        );
         #[cfg(debug_assertions)]
         {
             // A repeated leaf would double-count `seen` and silently
             // mis-classify its term as completed — catch it loudly.
             let mut used = vec![false; self.num_leaves];
-            for &r in prefix.iter().chain(tail) {
+            for &r in order {
                 let flat = self.flat(r);
                 assert!(!used[flat], "leaf {r:?} appears twice in the order");
                 used[flat] = true;
             }
         }
-        scratch.reserve(self);
-        let order = || prefix.iter().chain(tail);
-
-        let n_terms = self.n_terms;
-        let n_local = self.n_local;
-        let max_d = self.max_d;
-        let n_buckets = n_local * max_d;
-        let use_masks = n_terms <= 64;
-
-        // Pass 1: positions, reach probabilities, completion positions.
-        for r in &mut scratch.running[..n_terms] {
-            *r = 1.0;
-        }
-        for c in &mut scratch.completed_pos[..n_terms] {
-            *c = 0;
-        }
-        for s in &mut scratch.seen[..n_terms] {
-            *s = 0;
-        }
-        for (p, &r) in order().enumerate() {
-            let flat = self.flat(r);
-            scratch.pos[flat] = p as u32;
-            scratch.eval_prob[flat] = scratch.running[r.term];
-            scratch.running[r.term] *= self.leaf_prob[flat];
-            scratch.seen[r.term] += 1;
-            if scratch.completed_pos[r.term] < p as u32 {
-                scratch.completed_pos[r.term] = p as u32;
-            }
-        }
-        // A term with unscheduled leaves never completes within this
-        // (possibly partial) order: push its completion past any
-        // position so factor 2 ignores it.
-        for t in 0..n_terms {
-            let len = (self.term_start[t + 1] - self.term_start[t]) as usize;
-            if (scratch.seen[t] as usize) < len {
-                scratch.completed_pos[t] = u32::MAX;
-            }
-        }
-
-        // Pass 2: count L_{k,t} members per bucket. Scanning the global
-        // order visits each term's leaves in schedule order, which is
-        // exactly the per-term walk the literal evaluator sorts for.
-        for c in &mut scratch.covered[..n_terms * n_local] {
-            *c = 0;
-        }
-        for b in &mut scratch.bucket_start[..n_buckets + 1] {
-            *b = 0;
-        }
-        for &r in order() {
-            let flat = self.flat(r);
-            let k = self.leaf_stream[flat] as usize;
-            let d = self.leaf_items[flat];
-            let cov = &mut scratch.covered[r.term * n_local + k];
-            for t in (*cov + 1)..=d.max(*cov) {
-                // count into the slot *after* the bucket: prefix-summing
-                // turns counts into start offsets in place.
-                scratch.bucket_start[k * max_d + t as usize] += 1;
-            }
-            *cov = (*cov).max(d);
-        }
-        // Counts were staged one slot after their bucket, so an
-        // *inclusive* prefix sum leaves `bucket_start[b]` = first slot of
-        // bucket `b` and `bucket_start[b + 1]` = one past its last.
-        let mut acc = 0u32;
-        for b in &mut scratch.bucket_start[..n_buckets + 1] {
-            acc += *b;
-            *b = acc;
-        }
-        let n_members = acc as usize;
-
-        // Pass 3: fill the member arena.
-        scratch.cursor[..n_buckets].copy_from_slice(&scratch.bucket_start[..n_buckets]);
-        for c in &mut scratch.covered[..n_terms * n_local] {
-            *c = 0;
-        }
-        if use_masks {
-            for m in &mut scratch.bucket_mask[..n_buckets] {
-                *m = 0;
-            }
-        }
-        scratch.grow_members(n_members);
-        for &r in order() {
-            let flat = self.flat(r);
-            let k = self.leaf_stream[flat] as usize;
-            let d = self.leaf_items[flat];
-            let cov = &mut scratch.covered[r.term * n_local + k];
-            for t in (*cov + 1)..=d.max(*cov) {
-                let b = k * max_d + (t - 1) as usize;
-                let slot = scratch.cursor[b] as usize;
-                scratch.cursor[b] += 1;
-                scratch.member_term[slot] = r.term as u32;
-                scratch.member_pos[slot] = scratch.pos[flat];
-                scratch.member_eval[slot] = scratch.eval_prob[flat];
-                if use_masks {
-                    scratch.bucket_mask[b] |= 1u64 << (r.term as u32 & 63);
-                }
-            }
-            *cov = (*cov).max(d);
-        }
-
-        // Main loop: sum C_{i,j,t} over leaves and items, per stream.
-        for i in &mut scratch.items[..n_local] {
-            *i = 0.0;
-        }
-        for &r in order() {
-            let flat = self.flat(r);
-            let k = self.leaf_stream[flat] as usize;
-            let my_pos = scratch.pos[flat];
-            let f3 = scratch.eval_prob[flat];
-            let cov_k = if coverage.is_empty() {
-                0.0
-            } else {
-                coverage[self.global_of_local[k] as usize]
-            };
-            let mut leaf_items_out = 0.0;
-            for t in 1..=self.leaf_items[flat] {
-                let need = (f64::from(t) - cov_k).clamp(0.0, 1.0);
-                if need == 0.0 {
-                    continue;
-                }
-                let b = k * max_d + (t - 1) as usize;
-                let lo = scratch.bucket_start[b] as usize;
-                let hi = scratch.bucket_start[b + 1] as usize;
-
-                // First case of Proposition 2: a same-term member earlier
-                // in the schedule makes the item free.
-                let mut same_term_earlier = false;
-                let mut f1 = 1.0;
-                for m in lo..hi {
-                    if scratch.member_pos[m] < my_pos {
-                        if scratch.member_term[m] as usize == r.term {
-                            same_term_earlier = true;
-                            break;
-                        }
-                        f1 *= 1.0 - scratch.member_eval[m];
-                    }
-                }
-                if same_term_earlier {
-                    continue;
-                }
-                // Factor 2: no completed AND node without a member in
-                // L_{k,t} evaluated to TRUE.
-                let mut f2 = 1.0;
-                if use_masks {
-                    let mask = scratch.bucket_mask[b];
-                    for a in 0..n_terms {
-                        if scratch.completed_pos[a] < my_pos && mask >> (a & 63) & 1 == 0 {
-                            f2 *= 1.0 - self.term_success[a];
-                        }
-                    }
-                } else {
-                    for a in 0..n_terms {
-                        if scratch.completed_pos[a] >= my_pos {
-                            continue;
-                        }
-                        let in_set = (lo..hi).any(|m| scratch.member_term[m] as usize == a);
-                        if !in_set {
-                            f2 *= 1.0 - self.term_success[a];
-                        }
-                    }
-                }
-                leaf_items_out += f1 * f2 * need;
-            }
-            scratch.items[k] += leaf_items_out * f3;
-        }
-
-        let mut cost = 0.0;
-        for k in 0..n_local {
-            cost += scratch.items[k] * self.unit_cost[k];
-        }
-        cost
-    }
-
-    /// Expected cost of many candidate orders over this one compiled
-    /// tree with one scratch — the batch shape every heuristic planner's
-    /// inner loop reduces to. Each order may be partial (see
-    /// [`CostModel::expected_cost_with_coverage`]); results are returned
-    /// in input order. Equivalent to (but allocation-free over) one
-    /// [`CostModel::expected_cost_with_coverage`] call per order.
-    pub fn expected_cost_batch(
-        &self,
-        orders: &[&[LeafRef]],
-        coverage: &[f64],
-        scratch: &mut EvalScratch,
-    ) -> Vec<f64> {
-        orders
-            .iter()
-            .map(|order| self.appended_cost(order, &[], coverage, scratch))
-            .collect()
-    }
-
-    /// Resets the incremental state on `scratch` to `prefix` pushed in
-    /// order (see [`CostModel::push`]) and returns the prefix's expected
-    /// cost — the sum of the push marginals, which is also how every
-    /// planner prices a finished schedule.
-    pub fn freeze_prefix(&self, prefix: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
-        scratch.reserve_pushed(self);
-        let n_buckets = self.n_local * self.max_d;
-        scratch.running[..self.n_terms].fill(1.0);
-        scratch.seen[..self.n_terms].fill(0);
-        scratch.covered[..self.n_terms * self.n_local].fill(0);
-        scratch.bucket_f1[..n_buckets].fill(1.0);
-        scratch.bucket_f2[..n_buckets].fill(1.0);
-        scratch.pushed_total = 0.0;
-        scratch.undo.clear();
-        scratch.undo_log.clear();
-        for &r in prefix {
+        self.reset(coverage, scratch);
+        for &r in order {
             self.push(r, scratch);
         }
         scratch.pushed_total
     }
 
+    /// Resets the incremental state on `scratch` to `prefix` pushed in
+    /// order (see [`CostModel::push`]) with no prior coverage, and
+    /// returns the prefix's expected cost — the sum of the push
+    /// marginals, which is also how every planner prices a finished
+    /// schedule.
+    pub fn freeze_prefix(&self, prefix: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
+        self.expected_cost_with_coverage(prefix, &[], scratch)
+    }
+
+    /// Empties the pushed prefix on `scratch` and starts factor 1 of
+    /// every bucket `(k, t)` at the unpaid fraction of item `t`,
+    /// `clamp(t - coverage_k, 0, 1)` — exactly 1 without coverage.
+    fn reset(&self, coverage: &[f64], scratch: &mut EvalScratch) {
+        assert!(
+            coverage.is_empty() || coverage.len() == self.catalog_len,
+            "coverage must be empty or have one entry per catalog stream"
+        );
+        scratch.reserve(self);
+        let max_d = self.max_d;
+        let n_buckets = self.n_local * max_d;
+        scratch.running[..self.n_terms].fill(1.0);
+        scratch.seen[..self.n_terms].fill(0);
+        scratch.covered[..self.n_terms * self.n_local].fill(0);
+        scratch.items[..self.n_local].fill(0.0);
+        if coverage.is_empty() {
+            scratch.bucket_f1[..n_buckets].fill(1.0);
+        } else {
+            for (k, &g) in self.global_of_local.iter().enumerate() {
+                let cov = coverage[g as usize];
+                for (t, f1) in scratch.bucket_f1[k * max_d..(k + 1) * max_d]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    *f1 = (f64::from(t as u32 + 1) - cov).clamp(0.0, 1.0);
+                }
+            }
+        }
+        scratch.bucket_f2[..n_buckets].fill(1.0);
+        scratch.pushed_total = 0.0;
+        scratch.undo.clear();
+        scratch.undo_log.clear();
+    }
+
     /// The marginal expected cost leaf `r` would add if pushed now,
     /// without mutating the state — `O(window)`.
     pub fn peek(&self, r: LeafRef, scratch: &EvalScratch) -> f64 {
+        let (k, items) = self.peek_items(r, scratch);
+        items * self.unit_cost[k]
+    }
+
+    /// The local stream of leaf `r` and the expected items it would pull
+    /// there if pushed now.
+    fn peek_items(&self, r: LeafRef, scratch: &EvalScratch) -> (usize, f64) {
         let flat = self.flat(r);
         let k = self.leaf_stream[flat] as usize;
         let cov = scratch.covered[r.term * self.n_local + k] as usize;
         let base = k * self.max_d;
         // Items up to `cov` are free (first case of Proposition 2); the
         // rest are priced by their bucket's two factors.
-        let mut marginal = 0.0;
+        let mut items = 0.0;
         for b in base + cov..base + cov.max(self.leaf_items[flat] as usize) {
-            marginal += scratch.bucket_f1[b] * scratch.bucket_f2[b];
+            items += scratch.bucket_f1[b] * scratch.bucket_f2[b];
         }
-        marginal * scratch.running[r.term] * self.unit_cost[k]
+        (k, items * scratch.running[r.term])
     }
 
     /// Appends leaf `r` to the pushed prefix on `scratch` (reset by
-    /// [`CostModel::freeze_prefix`]) and returns its marginal expected
-    /// cost. Any other evaluation on the same scratch discards the
-    /// pushed state.
+    /// [`CostModel::freeze_prefix`] or
+    /// [`CostModel::expected_cost_with_coverage`]) and returns its
+    /// marginal expected cost.
     pub fn push(&self, r: LeafRef, scratch: &mut EvalScratch) -> f64 {
-        let marginal = self.peek(r, scratch);
+        let (k, items) = self.peek_items(r, scratch);
+        let marginal = items * self.unit_cost[k];
         let flat = self.flat(r);
-        let k = self.leaf_stream[flat] as usize;
         let d = self.leaf_items[flat];
         let ck = r.term * self.n_local + k;
         let cov = scratch.covered[ck];
@@ -581,10 +366,12 @@ impl CostModel {
         scratch.undo.push(Undo {
             leaf: r,
             total: scratch.pushed_total,
+            items: scratch.items[k],
             reach,
             covered: cov,
             completed,
         });
+        scratch.items[k] += items;
         scratch.pushed_total += marginal;
         marginal
     }
@@ -615,6 +402,7 @@ impl CostModel {
         scratch.covered[r.term * self.n_local + k] = u.covered;
         scratch.running[r.term] = u.reach;
         scratch.seen[r.term] -= 1;
+        scratch.items[k] = u.items;
         scratch.pushed_total = u.total;
         r
     }
@@ -804,7 +592,7 @@ impl CostModel {
         cost
     }
 
-    /// The per-stream item decomposition of the last evaluation run on
+    /// The per-stream item decomposition of the pushed prefix on
     /// `scratch`: `(stream, expected items pulled)` for every touched
     /// stream. Untouched catalog streams pull nothing.
     pub fn items_per_stream<'s>(
@@ -817,7 +605,7 @@ impl CostModel {
             .map(|(&g, &i)| (StreamId(g as usize), i))
     }
 
-    /// Adds the last evaluation's per-stream items into a global,
+    /// Adds the pushed prefix's per-stream items into a global,
     /// catalog-indexed accumulator (e.g. a coverage vector).
     pub fn add_items_to(&self, scratch: &EvalScratch, out: &mut [f64]) {
         for (k, &g) in self.global_of_local.iter().enumerate() {
@@ -825,7 +613,7 @@ impl CostModel {
         }
     }
 
-    /// The last evaluation's items as a full catalog-indexed vector
+    /// The pushed prefix's items as a full catalog-indexed vector
     /// (allocates; for callers that need the literal-evaluator shape).
     pub fn items_vec(&self, scratch: &EvalScratch) -> Vec<f64> {
         let mut out = vec![0.0; self.catalog_len];
@@ -876,33 +664,13 @@ impl EvalScratch {
     /// Grows every buffer to fit `model` (no-op once large enough).
     fn reserve(&mut self, model: &CostModel) {
         let n_buckets = model.n_local * model.max_d;
-        self.reserve_pushed(model);
-        grow(&mut self.pos, model.num_leaves, 0);
-        grow(&mut self.eval_prob, model.num_leaves, 0.0);
-        grow(&mut self.completed_pos, model.n_terms, 0);
-        grow(&mut self.bucket_start, n_buckets + 1, 0);
-        grow(&mut self.cursor, n_buckets, 0);
-        grow(&mut self.bucket_mask, n_buckets, 0);
-        grow(&mut self.items, model.n_local, 0.0);
-    }
-
-    /// Grows the pushed-prefix state to fit `model` — only what
-    /// [`CostModel::push`] touches, so pricing one schedule on a fresh
-    /// scratch stays cheap.
-    fn reserve_pushed(&mut self, model: &CostModel) {
-        let n_buckets = model.n_local * model.max_d;
         grow(&mut self.seen, model.n_terms, 0);
         grow(&mut self.acquired, model.n_local, 0);
         grow(&mut self.running, model.n_terms, 1.0);
         grow(&mut self.covered, model.n_terms * model.n_local, 0);
+        grow(&mut self.items, model.n_local, 0.0);
         grow(&mut self.bucket_f1, n_buckets, 1.0);
         grow(&mut self.bucket_f2, n_buckets, 1.0);
-    }
-
-    fn grow_members(&mut self, n: usize) {
-        grow(&mut self.member_term, n, 0);
-        grow(&mut self.member_pos, n, 0);
-        grow(&mut self.member_eval, n, 0.0);
     }
 }
 
@@ -956,29 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn arranged_streams_cost_nothing_to_pull() {
-        let (t, cat) = example();
-        let model = CostModel::new(&t, &cat);
-        let mut scratch = model.make_scratch();
-        let s = DnfSchedule::declaration_order(&t);
-        let full = model.expected_cost_arranged(s.order(), &[], &mut scratch);
-        assert_eq!(full, model.expected_cost(&s, &mut scratch));
-        // Arranging stream 0 removes exactly its item contribution.
-        let arranged = model.expected_cost_arranged(s.order(), &[true, false, false], &mut scratch);
-        model.expected_cost(&s, &mut scratch);
-        let items0 = model
-            .items_per_stream(&scratch)
-            .find(|(k, _)| *k == StreamId(0))
-            .map(|(_, i)| i)
-            .unwrap();
-        let expect = model.expected_cost(&s, &mut scratch) - items0 * 2.0;
-        assert!((arranged - expect).abs() < 1e-12, "{arranged} vs {expect}");
-        // Arranging everything makes evaluation free.
-        let all = model.expected_cost_arranged(s.order(), &[true, true, true], &mut scratch);
-        assert!(all.abs() < 1e-12, "{all}");
-    }
-
-    #[test]
     fn kernel_matches_literal_under_coverage() {
         let (t, cat) = example();
         let model = CostModel::new(&t, &cat);
@@ -988,6 +733,10 @@ mod tests {
             vec![0.0, 0.0, 0.0],
             vec![1.5, 0.25, 1.0],
             vec![9.0, 9.0, 9.0],
+            // Coverage equal to a stream's widest window prices a
+            // maintained arrangement: stream 0 alone, then every stream.
+            vec![5.0, 0.0, 0.0],
+            vec![5.0, 2.0, 1.0],
         ] {
             let literal = dnf_eval::expected_items_with_coverage(&t, &cat, &s, &coverage);
             let cost = model.expected_cost_with_coverage(s.order(), &coverage, &mut scratch);
@@ -1002,6 +751,16 @@ mod tests {
                 .sum();
             assert!((dot - cost).abs() < 1e-12);
         }
+        // An arranged stream pulls nothing, and only its own items go.
+        let bare = model.expected_cost(&s, &mut scratch);
+        let items = model.items_vec(&scratch);
+        let arranged = model.expected_cost_with_coverage(s.order(), &[5.0, 0.0, 0.0], &mut scratch);
+        let expect = bare - items[0] * 2.0;
+        assert!((arranged - expect).abs() < 1e-12, "{arranged} vs {expect}");
+        assert_eq!(model.items_vec(&scratch)[0], 0.0);
+        assert_eq!(model.items_vec(&scratch)[1..], items[1..]);
+        let all = model.expected_cost_with_coverage(s.order(), &[5.0, 2.0, 1.0], &mut scratch);
+        assert_eq!(all, 0.0);
     }
 
     #[test]
@@ -1056,53 +815,17 @@ mod tests {
             refs.shuffle(&mut rng);
             model.freeze_prefix(&[], &mut pushed);
             for cut in 0..=refs.len() {
-                let kernel = model.appended_cost(&refs[..cut], &[], &[], &mut scratch);
-                assert!(
-                    (kernel - pushed.pushed_cost()).abs() < 1e-12,
-                    "prefix len {cut}: kernel {kernel} vs incremental {}",
-                    pushed.pushed_cost()
+                let priced = model.expected_cost_with_coverage(&refs[..cut], &[], &mut scratch);
+                assert_eq!(priced, pushed.pushed_cost(), "prefix len {cut}");
+                assert_eq!(
+                    model.items_vec(&scratch),
+                    model.items_vec(&pushed),
+                    "prefix len {cut}"
                 );
                 if cut < refs.len() {
                     model.push(refs[cut], &mut pushed);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn appended_cost_equals_concatenated_evaluation() {
-        let (t, cat) = example();
-        let model = CostModel::new(&t, &cat);
-        let mut scratch = model.make_scratch();
-        let refs: Vec<LeafRef> = t.leaf_refs().collect();
-        for cut in 0..=refs.len() {
-            let (prefix, tail) = refs.split_at(cut);
-            let chained = model.appended_cost(prefix, tail, &[], &mut scratch);
-            let whole = model.expected_cost_with_coverage(&refs, &[], &mut scratch);
-            assert_eq!(chained, whole, "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn batch_evaluation_matches_one_at_a_time() {
-        let (t, cat) = example();
-        let model = CostModel::new(&t, &cat);
-        let mut scratch = model.make_scratch();
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut refs: Vec<LeafRef> = t.leaf_refs().collect();
-        let orders: Vec<Vec<LeafRef>> = (0..8)
-            .map(|_| {
-                refs.shuffle(&mut rng);
-                let cut = rng.gen_range(1..=refs.len());
-                refs[..cut].to_vec()
-            })
-            .collect();
-        let views: Vec<&[LeafRef]> = orders.iter().map(|o| o.as_slice()).collect();
-        let coverage = vec![0.5, 0.0, 1.5];
-        let batch = model.expected_cost_batch(&views, &coverage, &mut scratch);
-        for (order, got) in orders.iter().zip(&batch) {
-            let one = model.expected_cost_with_coverage(order, &coverage, &mut scratch);
-            assert_eq!(one, *got);
         }
     }
 
@@ -1119,8 +842,6 @@ mod tests {
         for placed in 0..t.num_terms() {
             let prefix: Vec<LeafRef> = term_refs[..placed].concat();
             let frozen_cost = model.freeze_prefix(&prefix, &mut scratch);
-            let kernel = model.appended_cost(&prefix, &[], &[], &mut probe);
-            assert!((frozen_cost - kernel).abs() < 1e-12);
             for (candidate, refs) in term_refs.iter().enumerate().skip(placed) {
                 let fast = model.frozen_append_cost(refs, &mut scratch);
                 let mut slow = 0.0;
@@ -1134,10 +855,11 @@ mod tests {
                     fast, slow,
                     "prefix {placed} term {candidate}: frozen {fast} vs marginals {slow}"
                 );
-                let delta = model.appended_cost(&prefix, refs, &[], &mut probe) - kernel;
+                let grown = [prefix.as_slice(), refs].concat();
+                let delta = model.freeze_prefix(&grown, &mut probe) - frozen_cost;
                 assert!(
                     (fast - delta).abs() < 1e-12,
-                    "prefix {placed} term {candidate}: frozen {fast} vs appended {delta}"
+                    "prefix {placed} term {candidate}: frozen {fast} vs repriced {delta}"
                 );
             }
         }
@@ -1197,6 +919,9 @@ mod tests {
         }
     }
 
+    /// Past 64 terms, where an earlier evaluator switched from term
+    /// bitmasks to a scan: random windows on three streams still price
+    /// like the literal evaluator.
     #[test]
     fn more_than_64_terms_falls_back_to_the_scan_path() {
         let mut rng = StdRng::seed_from_u64(3);

@@ -7,9 +7,10 @@
 //! trees, catalogs, schedules and coverage vectors:
 //!
 //! * `CostModel::expected_cost` / `expected_cost_with_coverage` and the
-//!   per-stream item decomposition (the arena kernel);
+//!   per-stream item decomposition (a reset plus a push loop);
 //! * `CostModel::push` / `pop` totals after arbitrary push/pop
-//!   interleavings (the branch-and-bound search state).
+//!   interleavings (the branch-and-bound search state), whose pushed
+//!   state must equal a fresh push-only walk bitwise.
 
 use paotr_core::cost::dnf_eval;
 use paotr_core::cost::model::{CostModel, EvalScratch};
@@ -68,7 +69,7 @@ fn shuffled_schedule(tree: &DnfTree, seed: u64) -> DnfSchedule {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The arena kernel reproduces the literal `expected_cost` on random
+    /// The evaluator reproduces the literal `expected_cost` on random
     /// trees, catalogs and schedules.
     #[test]
     fn kernel_matches_literal_expected_cost(
@@ -87,8 +88,9 @@ proptest! {
         prop_assert_eq!(first, second, "scratch reuse changed the result");
     }
 
-    /// The kernel's coverage pricing and per-stream item decomposition
-    /// match `expected_items_with_coverage` entry by entry.
+    /// The evaluator's coverage pricing and per-stream item
+    /// decomposition match `expected_items_with_coverage` entry by
+    /// entry.
     #[test]
     fn kernel_matches_literal_under_coverage(
         tree in dnf_tree(),
@@ -113,57 +115,10 @@ proptest! {
         prop_assert!(close(dot, cost, 1e-9), "literal dot {dot} vs kernel cost {cost}");
     }
 
-    /// Batch evaluation of many candidate orders over one compiled tree
-    /// matches one-at-a-time `expected_cost` to ≤ 1e-9 relative error
-    /// (bitwise, in fact: both paths run the identical kernel), for full
-    /// schedules and for prefixes, and `appended_cost` agrees with the
-    /// materialized concatenation.
-    #[test]
-    fn batch_evaluation_matches_one_at_a_time(
-        tree in dnf_tree(),
-        cat in catalog(),
-        cov in coverage(),
-        seed in any::<u64>(),
-    ) {
-        let model = CostModel::new(&tree, &cat);
-        let mut batch_scratch = model.make_scratch();
-        let mut single_scratch = model.make_scratch();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut refs: Vec<LeafRef> = tree.leaf_refs().collect();
-        let orders: Vec<Vec<LeafRef>> = (0..6)
-            .map(|_| {
-                refs.shuffle(&mut rng);
-                let cut = rng.gen_range(1..=refs.len());
-                refs[..cut].to_vec()
-            })
-            .collect();
-        let views: Vec<&[LeafRef]> = orders.iter().map(|o| o.as_slice()).collect();
-        let batch = model.expected_cost_batch(&views, &cov, &mut batch_scratch);
-        prop_assert_eq!(batch.len(), orders.len());
-        for (order, &got) in orders.iter().zip(&batch) {
-            let one = model.expected_cost_with_coverage(order, &cov, &mut single_scratch);
-            prop_assert!(close(one, got, 1e-9), "batch {got} vs single {one}");
-            // full-schedule orders additionally pin the literal evaluator
-            if order.len() == tree.num_leaves() {
-                let schedule = DnfSchedule::new(order.clone(), &tree).unwrap();
-                let items = dnf_eval::expected_items_with_coverage(&tree, &cat, &schedule, &cov);
-                let literal: f64 = items
-                    .iter()
-                    .enumerate()
-                    .map(|(k, i)| i * cat.cost(StreamId(k)))
-                    .sum();
-                prop_assert!(close(literal, got, 1e-9), "literal {literal} vs batch {got}");
-            }
-            // schedule-delta: prefix ⧺ tail equals the whole order
-            let cut = order.len() / 2;
-            let chained = model.appended_cost(&order[..cut], &order[cut..], &cov, &mut single_scratch);
-            prop_assert_eq!(chained, got, "appended_cost disagrees with the whole order");
-        }
-    }
-
     /// Push/pop interleavings leave the incremental state in exactly
-    /// the state a fresh push-only walk produces, and its total matches
-    /// the literal evaluator.
+    /// the state a fresh push-only walk produces — after every pop, its
+    /// total and per-stream items equal a fresh walk of the remaining
+    /// prefix bitwise — and its total matches the literal evaluator.
     #[test]
     fn incremental_push_pop_matches_literal(
         tree in dnf_tree(),
@@ -175,16 +130,26 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let model = CostModel::new(&tree, &cat);
         let mut eval = EvalScratch::new();
+        let mut fresh = EvalScratch::new();
         model.freeze_prefix(&[], &mut eval);
-        for &r in schedule.order() {
+        for (at, &r) in schedule.order().iter().enumerate() {
             model.push(r, &mut eval);
             // Random detours: back out up to the whole prefix, then
             // replay it; the state must be restored bitwise.
             if rng.gen_bool(0.4) {
                 let depth = rng.gen_range(1..=eval.pushed_len());
                 let mut undone = Vec::with_capacity(depth);
-                for _ in 0..depth {
+                for back in 1..=depth {
                     undone.push(model.pop(&mut eval));
+                    let kept = &schedule.order()[..at + 1 - back];
+                    let walked = model.freeze_prefix(kept, &mut fresh);
+                    prop_assert_eq!(eval.pushed_cost().to_bits(), walked.to_bits());
+                    prop_assert_eq!(
+                        model.items_vec(&eval).iter().map(|i| i.to_bits()).collect::<Vec<_>>(),
+                        model.items_vec(&fresh).iter().map(|i| i.to_bits()).collect::<Vec<_>>(),
+                        "items after popping back to {} leaves",
+                        kept.len()
+                    );
                 }
                 for &u in undone.iter().rev() {
                     model.push(u, &mut eval);
@@ -196,10 +161,10 @@ proptest! {
             "literal {literal} vs incremental {}",
             eval.pushed_cost()
         );
-        // and the kernel agrees with the incremental state too
+        // and pricing the schedule afresh reproduces the walked state
         let mut scratch = EvalScratch::new();
-        let kernel = model.expected_cost(&schedule, &mut scratch);
-        prop_assert!(close(kernel, eval.pushed_cost(), 1e-9));
+        let priced = model.expected_cost(&schedule, &mut scratch);
+        prop_assert_eq!(priced.to_bits(), eval.pushed_cost().to_bits());
     }
 }
 

@@ -6,7 +6,8 @@
 //! number per stream. The model tracks the **expected** prefix length
 //! (`coverage`) as queries execute in order, and prices each query with
 //! [`CostModel::expected_cost_with_coverage`]: items already covered by
-//! an earlier query's pull are free. This is the expected-state
+//! an earlier query's pull are free, and the per-stream items of that
+//! pricing advance the coverage. This is the expected-state
 //! approximation of the true (stochastic) shared execution; the
 //! `streamsim` path in [`crate::sim`] validates it against measured
 //! energy.

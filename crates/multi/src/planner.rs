@@ -25,8 +25,10 @@
 //! fast enough for 128-query workloads:
 //!
 //! * every candidate is priced through a compiled, allocation-free
-//!   [`CostModel`] kernel (per-call work scales with the query's own
-//!   streams, not the catalog);
+//!   [`CostModel`] (per-call work scales with the query's own streams,
+//!   not the catalog): coverage sets where its push state starts and
+//!   the candidate's schedule is pushed onto it — the same arithmetic
+//!   that stamps every per-query plan's cost;
 //! * wide rounds fan candidate evaluation out over `paotr_par`'s scoped
 //!   threads ([`SharedGreedyPlanner::threads`]) with one evaluation
 //!   scratch per participating thread per round — no per-candidate
