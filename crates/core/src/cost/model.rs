@@ -237,8 +237,7 @@ impl CostModel {
         coverage: &[f64],
         scratch: &mut EvalScratch,
     ) -> f64 {
-        #[cfg(debug_assertions)]
-        {
+        if cfg!(debug_assertions) {
             // A repeated leaf would double-count `seen` and silently
             // mis-classify its term as completed — catch it loudly.
             let mut used = vec![false; self.num_leaves];
@@ -335,9 +334,12 @@ impl CostModel {
         let reach = scratch.running[r.term];
         // The leaf joins every bucket above its term's coverage.
         let base = k * self.max_d;
-        for b in base + cov as usize..base + cov.max(d) as usize {
-            scratch.undo_log.push(scratch.bucket_f1[b]);
-            scratch.bucket_f1[b] *= 1.0 - reach;
+        let joined = base + cov as usize..base + cov.max(d) as usize;
+        scratch
+            .undo_log
+            .extend_from_slice(&scratch.bucket_f1[joined.clone()]);
+        for f1 in &mut scratch.bucket_f1[joined] {
+            *f1 *= 1.0 - reach;
         }
         scratch.covered[ck] = cov.max(d);
         scratch.running[r.term] = reach * self.leaf_prob[flat];
@@ -352,14 +354,14 @@ impl CostModel {
             // every bucket it has no member in.
             let fail = 1.0 - scratch.running[r.term];
             let row = r.term * self.n_local;
+            let max_d = self.max_d;
+            scratch
+                .undo_log
+                .extend_from_slice(&scratch.bucket_f2[..self.n_local * max_d]);
             for k in 0..self.n_local {
                 let cov = scratch.covered[row + k] as usize;
-                for t in 0..self.max_d {
-                    let b = k * self.max_d + t;
-                    scratch.undo_log.push(scratch.bucket_f2[b]);
-                    if t >= cov {
-                        scratch.bucket_f2[b] *= fail;
-                    }
+                for f2 in &mut scratch.bucket_f2[k * max_d + cov..(k + 1) * max_d] {
+                    *f2 *= fail;
                 }
             }
         }
@@ -919,9 +921,8 @@ mod tests {
         }
     }
 
-    /// Past 64 terms, where an earlier evaluator switched from term
-    /// bitmasks to a scan: random windows on three streams still price
-    /// like the literal evaluator.
+    /// More terms than a `u64` term mask holds, with random windows on
+    /// three streams, still price like the literal evaluator.
     #[test]
     fn more_than_64_terms_falls_back_to_the_scan_path() {
         let mut rng = StdRng::seed_from_u64(3);
