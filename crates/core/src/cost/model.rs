@@ -278,17 +278,13 @@ impl CostModel {
         scratch.seen[..self.n_terms].fill(0);
         scratch.covered[..self.n_terms * self.n_local].fill(0);
         scratch.items[..self.n_local].fill(0.0);
-        if coverage.is_empty() {
-            scratch.bucket_f1[..n_buckets].fill(1.0);
-        } else {
-            for (k, &g) in self.global_of_local.iter().enumerate() {
-                let cov = coverage[g as usize];
-                for (t, f1) in scratch.bucket_f1[k * max_d..(k + 1) * max_d]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    *f1 = (f64::from(t as u32 + 1) - cov).clamp(0.0, 1.0);
-                }
+        for (k, &g) in self.global_of_local.iter().enumerate() {
+            let cov = coverage.get(g as usize).copied().unwrap_or(0.0);
+            for (t, f1) in scratch.bucket_f1[k * max_d..(k + 1) * max_d]
+                .iter_mut()
+                .enumerate()
+            {
+                *f1 = (f64::from(t as u32 + 1) - cov).clamp(0.0, 1.0);
             }
         }
         scratch.bucket_f2[..n_buckets].fill(1.0);
