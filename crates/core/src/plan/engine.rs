@@ -75,31 +75,6 @@ impl CacheStats {
     }
 }
 
-/// Per-query plans for a weighted multi-query workload, as produced by
-/// [`Engine::plan_workload`]: the *independent* baseline (each query
-/// planned in isolation) that joint workload planners are measured
-/// against.
-#[derive(Debug, Clone)]
-pub struct WorkloadPlans {
-    /// One plan per query, in workload order.
-    pub plans: Vec<Plan>,
-    /// One weight per query (filled with `1.0` when the caller passed
-    /// an empty slice).
-    pub weights: Vec<f64>,
-}
-
-impl WorkloadPlans {
-    /// Weighted sum of the per-query expected costs; `None` when any
-    /// query's planner could not evaluate its cost exactly.
-    pub fn total_expected_cost(&self) -> Option<f64> {
-        self.plans
-            .iter()
-            .zip(&self.weights)
-            .map(|(p, w)| p.expected_cost.map(|c| c * w))
-            .sum()
-    }
-}
-
 type CacheKey = (u64, u64, String);
 
 /// A small LRU map: `HashMap` plus a monotone recency stamp per entry.
@@ -238,78 +213,14 @@ impl Engine {
     }
 
     /// Plans many queries against one catalog (the shared-stream serving
-    /// shape: hundreds of queries over the same sensor fleet). The
-    /// catalog is fingerprinted once; each query still gets its
-    /// class-appropriate default planner, and the cache carries repeated
-    /// queries across the batch.
+    /// shape: hundreds of queries over the same sensor fleet), fanned out
+    /// over `threads` with [`paotr_par::par_map`]. The catalog is
+    /// fingerprinted once; each query gets its class-appropriate default
+    /// planner, and the cache carries repeated queries across the batch.
+    /// One thread plans inline on the caller in query order; since plans
+    /// are deterministic per `(query, catalog, planner)` key, every thread
+    /// count returns the same plans and fills the same cache entries.
     pub fn plan_batch(
-        &self,
-        queries: &[QueryRef<'_>],
-        catalog: &StreamCatalog,
-    ) -> Result<Vec<Plan>> {
-        let catalog_fp = catalog_fingerprint(catalog);
-        queries
-            .iter()
-            .map(|query| {
-                let name = self.registry.default_for(query)?.name().to_string();
-                self.plan_cached(&name, query, catalog, catalog_fp)
-            })
-            .collect()
-    }
-
-    /// Plans a whole workload — the multi-query serving unit: many
-    /// concurrent queries over one shared catalog, each with a weight
-    /// (arrival rate / importance). Every query gets its
-    /// class-appropriate default planner (like [`Engine::plan_batch`]);
-    /// the result additionally carries the weights and the weighted
-    /// aggregate expected cost, which is the baseline the joint
-    /// workload planners in `paotr_multi` improve on by exploiting
-    /// cross-query stream sharing.
-    ///
-    /// `weights` must be empty (all queries weigh 1) or match
-    /// `queries.len()`, with every weight finite and `> 0`.
-    pub fn plan_workload(
-        &self,
-        queries: &[QueryRef<'_>],
-        weights: &[f64],
-        catalog: &StreamCatalog,
-    ) -> Result<WorkloadPlans> {
-        let weights = Self::validated_weights(queries, weights)?;
-        let plans = self.plan_batch(queries, catalog)?;
-        Ok(WorkloadPlans { plans, weights })
-    }
-
-    fn validated_weights(queries: &[QueryRef<'_>], weights: &[f64]) -> Result<Vec<f64>> {
-        if queries.is_empty() {
-            return Err(crate::error::Error::InvalidWorkload(
-                "a workload needs at least one query".into(),
-            ));
-        }
-        let weights: Vec<f64> = if weights.is_empty() {
-            vec![1.0; queries.len()]
-        } else if weights.len() == queries.len() {
-            weights.to_vec()
-        } else {
-            return Err(crate::error::Error::InvalidWorkload(format!(
-                "{} weights for {} queries",
-                weights.len(),
-                queries.len()
-            )));
-        };
-        if let Some(w) = weights.iter().find(|w| !w.is_finite() || **w <= 0.0) {
-            return Err(crate::error::Error::InvalidWorkload(format!(
-                "weight {w} is not a finite value > 0"
-            )));
-        }
-        Ok(weights)
-    }
-
-    /// [`Engine::plan_batch`] with the per-query planning fanned out over
-    /// the `paotr_par` worker pool. Results (and the cache they populate)
-    /// are identical to the sequential path — planning is deterministic
-    /// per `(query, catalog, planner)` key — so this is purely a
-    /// wall-clock option for wide batches.
-    pub fn plan_batch_parallel(
         &self,
         queries: &[QueryRef<'_>],
         catalog: &StreamCatalog,
@@ -322,35 +233,6 @@ impl Engine {
         })
         .into_iter()
         .collect()
-    }
-
-    /// [`Engine::plan_workload`] with parallel per-query planning (see
-    /// [`Engine::plan_batch_parallel`]).
-    pub fn plan_workload_parallel(
-        &self,
-        queries: &[QueryRef<'_>],
-        weights: &[f64],
-        catalog: &StreamCatalog,
-        threads: paotr_par::ThreadCount,
-    ) -> Result<WorkloadPlans> {
-        let weights = Self::validated_weights(queries, weights)?;
-        let plans = self.plan_batch_parallel(queries, catalog, threads)?;
-        Ok(WorkloadPlans { plans, weights })
-    }
-
-    /// [`Engine::plan_batch`] with one explicit planner for every query.
-    pub fn plan_batch_with(
-        &self,
-        planner: &str,
-        queries: &[QueryRef<'_>],
-        catalog: &StreamCatalog,
-    ) -> Result<Vec<Plan>> {
-        self.registry.get_required(planner)?;
-        let catalog_fp = catalog_fingerprint(catalog);
-        queries
-            .iter()
-            .map(|query| self.plan_cached(planner, query, catalog, catalog_fp))
-            .collect()
     }
 
     /// Current cache counters.
@@ -504,7 +386,9 @@ mod tests {
         let trees: Vec<DnfTree> = (0..6).map(|i| shared_dnf(i % 2)).collect();
         let queries: Vec<QueryRef<'_>> = trees.iter().map(QueryRef::from).collect();
         let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
-        let plans = engine.plan_batch(&queries, &cat).unwrap();
+        let plans = engine
+            .plan_batch(&queries, &cat, paotr_par::ThreadCount::Fixed(1))
+            .unwrap();
         assert_eq!(plans.len(), 6);
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 2, "two distinct trees");
@@ -555,41 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_workload_defaults_weights_and_sums_costs() {
-        let engine = Engine::new();
-        let trees: Vec<DnfTree> = (0..3).map(shared_dnf).collect();
-        let queries: Vec<QueryRef<'_>> = trees.iter().map(QueryRef::from).collect();
-        let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
-        let wp = engine.plan_workload(&queries, &[], &cat).unwrap();
-        assert_eq!(wp.plans.len(), 3);
-        assert_eq!(wp.weights, vec![1.0; 3]);
-        let sum: f64 = wp.plans.iter().map(|p| p.expected_cost.unwrap()).sum();
-        assert!((wp.total_expected_cost().unwrap() - sum).abs() < 1e-12);
-
-        let weighted = engine
-            .plan_workload(&queries, &[2.0, 1.0, 0.5], &cat)
-            .unwrap();
-        assert!(weighted.total_expected_cost().unwrap() < 2.0 * sum);
-        assert_eq!(weighted.plans.len(), 3);
-    }
-
-    #[test]
-    fn plan_workload_rejects_malformed_inputs() {
-        let engine = Engine::new();
-        let tree = shared_dnf(0);
-        let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
-        let queries = [QueryRef::from(&tree)];
-        let bad = crate::error::Error::InvalidWorkload;
-        assert!(matches!(
-            engine.plan_workload(&[], &[], &cat),
-            Err(ref e) if std::mem::discriminant(e) == std::mem::discriminant(&bad("".into()))
-        ));
-        assert!(engine.plan_workload(&queries, &[1.0, 2.0], &cat).is_err());
-        assert!(engine.plan_workload(&queries, &[0.0], &cat).is_err());
-        assert!(engine.plan_workload(&queries, &[f64::NAN], &cat).is_err());
-    }
-
-    #[test]
     fn cache_stats_attribute_planned_vs_served_time() {
         let engine = Engine::new();
         let tree = shared_dnf(0);
@@ -620,23 +469,16 @@ mod tests {
         let trees: Vec<DnfTree> = (0..12).map(|i| shared_dnf(i % 4)).collect();
         let queries: Vec<QueryRef<'_>> = trees.iter().map(QueryRef::from).collect();
         let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
-        let sequential = Engine::new().plan_batch(&queries, &cat).unwrap();
+        let one = paotr_par::ThreadCount::Fixed(1);
+        let sequential = Engine::new().plan_batch(&queries, &cat, one).unwrap();
         let engine = Engine::new();
         let parallel = engine
-            .plan_batch_parallel(&queries, &cat, paotr_par::ThreadCount::Fixed(4))
+            .plan_batch(&queries, &cat, paotr_par::ThreadCount::Fixed(4))
             .unwrap();
         assert_eq!(sequential, parallel);
         // the parallel path populates the same cache
         assert_eq!(engine.cache_stats().entries, 3, "seeds 0 and 3 collide");
-
-        let wp = engine
-            .plan_workload_parallel(&queries, &[], &cat, paotr_par::ThreadCount::Fixed(4))
-            .unwrap();
-        assert_eq!(wp.plans, sequential);
-        assert_eq!(wp.weights, vec![1.0; 12]);
-        assert!(engine
-            .plan_workload_parallel(&[], &[], &cat, paotr_par::ThreadCount::Fixed(2))
-            .is_err());
+        assert!(engine.plan_batch(&[], &cat, one).unwrap().is_empty());
     }
 
     #[test]

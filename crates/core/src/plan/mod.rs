@@ -19,7 +19,9 @@
 //!   admits one, and the paper's figure-legend heuristic set as a view;
 //! * [`Engine`] — the serving facade: an LRU plan cache keyed by
 //!   (query fingerprint, catalog fingerprint, planner name) plus
-//!   [`Engine::plan_batch`] for many queries against one catalog.
+//!   [`Engine::plan_batch`]`(queries, catalog, threads)`, which plans
+//!   many queries against one catalog over `threads` workers (one
+//!   thread plans inline, in order, to the same plans).
 //!
 //! ## Quick start
 //!
@@ -48,7 +50,7 @@ pub mod planners;
 pub mod registry;
 pub mod verify;
 
-pub use engine::{CacheStats, Engine, EngineConfig, WorkloadPlans};
+pub use engine::{CacheStats, Engine, EngineConfig};
 pub use fingerprint::catalog_fingerprint;
 pub use registry::PlannerRegistry;
 pub use verify::{verify_plan, PlanViolation};

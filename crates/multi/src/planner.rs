@@ -222,24 +222,15 @@ struct Baseline {
     costs: Vec<f64>,
 }
 
-fn baseline(
-    workload: &Workload,
-    engine: &Engine,
-    threads: Option<ThreadCount>,
-) -> Result<Baseline> {
+fn baseline(workload: &Workload, engine: &Engine, threads: ThreadCount) -> Result<Baseline> {
     // One batched call through the core facade: the catalog is
-    // fingerprinted once and the weights validated there.
+    // fingerprinted once. `Workload::new` has already validated the weights.
     let queries: Vec<paotr_core::plan::QueryRef<'_>> = workload
         .queries()
         .iter()
         .map(|q| paotr_core::plan::QueryRef::from(&q.tree))
         .collect();
-    let weights = workload.weights();
-    let plans = match threads {
-        Some(t) => engine.plan_workload_parallel(&queries, &weights, workload.catalog(), t)?,
-        None => engine.plan_workload(&queries, &weights, workload.catalog())?,
-    }
-    .plans;
+    let plans = engine.plan_batch(&queries, workload.catalog(), threads)?;
     let schedules: Vec<Arc<DnfSchedule>> = plans
         .iter()
         .zip(workload.queries())
@@ -269,7 +260,7 @@ impl WorkloadPlanner for IndependentPlanner {
 
     fn plan(&self, workload: &Workload, engine: &Engine) -> Result<JointPlan> {
         let started = Instant::now();
-        let base = baseline(workload, engine, None)?;
+        let base = baseline(workload, engine, ThreadCount::Fixed(1))?;
         Ok(JointPlan {
             planner: self.name().to_string(),
             order: (0..workload.len()).collect(),
@@ -457,7 +448,7 @@ impl WorkloadPlanner for SharedGreedyPlanner {
     fn plan(&self, workload: &Workload, engine: &Engine) -> Result<JointPlan> {
         let started = Instant::now();
         let workers = self.threads.resolve();
-        let base = baseline(workload, engine, (workers > 1).then_some(self.threads))?;
+        let base = baseline(workload, engine, self.threads)?;
         let catalog = workload.catalog();
         let weights = workload.weights();
         let catalog_fp = paotr_core::plan::catalog_fingerprint(catalog);
@@ -614,7 +605,7 @@ impl WorkloadPlanner for BatchAwarePlanner {
 
     fn plan(&self, workload: &Workload, engine: &Engine) -> Result<JointPlan> {
         let started = Instant::now();
-        let base = baseline(workload, engine, None)?;
+        let base = baseline(workload, engine, ThreadCount::Fixed(1))?;
         let catalog = workload.catalog();
         let weights = workload.weights();
         let mut scratch = EvalScratch::new();

@@ -319,6 +319,9 @@ mod tests {
             weight: w,
         };
         assert!(Workload::new(vec![mk(0.0, "a")], cat.clone()).is_err());
+        assert!(Workload::new(vec![mk(f64::NAN, "a")], cat.clone()).is_err());
+        let bare = Workload::from_trees(vec![t.clone(), t.clone()], cat.clone()).unwrap();
+        assert_eq!(bare.weights(), vec![1.0; 2], "bare trees weigh 1");
         assert!(Workload::new(vec![mk(1.0, "a"), mk(1.0, "a")], cat.clone()).is_err());
         let ok = Workload::new(vec![mk(1.0, "a"), mk(2.0, "b")], cat).unwrap();
         assert_eq!(ok.len(), 2);

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// How many threads a parallel operation should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadCount {
-    /// `PAOTR_THREADS` if set and parseable, else the available parallelism.
+    /// The available parallelism (1 when it cannot be queried).
     #[default]
     Auto,
     /// Exactly this many threads (clamped to at least 1).
@@ -20,11 +20,7 @@ impl ThreadCount {
     pub fn resolve(self) -> usize {
         match self {
             ThreadCount::Fixed(n) => n.max(1),
-            ThreadCount::Auto => std::env::var("PAOTR_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .or_else(|| std::thread::available_parallelism().ok().map(Into::into))
-                .map_or(1, |n| n.max(1)),
+            ThreadCount::Auto => std::thread::available_parallelism().map_or(1, Into::into),
         }
     }
 }

@@ -35,7 +35,7 @@ use paotr_gen::seeds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read as IoRead, Write};
+use std::io::{BufRead, Read as IoRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -804,38 +804,14 @@ impl Daemon {
         Ok(false)
     }
 
-    /// Serves connections from `listener` one at a time until a client
-    /// sends `shutdown`. Session state persists across connections.
-    pub fn serve_tcp(&mut self, listener: &std::net::TcpListener) -> std::io::Result<()> {
-        for conn in listener.incoming() {
-            let stream = conn?;
-            let reader = BufReader::new(stream.try_clone()?);
-            let mut writer = stream;
-            if self.serve(reader, &mut writer)? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
     /// Serves concurrent connections from `listener`, one thread per
     /// client over the shared daemon, until any client sends
     /// `shutdown`. Commands from all clients interleave line-by-line
     /// against one state: registrations, ticks and arrangements are
     /// shared. The daemon lock is held only while handling a line, so a
-    /// slow or idle client never blocks the others. Uses
-    /// [`TcpOptions::default`]; [`Daemon::serve_tcp_shared_with`]
-    /// exposes the timeout knobs.
-    pub fn serve_tcp_shared(
-        daemon: Arc<Mutex<Daemon>>,
-        listener: &std::net::TcpListener,
-    ) -> std::io::Result<()> {
-        Daemon::serve_tcp_shared_with(daemon, listener, TcpOptions::default())
-    }
-
-    /// [`Daemon::serve_tcp_shared`] with explicit connection options.
+    /// slow or idle client never blocks the others.
     ///
-    /// Hardening over the plain accept loop:
+    /// Hardening:
     /// * every connection reads with [`TcpOptions::read_timeout`], so a
     ///   silent client never wedges its worker — on each timeout the
     ///   worker re-checks the shared stop flag and exits promptly after
@@ -974,6 +950,7 @@ fn handle_connection_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
 
     const Q1: &str = "AVG(A,8) < 0.5 AND MAX(B,4) > 0.0";
     const Q2: &str = "(B < 0.2 AND C < 0.3) OR AVG(C,6) > 0.1";
@@ -1163,9 +1140,11 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let mut d = daemon(None);
-            d.serve_tcp(&listener).unwrap();
-            d.telemetry().ticks
+            let d = Arc::new(Mutex::new(daemon(None)));
+            Daemon::serve_tcp_shared_with(Arc::clone(&d), &listener, TcpOptions::default())
+                .unwrap();
+            let ticks = d.lock().unwrap().telemetry().ticks;
+            ticks
         });
         let stream = std::net::TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -1212,7 +1191,9 @@ mod tests {
         let daemon = Arc::new(Mutex::new(arranged_daemon(None)));
         let server = {
             let daemon = Arc::clone(&daemon);
-            std::thread::spawn(move || Daemon::serve_tcp_shared(daemon, &listener).unwrap())
+            std::thread::spawn(move || {
+                Daemon::serve_tcp_shared_with(daemon, &listener, TcpOptions::default()).unwrap()
+            })
         };
 
         // Both connections are open at once; their commands interleave

@@ -56,10 +56,9 @@ fn main() {
         "heuristic", "E[cost] total", "battery evals"
     );
     // The serving shape: one engine, many queries, one catalog. Each
-    // heuristic plans the whole fleet in a batch (plans are cached, so a
-    // production loop re-planning every wave hits the cache).
+    // heuristic plans the whole fleet (plans are cached, so a production
+    // loop re-planning every wave hits the cache).
     let engine = Engine::new();
-    let query_refs: Vec<QueryRef<'_>> = queries.iter().map(QueryRef::from).collect();
     let names: Vec<String> = engine
         .registry()
         .paper_set()
@@ -67,10 +66,12 @@ fn main() {
         .map(|p| p.name().to_string())
         .collect();
     for name in &names {
-        let plans = engine
-            .plan_batch_with(name, &query_refs, &catalog)
-            .expect("every heuristic plans every DNF rule");
-        let total: f64 = plans.iter().map(Plan::cost_or_nan).sum();
+        let total: f64 = queries
+            .iter()
+            .map(|q| engine.plan_with(name, q, &catalog))
+            .map(|plan| plan.expect("every heuristic plans every DNF rule"))
+            .map(|plan| plan.cost_or_nan())
+            .sum();
         // How many rounds of evaluating all 40 rules fit in the battery?
         let rounds = BATTERY / total;
         println!("{:<28} {:>14.2} {:>18.0}", name, total, rounds);
