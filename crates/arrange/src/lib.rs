@@ -312,7 +312,7 @@ impl ArrangementStore {
     /// must cover: the widest need among the stream's arrangements
     /// *with readers* (zero-reader arrangements in grace go stale for
     /// free and catch up if re-acquired).
-    pub fn maintenance_need(&self, k: StreamId, now: u64) -> u32 {
+    pub(crate) fn maintenance_need(&self, k: StreamId, now: u64) -> u32 {
         self.stream_range(k)
             .filter(|a| a.readers > 0)
             .map(|a| a.need(now))

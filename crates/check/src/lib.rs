@@ -19,7 +19,7 @@
 #![deny(missing_docs)]
 
 pub mod plan;
-pub mod qlint;
+pub(crate) mod qlint;
 pub mod report;
 pub mod snapshot;
 pub mod srclint;
@@ -27,7 +27,5 @@ pub mod srclint;
 pub use plan::{verify_energy, verify_joint, verify_plan, JointViolation};
 pub use qlint::{lint_query, LintRule, QueryLint};
 pub use report::{CheckError, CheckReport};
-pub use snapshot::{
-    check_snapshot, check_snapshot_file, check_snapshot_str, Rule, SnapshotViolation,
-};
-pub use srclint::{lint_source, lint_tree, LintHit};
+pub use snapshot::{check_snapshot_file, check_snapshot_str, Rule, SnapshotViolation};
+pub use srclint::{lint_tree, LintHit};

@@ -118,7 +118,7 @@ impl CheckReport {
 
     /// The findings as a [`paotr_stats`] table (layer / rule /
     /// location / detail), ready for CSV or Markdown serialization.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut t = Table::new(["layer", "rule", "location", "detail"]);
         for e in &self.errors {
             t.push_row([

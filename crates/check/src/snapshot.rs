@@ -11,7 +11,7 @@ pub use paotr_serverd::snapshot::{Rule, SnapshotViolation};
 use paotr_serverd::Snapshot;
 
 /// Validates a parsed snapshot document.
-pub fn check_snapshot(snap: &Snapshot) -> CheckReport {
+pub(crate) fn check_snapshot(snap: &Snapshot) -> CheckReport {
     let mut report = CheckReport::new(format!("snapshot[v{}]", snap.version));
     report.checks_run = Rule::ALL.len();
     for v in snap.validate() {

@@ -24,9 +24,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Rule identifiers, as written inside `lint:allow(..)`.
-pub const RULES: [&str; 3] = ["float-cmp", "bare-unwrap", "unsafe-block"];
-
 /// Crates whose `src/` is binary-facing: `bare-unwrap` does not apply
 /// (a CLI that unwraps prints a panic to its own user; the daemon and
 /// library paths must not).
@@ -102,7 +99,7 @@ fn is_comment(line: &str) -> bool {
 /// Scans one file's text. `path` is the workspace-relative label used
 /// in findings and for the per-file rule exemptions; pass the real
 /// relative path when linting a tree, or any label in tests.
-pub fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
+pub(crate) fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
     let norm = path.replace('\\', "/");
     if norm.ends_with(SELF) {
         return Vec::new();

@@ -24,7 +24,7 @@ use crate::stream::StreamCatalog;
 use crate::tree::{AndTree, DnfTree};
 
 /// Upper bound on AND-tree exhaustive search size (12! permutations).
-pub const MAX_AND_EXHAUSTIVE: usize = 12;
+pub(crate) const MAX_AND_EXHAUSTIVE: usize = 12;
 
 /// Optimal AND-tree schedule by enumerating all `m!` permutations with
 /// cost-based pruning. Returns the schedule and its expected cost.

@@ -124,7 +124,7 @@ pub fn expected_cost(tree: &QueryTree, catalog: &StreamCatalog, order: &[usize])
 }
 
 /// Leaf-count cap for [`optimal`].
-pub const MAX_GENERAL_EXHAUSTIVE: usize = 8;
+pub(crate) const MAX_GENERAL_EXHAUSTIVE: usize = 8;
 
 /// Optimal schedule of a tiny general tree by enumerating all `L!` leaf
 /// orders, each evaluated exactly. Test oracle only: `O(L! * 2^L * L)`.

@@ -14,7 +14,7 @@ use rand::prelude::*;
 
 /// Sort key selection for the leaf-ordered family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafKey {
+pub(crate) enum LeafKey {
     /// Decreasing failure probability `q` (maximize short-circuit chance).
     DecreasingQ,
     /// Increasing stand-alone cost `C = d * c(S)`.
@@ -36,7 +36,7 @@ pub fn schedule(tree: &DnfTree, catalog: &StreamCatalog, key: LeafKey) -> DnfSch
 }
 
 /// Random leaf order — the paper's baseline heuristic.
-pub fn schedule_random<R: Rng + ?Sized>(tree: &DnfTree, rng: &mut R) -> DnfSchedule {
+pub(crate) fn schedule_random<R: Rng + ?Sized>(tree: &DnfTree, rng: &mut R) -> DnfSchedule {
     let mut refs: Vec<LeafRef> = tree.leaf_refs().collect();
     refs.shuffle(rng);
     DnfSchedule::from_order_unchecked(refs)

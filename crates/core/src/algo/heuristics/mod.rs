@@ -6,7 +6,7 @@
 //! so the experiment harness can iterate "one curve per heuristic".
 
 pub mod and_ordered;
-pub mod leaf_ordered;
+pub(crate) mod leaf_ordered;
 pub mod stream_ordered;
 
 use crate::cost::{CostModel, EvalScratch};
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub use and_ordered::{AndKey, CostMode};
-pub use leaf_ordered::LeafKey;
+use leaf_ordered::LeafKey;
 pub use stream_ordered::{Config as StreamConfig, LeafOrder, StreamOrder};
 
 /// One of the paper's polynomial-time DNF scheduling heuristics.
@@ -98,7 +98,7 @@ impl Heuristic {
     }
 
     /// Seed that [`FromStr`] gives `leaf-random`.
-    pub const DEFAULT_RANDOM_SEED: u64 = 42;
+    pub(crate) const DEFAULT_RANDOM_SEED: u64 = 42;
 
     /// Returns `self` with the RNG seed replaced, for the variants that
     /// have one (currently only `leaf-random`); other heuristics are

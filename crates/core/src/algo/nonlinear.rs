@@ -66,33 +66,6 @@ impl Strategy {
             } => 1 + on_true.depth().max(on_false.depth()),
         }
     }
-
-    /// Embeds a linear schedule as a (degenerate) strategy: both branches
-    /// continue with the rest of the order, except that after a FALSE the
-    /// failed AND node's remaining leaves are dropped (they would be
-    /// short-circuited). The resulting strategy has the same expected cost
-    /// as the schedule — the formal sense in which "strategies generalize
-    /// schedules" (`expected_cost(from_schedule(s)) == dnf_eval(s)`).
-    pub fn from_schedule(tree: &DnfTree, schedule: &crate::schedule::DnfSchedule) -> Strategy {
-        fn chain(order: &[LeafRef]) -> Strategy {
-            match order.split_first() {
-                None => Strategy::Done,
-                Some((&r, rest)) => Strategy::Probe {
-                    leaf: r,
-                    on_true: Box::new(chain(rest)),
-                    on_false: Box::new(chain(
-                        &rest
-                            .iter()
-                            .copied()
-                            .filter(|x| x.term != r.term)
-                            .collect::<Vec<_>>(),
-                    )),
-                },
-            }
-        }
-        let _ = tree; // shape is implied by the leaf addresses
-        chain(schedule.order())
-    }
 }
 
 /// Status of one AND node in an information state.
@@ -192,7 +165,7 @@ pub fn expected_cost(tree: &DnfTree, catalog: &StreamCatalog, strategy: &Strateg
 }
 
 /// Upper bound on leaves for the optimal-strategy DP.
-pub const MAX_STRATEGY_LEAVES: usize = 16;
+pub(crate) const MAX_STRATEGY_LEAVES: usize = 16;
 
 /// Computes an optimal **non-linear** strategy by memoized dynamic
 /// programming over information states, returning the strategy and its
@@ -201,7 +174,7 @@ pub const MAX_STRATEGY_LEAVES: usize = 16;
 /// # Panics
 /// Panics if the tree has more than [`MAX_STRATEGY_LEAVES`] leaves or an
 /// AND node with more than 32 leaves.
-pub fn optimal_strategy(tree: &DnfTree, catalog: &StreamCatalog) -> (Strategy, f64) {
+pub(crate) fn optimal_strategy(tree: &DnfTree, catalog: &StreamCatalog) -> (Strategy, f64) {
     assert!(
         tree.num_leaves() <= MAX_STRATEGY_LEAVES,
         "optimal non-linear strategy search over {} leaves is intractable",
@@ -335,6 +308,26 @@ mod tests {
     use crate::stream::StreamId;
     use rand::prelude::*;
 
+    /// Embeds a linear schedule as a (degenerate) strategy: both branches
+    /// continue with the rest of the order, except that after a FALSE the
+    /// failed AND node's remaining leaves are dropped (they would be
+    /// short-circuited) — the sense in which strategies generalize
+    /// schedules.
+    fn linear_strategy(order: &[LeafRef]) -> Strategy {
+        match order.split_first() {
+            None => Strategy::Done,
+            Some((&r, rest)) => {
+                let after_false: Vec<LeafRef> =
+                    rest.iter().copied().filter(|x| x.term != r.term).collect();
+                Strategy::Probe {
+                    leaf: r,
+                    on_true: Box::new(linear_strategy(rest)),
+                    on_false: Box::new(linear_strategy(&after_false)),
+                }
+            }
+        }
+    }
+
     fn leaf(s: usize, d: u32, p: f64) -> Leaf {
         Leaf::new(StreamId(s), d, Prob::new(p).unwrap()).unwrap()
     }
@@ -392,7 +385,7 @@ mod tests {
             let mut order: Vec<LeafRef> = t.leaf_refs().collect();
             order.shuffle(&mut rng);
             let sched = crate::schedule::DnfSchedule::new(order, &t).unwrap();
-            let strat = Strategy::from_schedule(&t, &sched);
+            let strat = linear_strategy(sched.order());
             let a = expected_cost(&t, &cat, &strat);
             let b = crate::cost::dnf_eval::expected_cost(&t, &cat, &sched);
             assert!((a - b).abs() < 1e-9, "strategy {a} vs schedule {b}");

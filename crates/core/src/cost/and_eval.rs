@@ -50,25 +50,6 @@ pub fn expected_cost_and_prob(
     (cost, prob)
 }
 
-/// Expected cost in the *read-once* model (every leaf pays its full
-/// stand-alone cost), i.e. the objective Smith's greedy optimizes. For
-/// read-once trees this coincides with [`expected_cost`]; for shared trees
-/// it over-counts — exposed for experiments contrasting the two models.
-pub fn read_once_expected_cost(
-    tree: &AndTree,
-    catalog: &StreamCatalog,
-    schedule: &AndSchedule,
-) -> f64 {
-    let mut reach = 1.0;
-    let mut cost = 0.0;
-    for &j in schedule.order() {
-        let leaf = tree.leaf(j);
-        cost += reach * leaf.standalone_cost(catalog);
-        reach *= leaf.prob.value();
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,6 +57,18 @@ mod tests {
     use crate::leaf::Leaf;
     use crate::prob::Prob;
     use crate::stream::StreamId;
+
+    /// The read-once model (every leaf pays its full stand-alone cost),
+    /// the objective Smith's greedy optimizes.
+    fn read_once_expected_cost(tree: &AndTree, catalog: &StreamCatalog, s: &AndSchedule) -> f64 {
+        let mut reach = 1.0;
+        let mut cost = 0.0;
+        for &j in s.order() {
+            cost += reach * tree.leaf(j).standalone_cost(catalog);
+            reach *= tree.leaf(j).prob.value();
+        }
+        cost
+    }
 
     fn leaf(s: usize, d: u32, p: f64) -> Leaf {
         Leaf::new(StreamId(s), d, Prob::new(p).unwrap()).unwrap()

@@ -14,7 +14,7 @@ use crate::tree::general::QueryTree;
 use crate::tree::{AndTree, DnfTree};
 
 /// Practical cap on exhaustive enumeration (2^25 assignments).
-pub const MAX_ENUM_LEAVES: usize = 25;
+pub(crate) const MAX_ENUM_LEAVES: usize = 25;
 
 /// Exact expected cost of an AND-tree schedule via full enumeration.
 ///
@@ -71,25 +71,6 @@ pub fn query_tree_expected_cost(
     let probs: Vec<f64> = tree.leaves().iter().map(|l| l.prob.value()).collect();
     expected_over_assignments(&probs, |assignment| {
         execute_query_tree(tree, catalog, schedule, assignment).cost
-    })
-}
-
-/// Probability that the root evaluates to TRUE, computed by enumeration —
-/// a sanity check for the closed-form `success_prob` methods.
-pub fn dnf_truth_probability(tree: &DnfTree, catalog: &StreamCatalog) -> f64 {
-    let m = tree.num_leaves();
-    assert!(
-        m <= MAX_ENUM_LEAVES,
-        "enumeration over {m} leaves is intractable"
-    );
-    let probs: Vec<f64> = tree.leaves().map(|(_, l)| l.prob.value()).collect();
-    let schedule = DnfSchedule::declaration_order(tree);
-    expected_over_assignments(&probs, |assignment| {
-        if execute_dnf_impl(tree, catalog, &schedule, assignment).value {
-            1.0
-        } else {
-            0.0
-        }
     })
 }
 
@@ -185,8 +166,21 @@ mod tests {
         ])
         .unwrap();
         let cat = StreamCatalog::unit(3);
-        let got = dnf_truth_probability(&t, &cat);
-        assert!((got - t.success_prob().value()).abs() < 1e-12);
+        // The executor's verdict, weighted over every assignment, against
+        // the closed form `1 - prod_i (1 - prod_j p_{i,j})`.
+        let probs: Vec<f64> = t.leaves().map(|(_, l)| l.prob.value()).collect();
+        let schedule = DnfSchedule::declaration_order(&t);
+        let got = expected_over_assignments(&probs, |assignment| {
+            f64::from(u8::from(
+                execute_dnf_impl(&t, &cat, &schedule, assignment).value,
+            ))
+        });
+        let closed = 1.0
+            - t.terms()
+                .iter()
+                .map(|term| term.success_prob().fail())
+                .product::<f64>();
+        assert!((got - closed).abs() < 1e-12);
     }
 
     #[test]

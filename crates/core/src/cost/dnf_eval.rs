@@ -54,7 +54,7 @@ pub fn expected_cost(tree: &DnfTree, catalog: &StreamCatalog, schedule: &DnfSche
 /// dot product of this vector with the per-item costs). The multi-query
 /// subsystem uses it to quantify how much of a stream's traffic each
 /// query accounts for.
-pub fn expected_items_per_stream(
+pub(crate) fn expected_items_per_stream(
     tree: &DnfTree,
     catalog: &StreamCatalog,
     schedule: &DnfSchedule,

@@ -191,7 +191,7 @@ impl LeafIndexer {
 /// the same numbering. Short-circuit semantics: a leaf is skipped when any
 /// ancestor operator node is already resolved; execution stops when the
 /// root resolves.
-pub fn execute_query_tree(
+pub(crate) fn execute_query_tree(
     tree: &QueryTree,
     catalog: &StreamCatalog,
     schedule: &[usize],

@@ -23,4 +23,3 @@ pub mod montecarlo;
 pub use arrange::ArrangeTerm;
 pub use execution::{Execution, LeafIndexer};
 pub use model::{CostModel, EvalScratch};
-pub use montecarlo::Estimate;

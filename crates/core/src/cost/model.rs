@@ -193,12 +193,6 @@ impl CostModel {
         s
     }
 
-    /// Number of distinct streams the tree touches.
-    #[inline]
-    pub fn num_streams_touched(&self) -> usize {
-        self.n_local
-    }
-
     /// The global ids of the streams the tree touches, in first-use
     /// order (the kernel's local stream order).
     pub fn touched_streams(&self) -> impl Iterator<Item = StreamId> + '_ {
@@ -410,7 +404,7 @@ impl CostModel {
     /// sum of their [`CostModel::push`] marginals, without mutating the
     /// state. The dynamic AND-ordered heuristics price every candidate
     /// term against one prefix this way.
-    pub fn frozen_append_cost(&self, tail: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
+    pub(crate) fn frozen_append_cost(&self, tail: &[LeafRef], scratch: &mut EvalScratch) -> f64 {
         let Some(&first) = tail.first() else {
             return 0.0;
         };
@@ -456,7 +450,7 @@ impl CostModel {
     /// maximized over eligible payers). Summing these floors never
     /// exceeds the true completion cost, so branch-and-bound may prune on
     /// `pushed_cost() + bound ≥ incumbent` without losing the optimum.
-    pub fn completion_lower_bound(
+    pub(crate) fn completion_lower_bound(
         &self,
         term: usize,
         remaining: &[LeafRef],
@@ -524,7 +518,7 @@ impl CostModel {
 
     /// Number of leaves of term `i`.
     #[inline]
-    pub fn term_len(&self, term: usize) -> usize {
+    pub(crate) fn term_len(&self, term: usize) -> usize {
         (self.term_start[term + 1] - self.term_start[term]) as usize
     }
 
@@ -532,7 +526,7 @@ impl CostModel {
     /// probabilities in declaration order (bitwise equal to
     /// `AndTree::success_prob` on the extracted term).
     #[inline]
-    pub fn term_success_prob(&self, term: usize) -> f64 {
+    pub(crate) fn term_success_prob(&self, term: usize) -> f64 {
         self.term_success[term]
     }
 
@@ -540,7 +534,7 @@ impl CostModel {
     /// non-decreasing `d·c/q` ratio, ties by offset — the same order
     /// `algo::smith` produces for the term in isolation, computed from
     /// the compiled arrays without building an `AndTree`.
-    pub fn term_smith_order(&self, term: usize, out: &mut Vec<usize>) {
+    pub(crate) fn term_smith_order(&self, term: usize, out: &mut Vec<usize>) {
         let start = self.term_start[term] as usize;
         out.clear();
         out.extend(0..self.term_len(term));
@@ -564,7 +558,7 @@ impl CostModel {
     /// within-term `order` (leaf offsets) — bitwise equal to
     /// `cost::and_eval::expected_cost` on the extracted term, but using
     /// a local-stream scratch buffer instead of a catalog-wide one.
-    pub fn term_isolated_cost(
+    pub(crate) fn term_isolated_cost(
         &self,
         term: usize,
         order: &[usize],
@@ -772,7 +766,7 @@ mod tests {
         costs[2] = 0.5;
         let wide = StreamCatalog::from_costs(costs).unwrap();
         let model = CostModel::new(&t, &wide);
-        assert_eq!(model.num_streams_touched(), 3);
+        assert_eq!(model.touched_streams().count(), 3);
         let mut scratch = model.make_scratch();
         let s = DnfSchedule::declaration_order(&t);
         let kernel = model.expected_cost(&s, &mut scratch);

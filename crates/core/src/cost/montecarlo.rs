@@ -5,10 +5,10 @@
 //! analytic evaluators (used heavily in tests) and is the only tractable
 //! exact-semantics estimator for large general trees.
 
-use crate::cost::execution::{execute_and_tree_impl, execute_dnf_impl};
-use crate::schedule::{AndSchedule, DnfSchedule};
+use crate::cost::execution::execute_dnf_impl;
+use crate::schedule::DnfSchedule;
 use crate::stream::StreamCatalog;
-use crate::tree::{AndTree, DnfTree};
+use crate::tree::DnfTree;
 use rand::Rng;
 
 /// A Monte-Carlo estimate with its standard error.
@@ -45,31 +45,6 @@ fn summarize(costs: &[f64], truths: usize) -> Estimate {
     }
 }
 
-/// Estimates the expected cost of an AND-tree schedule from `samples`
-/// random executions.
-pub fn and_tree_cost<R: Rng + ?Sized>(
-    tree: &AndTree,
-    catalog: &StreamCatalog,
-    schedule: &AndSchedule,
-    samples: usize,
-    rng: &mut R,
-) -> Estimate {
-    assert!(samples > 0, "need at least one sample");
-    let probs: Vec<f64> = tree.leaves().iter().map(|l| l.prob.value()).collect();
-    let mut assignment = vec![false; probs.len()];
-    let mut costs = Vec::with_capacity(samples);
-    let mut truths = 0;
-    for _ in 0..samples {
-        for (a, &p) in assignment.iter_mut().zip(&probs) {
-            *a = rng.gen::<f64>() < p;
-        }
-        let e = execute_and_tree_impl(tree, catalog, schedule, &assignment);
-        costs.push(e.cost);
-        truths += usize::from(e.value);
-    }
-    summarize(&costs, truths)
-}
-
 /// Estimates the expected cost of a DNF schedule from `samples` random
 /// executions.
 pub fn dnf_cost<R: Rng + ?Sized>(
@@ -101,7 +76,9 @@ mod tests {
     use crate::cost::{and_eval, dnf_eval};
     use crate::leaf::Leaf;
     use crate::prob::Prob;
+    use crate::schedule::AndSchedule;
     use crate::stream::StreamId;
+    use crate::tree::AndTree;
     use rand::prelude::*;
 
     fn leaf(s: usize, d: u32, p: f64) -> Leaf {
@@ -113,8 +90,11 @@ mod tests {
         let t = AndTree::new(vec![leaf(0, 1, 0.75), leaf(0, 2, 0.1), leaf(1, 1, 0.5)]).unwrap();
         let cat = StreamCatalog::unit(2);
         let s = AndSchedule::identity(3);
+        // An AND-tree samples as its one-term DNF in declaration order.
+        let dnf = DnfTree::from_and_tree(&t);
+        let ds = DnfSchedule::declaration_order(&dnf);
         let mut rng = StdRng::seed_from_u64(1);
-        let est = and_tree_cost(&t, &cat, &s, 200_000, &mut rng);
+        let est = dnf_cost(&dnf, &cat, &ds, 200_000, &mut rng);
         let analytic = and_eval::expected_cost(&t, &cat, &s);
         assert!(est.consistent_with(analytic, 4.0), "{est:?} vs {analytic}");
     }
@@ -148,9 +128,10 @@ mod tests {
     fn deterministic_instance_has_zero_stderr() {
         let t = AndTree::new(vec![leaf(0, 2, 1.0), leaf(1, 1, 1.0)]).unwrap();
         let cat = StreamCatalog::unit(2);
-        let s = AndSchedule::identity(2);
+        let dnf = DnfTree::from_and_tree(&t);
+        let s = DnfSchedule::declaration_order(&dnf);
         let mut rng = StdRng::seed_from_u64(4);
-        let est = and_tree_cost(&t, &cat, &s, 1000, &mut rng);
+        let est = dnf_cost(&dnf, &cat, &s, 1000, &mut rng);
         assert_eq!(est.mean, 3.0);
         assert_eq!(est.std_error, 0.0);
         assert_eq!(est.truth_rate, 1.0);

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 /// Tuning knobs for [`Engine`].
 #[derive(Debug, Clone)]
-pub struct EngineConfig {
+pub(crate) struct EngineConfig {
     /// Maximum number of cached plans; the least-recently-used entry is
     /// evicted on overflow. `0` disables caching.
     pub cache_capacity: usize,
@@ -172,7 +172,7 @@ impl Engine {
     }
 
     /// Engine over a custom registry and configuration.
-    pub fn with_registry(registry: PlannerRegistry, config: EngineConfig) -> Engine {
+    pub(crate) fn with_registry(registry: PlannerRegistry, config: EngineConfig) -> Engine {
         Engine {
             registry,
             cache: Mutex::new(LruCache::new(config.cache_capacity)),

@@ -74,7 +74,7 @@ fn node(h: &mut Fnv, n: &Node) {
 
 /// Structural fingerprint of a query; see the module docs for what it
 /// covers.
-pub fn query_fingerprint(query: &QueryRef<'_>) -> u64 {
+pub(crate) fn query_fingerprint(query: &QueryRef<'_>) -> u64 {
     let mut h = Fnv::new();
     match query {
         QueryRef::And(t) => {

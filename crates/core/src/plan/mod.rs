@@ -50,7 +50,7 @@ pub mod planners;
 pub mod registry;
 pub mod verify;
 
-pub use engine::{CacheStats, Engine, EngineConfig};
+pub use engine::{CacheStats, Engine};
 pub use fingerprint::catalog_fingerprint;
 pub use registry::PlannerRegistry;
 pub use verify::{verify_plan, PlanViolation};
@@ -141,7 +141,7 @@ impl<'a> QueryRef<'a> {
     /// Views the query as an AND-tree when its structure allows it:
     /// AND-trees themselves (borrowed), single-term DNF trees, and
     /// general trees whose normal form is a pure conjunction.
-    pub fn to_and_tree(&self) -> Option<Cow<'a, AndTree>> {
+    pub(crate) fn to_and_tree(self) -> Option<Cow<'a, AndTree>> {
         match self {
             QueryRef::And(t) => Some(Cow::Borrowed(t)),
             QueryRef::Dnf(t) if t.num_terms() == 1 => Some(Cow::Owned(t.term(0).as_and_tree())),
@@ -153,7 +153,7 @@ impl<'a> QueryRef<'a> {
     /// Views the query as a DNF tree when its structure allows it:
     /// DNF trees themselves (borrowed), AND-trees (a one-term DNF), and
     /// general trees of AND-of-leaves under a root OR.
-    pub fn to_dnf_tree(&self) -> Option<Cow<'a, DnfTree>> {
+    pub(crate) fn to_dnf_tree(self) -> Option<Cow<'a, DnfTree>> {
         match self {
             QueryRef::And(t) => Some(Cow::Owned(DnfTree::from_and_tree(t))),
             QueryRef::Dnf(t) => Some(Cow::Borrowed(t)),
@@ -162,7 +162,7 @@ impl<'a> QueryRef<'a> {
     }
 
     /// Views the query as a general AND-OR tree (always possible).
-    pub fn to_query_tree(&self) -> Cow<'a, QueryTree> {
+    pub(crate) fn to_query_tree(self) -> Cow<'a, QueryTree> {
         match self {
             QueryRef::And(t) => Cow::Owned(QueryTree::from((*t).clone())),
             QueryRef::Dnf(t) => Cow::Owned(QueryTree::from((*t).clone())),

@@ -20,15 +20,15 @@ use crate::stream::StreamCatalog;
 use std::time::Instant;
 
 /// Largest AND-tree `exhaustive` will enumerate (`m!` permutations).
-pub const MAX_EXHAUSTIVE_AND_LEAVES: usize = 9;
+pub(crate) const MAX_EXHAUSTIVE_AND_LEAVES: usize = 9;
 /// Largest DNF tree `exhaustive` and `branch-and-bound` will search.
 pub const MAX_EXHAUSTIVE_DNF_LEAVES: usize = 24;
 /// Largest DNF tree `nonlinear` will build an optimal strategy for.
-pub const MAX_NONLINEAR_LEAVES: usize = 12;
+pub(crate) const MAX_NONLINEAR_LEAVES: usize = 12;
 /// Largest general tree whose schedule cost `general` evaluates exactly
 /// (`O(2^L)` truth assignments); larger plans report `expected_cost:
 /// None`.
-pub const MAX_GENERAL_EXACT_COST_LEAVES: usize = 16;
+pub(crate) const MAX_GENERAL_EXACT_COST_LEAVES: usize = 16;
 
 /// Smith's classical read-once AND-tree greedy (the paper's baseline).
 #[derive(Debug, Clone, Copy, Default)]
@@ -291,15 +291,7 @@ impl Planner for ExhaustivePlanner {
 /// restriction, Proposition 1 ordering, incumbent pruning), so the
 /// result is optimal whenever the search completes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BranchAndBoundPlanner {
-    options: exhaustive::SearchOptions,
-}
-
-impl BranchAndBoundPlanner {
-    pub fn with_options(options: exhaustive::SearchOptions) -> BranchAndBoundPlanner {
-        BranchAndBoundPlanner { options }
-    }
-}
+pub(crate) struct BranchAndBoundPlanner;
 
 impl Planner for BranchAndBoundPlanner {
     fn name(&self) -> &str {
@@ -315,9 +307,8 @@ impl Planner for BranchAndBoundPlanner {
     }
 
     fn is_optimal_for(&self, query: &QueryRef<'_>) -> bool {
-        // Optimal when the search completes; the node_limit safety valve
-        // only triggers on adversarial shapes beyond the size cap.
-        self.supports(query) && self.options.node_limit == u64::MAX
+        // Optimal: the search runs without a node limit.
+        self.supports(query)
     }
 
     fn plan(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<Plan> {
@@ -328,12 +319,12 @@ impl Planner for BranchAndBoundPlanner {
         let tree = query
             .to_dnf_tree()
             .ok_or_else(|| unsupported(self, query))?;
-        let mut options = self.options;
-        if options.incumbent.is_infinite() {
-            let (_, incumbent) =
-                heuristics::best_of_paper_set(&tree, catalog, Heuristic::DEFAULT_RANDOM_SEED);
-            options.incumbent = incumbent * (1.0 + 1e-12);
-        }
+        let (_, incumbent) =
+            heuristics::best_of_paper_set(&tree, catalog, Heuristic::DEFAULT_RANDOM_SEED);
+        let options = exhaustive::SearchOptions {
+            incumbent: incumbent * (1.0 + 1e-12),
+            ..exhaustive::SearchOptions::default()
+        };
         let result = exhaustive::dnf_search(&tree, catalog, options);
         Ok(finish_plan(
             self,
@@ -350,7 +341,7 @@ impl Planner for BranchAndBoundPlanner {
 /// Produces a [`PlanBody::Decision`]; its cost lower-bounds every linear
 /// schedule.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NonlinearPlanner;
+pub(crate) struct NonlinearPlanner;
 
 impl Planner for NonlinearPlanner {
     fn name(&self) -> &str {
@@ -389,7 +380,7 @@ impl Planner for NonlinearPlanner {
 /// general case). Accepts every query; reports an exact expected cost
 /// only up to [`MAX_GENERAL_EXACT_COST_LEAVES`] leaves.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GeneralPlanner;
+pub(crate) struct GeneralPlanner;
 
 impl Planner for GeneralPlanner {
     fn name(&self) -> &str {
@@ -508,7 +499,7 @@ mod tests {
         let (tree, cat) = shared_dnf();
         let q = QueryRef::from(&tree);
         let ex = ExhaustivePlanner.plan(&q, &cat).unwrap();
-        let bb = BranchAndBoundPlanner::default().plan(&q, &cat).unwrap();
+        let bb = BranchAndBoundPlanner.plan(&q, &cat).unwrap();
         let (ex_cost, bb_cost) = (ex.expected_cost.unwrap(), bb.expected_cost.unwrap());
         assert!(
             (ex_cost - bb_cost).abs() < 1e-9,

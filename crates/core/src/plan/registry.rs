@@ -47,7 +47,7 @@ impl PlannerRegistry {
         }
         r.register(Arc::new(ExhaustivePlanner))
             .expect("unique built-in name");
-        r.register(Arc::new(BranchAndBoundPlanner::default()))
+        r.register(Arc::new(BranchAndBoundPlanner))
             .expect("unique built-in name");
         r.register(Arc::new(NonlinearPlanner))
             .expect("unique built-in name");
@@ -77,7 +77,7 @@ impl PlannerRegistry {
 
     /// Like [`PlannerRegistry::get`], but returns
     /// [`Error::UnknownPlanner`] on a miss.
-    pub fn get_required(&self, name: &str) -> Result<&dyn Planner> {
+    pub(crate) fn get_required(&self, name: &str) -> Result<&dyn Planner> {
         self.get(name)
             .ok_or_else(|| Error::UnknownPlanner(name.to_string()))
     }
@@ -100,11 +100,6 @@ impl PlannerRegistry {
     /// True when no planner is registered.
     pub fn is_empty(&self) -> bool {
         self.planners.is_empty()
-    }
-
-    /// The planners that accept `query`, in registration order.
-    pub fn supporting<'r>(&'r self, query: &QueryRef<'_>) -> Vec<&'r dyn Planner> {
-        self.iter().filter(|p| p.supports(query)).collect()
     }
 
     /// The paper's ten figure-legend heuristics as a registry view, in
@@ -130,7 +125,7 @@ impl PlannerRegistry {
     /// * shared DNF (NP-complete) → `and-inc-cp-dyn`, the best heuristic
     ///   in the paper's evaluation;
     /// * general AND-OR → `general`.
-    pub fn default_for(&self, query: &QueryRef<'_>) -> Result<&dyn Planner> {
+    pub(crate) fn default_for(&self, query: &QueryRef<'_>) -> Result<&dyn Planner> {
         // This runs on the Engine's per-plan hot path: classify And/Dnf
         // queries (the serving shapes) with structural checks only —
         // the owned-tree conversions are reserved for general queries.

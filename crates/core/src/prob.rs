@@ -17,9 +17,10 @@ impl Prob {
     /// The impossible event.
     pub const ZERO: Prob = Prob(0.0);
     /// The certain event.
-    pub const ONE: Prob = Prob(1.0);
-    /// A fair coin flip.
-    pub const HALF: Prob = Prob(0.5);
+    pub(crate) const ONE: Prob = Prob(1.0);
+    /// A fair coin flip (test fixtures).
+    #[cfg(test)]
+    pub(crate) const HALF: Prob = Prob(0.5);
 
     /// Creates a probability, rejecting NaN and values outside `[0, 1]`.
     pub fn new(p: f64) -> Result<Prob> {
@@ -50,12 +51,6 @@ impl Prob {
         1.0 - self.0
     }
 
-    /// Complement event probability as a `Prob`.
-    #[inline]
-    pub fn complement(self) -> Prob {
-        Prob(1.0 - self.0)
-    }
-
     /// Probability that two independent events both occur.
     #[inline]
     pub fn and(self, other: Prob) -> Prob {
@@ -66,19 +61,6 @@ impl Prob {
     #[inline]
     pub fn or(self, other: Prob) -> Prob {
         Prob(1.0 - (1.0 - self.0) * (1.0 - other.0))
-    }
-
-    /// True if this probability is exactly 1 (the leaf can never
-    /// short-circuit an AND node).
-    #[inline]
-    pub fn is_certain(self) -> bool {
-        self.0 == 1.0
-    }
-
-    /// True if this probability is exactly 0.
-    #[inline]
-    pub fn is_impossible(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -103,7 +85,7 @@ impl From<Prob> for f64 {
 
 /// Product of the success probabilities of an iterator of `Prob`s
 /// (probability that independent events all occur).
-pub fn product<I: IntoIterator<Item = Prob>>(iter: I) -> Prob {
+pub(crate) fn product<I: IntoIterator<Item = Prob>>(iter: I) -> Prob {
     iter.into_iter().fold(Prob::ONE, Prob::and)
 }
 
@@ -137,7 +119,6 @@ mod tests {
     fn fail_is_complement() {
         let p = Prob::new(0.3).unwrap();
         assert!((p.fail() - 0.7).abs() < 1e-12);
-        assert!((p.complement().value() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -153,12 +134,5 @@ mod tests {
         let ps = [0.5, 0.5, 0.5].map(|p| Prob::new(p).unwrap());
         assert!((product(ps).value() - 0.125).abs() < 1e-12);
         assert_eq!(product(std::iter::empty::<Prob>()), Prob::ONE);
-    }
-
-    #[test]
-    fn certain_impossible_flags() {
-        assert!(Prob::ONE.is_certain());
-        assert!(!Prob::HALF.is_certain());
-        assert!(Prob::ZERO.is_impossible());
     }
 }

@@ -143,7 +143,7 @@ impl DnfSchedule {
     /// by one, never starting a new AND node before the current one has all
     /// its leaves scheduled. Theorem 2 shows some optimal schedule always
     /// has this shape.
-    pub fn is_depth_first(&self, tree: &DnfTree) -> bool {
+    pub(crate) fn is_depth_first(&self, tree: &DnfTree) -> bool {
         let mut remaining: Vec<usize> = tree.terms().iter().map(|t| t.len()).collect();
         let mut open: Option<usize> = None;
         for r in &self.0 {
@@ -159,19 +159,6 @@ impl DnfSchedule {
             };
         }
         true
-    }
-
-    /// The order in which AND terms are *completed* by this schedule.
-    pub fn term_completion_order(&self, tree: &DnfTree) -> Vec<usize> {
-        let mut remaining: Vec<usize> = tree.terms().iter().map(|t| t.len()).collect();
-        let mut out = Vec::with_capacity(tree.num_terms());
-        for r in &self.0 {
-            remaining[r.term] -= 1;
-            if remaining[r.term] == 0 {
-                out.push(r.term);
-            }
-        }
-        out
     }
 }
 
@@ -256,22 +243,6 @@ mod tests {
         )
         .unwrap();
         assert!(!interleaved.is_depth_first(&t));
-    }
-
-    #[test]
-    fn completion_order() {
-        let t = tree_2x2();
-        let s = DnfSchedule::new(
-            vec![
-                LeafRef::new(1, 0),
-                LeafRef::new(1, 1),
-                LeafRef::new(0, 0),
-                LeafRef::new(0, 1),
-            ],
-            &t,
-        )
-        .unwrap();
-        assert_eq!(s.term_completion_order(&t), vec![1, 0]);
     }
 
     #[test]

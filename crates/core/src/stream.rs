@@ -32,7 +32,7 @@ impl fmt::Display for StreamId {
 
 /// Produces the default display name for stream index `i`
 /// (`A`, `B`, ..., `Z`, `AA`, `AB`, ...).
-pub fn default_stream_name(mut i: usize) -> String {
+pub(crate) fn default_stream_name(mut i: usize) -> String {
     let mut out = Vec::new();
     loop {
         out.push(b'A' + (i % 26) as u8);
@@ -127,22 +127,10 @@ impl StreamCatalog {
     /// Per-item cost of stream `id`.
     ///
     /// # Panics
-    /// Panics if `id` is out of range; use [`StreamCatalog::get_cost`] for a
-    /// checked variant.
+    /// Panics if `id` is out of range.
     #[inline]
     pub fn cost(&self, id: StreamId) -> f64 {
         self.streams[id.0].cost
-    }
-
-    /// Checked per-item cost lookup.
-    pub fn get_cost(&self, id: StreamId) -> Result<f64> {
-        self.streams
-            .get(id.0)
-            .map(|s| s.cost)
-            .ok_or(Error::UnknownStream {
-                stream: id.0,
-                catalog_len: self.len(),
-            })
     }
 
     /// Display name for stream `id` (falls back to `A`, `B`, ...).
@@ -252,9 +240,10 @@ mod tests {
     #[test]
     fn checked_lookup_detects_unknown_stream() {
         let cat = StreamCatalog::unit(2);
-        assert!(cat.get_cost(StreamId(1)).is_ok());
+        let mut cat = cat;
+        assert!(cat.set_cost(StreamId(1), 2.0).is_ok());
         assert_eq!(
-            cat.get_cost(StreamId(2)),
+            cat.set_cost(StreamId(2), 2.0),
             Err(Error::UnknownStream {
                 stream: 2,
                 catalog_len: 2

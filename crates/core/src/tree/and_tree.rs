@@ -52,7 +52,7 @@ impl AndTree {
 
     /// Probability that the whole AND evaluates to TRUE:
     /// the product of all leaf success probabilities.
-    pub fn success_prob(&self) -> Prob {
+    pub(crate) fn success_prob(&self) -> Prob {
         prob::product(self.leaves.iter().map(|l| l.prob))
     }
 
@@ -61,7 +61,7 @@ impl AndTree {
     ///
     /// These are the paper's sets `L_k = { l_j | S(l_j) = S_k }`, in the
     /// order Algorithm 1 scans them.
-    pub fn leaves_by_stream(&self) -> BTreeMap<StreamId, Vec<usize>> {
+    pub(crate) fn leaves_by_stream(&self) -> BTreeMap<StreamId, Vec<usize>> {
         let mut map: BTreeMap<StreamId, Vec<usize>> = BTreeMap::new();
         for (j, l) in self.leaves.iter().enumerate() {
             map.entry(l.stream).or_default().push(j);

@@ -22,11 +22,6 @@ pub fn render_query_tree(tree: &QueryTree) -> String {
     out
 }
 
-/// Renders a DNF tree as indented ASCII art.
-pub fn render_dnf(tree: &DnfTree) -> String {
-    render_query_tree(&QueryTree::from(tree.clone()))
-}
-
 /// Renders a DNF tree using the catalog's stream names.
 pub fn render_dnf_named(tree: &DnfTree, catalog: &StreamCatalog) -> String {
     let mut out = String::new();
@@ -103,7 +98,7 @@ mod tests {
             leaf(1, 1, 0.5),
         ]])
         .unwrap();
-        let s = render_dnf(&t);
+        let s = render_query_tree(&QueryTree::from(t));
         assert!(s.starts_with("or\n"));
         assert!(s.contains("A[1] p=0.75"));
         assert!(s.contains("A[2] p=0.1"));

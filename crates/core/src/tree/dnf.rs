@@ -46,7 +46,7 @@ impl AndTerm {
     }
 
     /// Probability that the whole AND node evaluates to TRUE.
-    pub fn success_prob(&self) -> Prob {
+    pub(crate) fn success_prob(&self) -> Prob {
         prob::product(self.leaves.iter().map(|l| l.prob))
     }
 
@@ -89,7 +89,7 @@ impl DnfTree {
     }
 
     /// Wraps a single AND-tree as a one-term DNF.
-    pub fn from_and_tree(tree: &AndTree) -> DnfTree {
+    pub(crate) fn from_and_tree(tree: &AndTree) -> DnfTree {
         DnfTree {
             terms: vec![AndTerm::from(tree.leaves().to_vec())],
         }
@@ -145,21 +145,13 @@ impl DnfTree {
     /// Maximum number of items any leaf requires, the paper's
     /// `D = max d_{i,j}` (drives the Proposition 2 evaluator complexity
     /// `O(|L| * D * N^2)`).
-    pub fn max_items(&self) -> u32 {
+    pub(crate) fn max_items(&self) -> u32 {
         self.leaves().map(|(_, l)| l.items).max().unwrap_or(0)
-    }
-
-    /// Probability that the whole DNF evaluates to TRUE (independent leaves):
-    /// `1 - prod_i (1 - prod_j p_{i,j})`.
-    pub fn success_prob(&self) -> Prob {
-        self.terms
-            .iter()
-            .fold(Prob::ZERO, |acc, t| acc.or(t.success_prob()))
     }
 
     /// Leaf addresses grouped by stream, each group sorted by increasing
     /// item requirement (ties by address).
-    pub fn leaves_by_stream(&self) -> BTreeMap<StreamId, Vec<LeafRef>> {
+    pub(crate) fn leaves_by_stream(&self) -> BTreeMap<StreamId, Vec<LeafRef>> {
         let mut map: BTreeMap<StreamId, Vec<LeafRef>> = BTreeMap::new();
         for (r, l) in self.leaves() {
             map.entry(l.stream).or_default().push(r);
@@ -321,7 +313,11 @@ mod tests {
         let t = fig3_tree([0.5; 7]);
         // AND probs: 0.125, 0.25, 0.25 -> 1 - 0.875*0.75*0.75
         let expect = 1.0 - 0.875 * 0.75 * 0.75;
-        assert!((t.success_prob().value() - expect).abs() < 1e-12);
+        let p = t
+            .terms()
+            .iter()
+            .fold(Prob::ZERO, |acc, term| acc.or(term.success_prob()));
+        assert!((p.value() - expect).abs() < 1e-12);
     }
 
     #[test]

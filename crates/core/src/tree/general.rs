@@ -59,7 +59,7 @@ impl Node {
     }
 
     /// Collects the subtree's leaves in left-to-right order.
-    pub fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a Leaf>) {
+    pub(crate) fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a Leaf>) {
         match self {
             Node::Leaf(l) => out.push(l),
             Node::And(cs) | Node::Or(cs) => {
@@ -67,20 +67,6 @@ impl Node {
                     c.collect_leaves(out);
                 }
             }
-        }
-    }
-
-    /// Probability that the subtree evaluates to TRUE assuming independent
-    /// leaves.
-    pub fn success_prob(&self) -> Prob {
-        match self {
-            Node::Leaf(l) => l.prob,
-            Node::And(cs) => cs
-                .iter()
-                .fold(Prob::ONE, |acc, c| acc.and(c.success_prob())),
-            Node::Or(cs) => cs
-                .iter()
-                .fold(Prob::ZERO, |acc, c| acc.or(c.success_prob())),
         }
     }
 
@@ -138,7 +124,7 @@ impl QueryTree {
     }
 
     /// Leaves grouped by stream.
-    pub fn leaves_by_stream(&self) -> BTreeMap<StreamId, usize> {
+    pub(crate) fn leaves_by_stream(&self) -> BTreeMap<StreamId, usize> {
         let mut map = BTreeMap::new();
         for l in self.leaves() {
             *map.entry(l.stream).or_insert(0) += 1;
@@ -158,11 +144,6 @@ impl QueryTree {
             return 0.0;
         }
         self.num_leaves() as f64 / s as f64
-    }
-
-    /// Probability that the tree evaluates to TRUE.
-    pub fn success_prob(&self) -> Prob {
-        self.root.success_prob()
     }
 
     /// Validates against a stream catalog.
@@ -377,7 +358,12 @@ mod tests {
             leaf(2, 1, 0.5),
         ]))
         .unwrap();
-        assert!((t.success_prob().value() - 0.625).abs() < 1e-12);
+        let dnf = t.as_dnf().unwrap();
+        let p = dnf
+            .terms()
+            .iter()
+            .fold(Prob::ZERO, |acc, term| acc.or(term.success_prob()));
+        assert!((p.value() - 0.625).abs() < 1e-12);
     }
 
     #[test]

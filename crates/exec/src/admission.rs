@@ -49,7 +49,7 @@ pub struct AdmissionCtx<'a> {
 
 impl AdmissionCtx<'_> {
     /// Worst-case energy of query `q` run against empty memory.
-    pub fn worst_case_query(&self, q: usize) -> f64 {
+    pub(crate) fn worst_case_query(&self, q: usize) -> f64 {
         let base: f64 = self.windows[q]
             .iter()
             .zip(self.costs)
@@ -63,7 +63,7 @@ impl AdmissionCtx<'_> {
     /// execution only the window excess beyond the current maxima can
     /// cost anything; under isolated execution each query repays its
     /// full worst case.
-    pub fn marginal_cost(&self, acc: &[u32], q: usize) -> f64 {
+    pub(crate) fn marginal_cost(&self, acc: &[u32], q: usize) -> f64 {
         if !self.shared {
             return self.worst_case_query(q);
         }
@@ -104,7 +104,10 @@ impl AdmissionCtx<'_> {
     }
 
     /// Convenience: per-query windows from concrete sim queries.
-    pub fn query_windows(queries: &[stream_sim::SimQuery], n_streams: usize) -> Vec<Vec<u32>> {
+    pub(crate) fn query_windows(
+        queries: &[stream_sim::SimQuery],
+        n_streams: usize,
+    ) -> Vec<Vec<u32>> {
         queries.iter().map(|q| q.max_windows(n_streams)).collect()
     }
 

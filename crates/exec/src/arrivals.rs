@@ -42,7 +42,7 @@ impl ArrivalSpec {
 
 /// A deterministic per-query arrival clock.
 #[derive(Debug, Clone)]
-pub struct ArrivalProcess {
+pub(crate) struct ArrivalProcess {
     spec: ArrivalSpec,
     rng: StdRng,
     /// Continuous arrival clock for Poisson processes.
@@ -86,17 +86,10 @@ impl ArrivalProcess {
         p
     }
 
-    /// Tick of the next arrival (not yet consumed by [`poll`]).
-    ///
-    /// [`poll`]: ArrivalProcess::poll
-    pub fn next_due(&self) -> u64 {
-        self.next_due
-    }
-
     /// Number of arrivals with due tick `<= tick`; each is consumed and
     /// the clock advances past it. Calling once per tick in order
     /// yields every arrival exactly once.
-    pub fn poll(&mut self, tick: u64) -> u64 {
+    pub(crate) fn poll(&mut self, tick: u64) -> u64 {
         let mut count = 0;
         while self.next_due <= tick {
             count += 1;
@@ -167,12 +160,12 @@ mod tests {
         // A huge rate still yields at most one consumed arrival batch
         // per poll, with next_due strictly advancing.
         let mut p = ArrivalProcess::new(ArrivalSpec::Poisson { rate: 50.0 }, 3, 0);
-        let mut last = p.next_due();
+        let mut last = p.next_due;
         for t in 0..50 {
             p.poll(t);
-            assert!(p.next_due() > t, "next_due must pass the polled tick");
-            assert!(p.next_due() >= last);
-            last = p.next_due();
+            assert!(p.next_due > t, "next_due must pass the polled tick");
+            assert!(p.next_due >= last);
+            last = p.next_due;
         }
     }
 

@@ -60,7 +60,7 @@ pub mod serve;
 pub mod tick;
 
 pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyBudget};
-pub use arrivals::{ArrivalProcess, ArrivalSpec};
+pub use arrivals::ArrivalSpec;
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
 pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};

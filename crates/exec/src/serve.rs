@@ -168,7 +168,7 @@ impl ServeReport {
     }
 
     /// Energy per served evaluation (`None` when nothing was served).
-    pub fn energy_per_served(&self) -> Option<f64> {
+    pub(crate) fn energy_per_served(&self) -> Option<f64> {
         (self.evals > 0).then(|| self.total_energy / self.evals as f64)
     }
 
@@ -251,7 +251,11 @@ impl DriftState {
     /// When any sufficiently-observed leaf has drifted past `cfg`'s
     /// tolerance, returns the re-calibrated probabilities: observed
     /// rates where trusted, the old calibration elsewhere.
-    pub fn observe_eval(&mut self, records: &[LeafRecord], cfg: &DriftConfig) -> Option<Vec<f64>> {
+    pub(crate) fn observe_eval(
+        &mut self,
+        records: &[LeafRecord],
+        cfg: &DriftConfig,
+    ) -> Option<Vec<f64>> {
         for rec in records {
             let i = self.offsets[rec.leaf.term] + rec.leaf.leaf;
             self.totals[i] += 1;

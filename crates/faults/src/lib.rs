@@ -23,7 +23,7 @@
 //! `stream_sim::runtime`; this crate only decides *when* things fail.
 #![forbid(unsafe_code)]
 
-use paotr_gen::seeds::{instance_seed, mix, Experiment};
+use paotr_gen::seeds::mix;
 use stream_sim::{ReadAttempt, StreamSource};
 
 pub use paotr_core::stream::StreamId;
@@ -96,16 +96,6 @@ impl Default for FaultSpec {
             max_attempts: 3,
             stale_serve: true,
         }
-    }
-}
-
-/// The canonical addressable fault spec for `(config, instance)`:
-/// [`FaultSpec::default`] rates under a seed derived through
-/// [`Experiment::Faults`], so sweeps regenerate identical chaos.
-pub fn fault_spec(config: usize, instance: usize) -> FaultSpec {
-    FaultSpec {
-        seed: instance_seed(Experiment::Faults, config, instance),
-        ..FaultSpec::default()
     }
 }
 
@@ -183,7 +173,7 @@ impl FaultPlan {
 
     /// Whether the `attempt`-th sensor contact with stream `k` at
     /// stream time `now` fails transiently.
-    pub fn read_fails(&self, k: StreamId, now: u64, attempt: u32) -> bool {
+    pub(crate) fn read_fails(&self, k: StreamId, now: u64, attempt: u32) -> bool {
         if self.spec.transient_rate <= 0.0 {
             return false;
         }
@@ -377,12 +367,5 @@ mod tests {
             wrapped[0].try_recent(8, 0),
             ReadAttempt::Data(streams[0].recent(8).unwrap())
         );
-    }
-
-    #[test]
-    fn addressable_specs_differ_by_instance() {
-        assert_eq!(fault_spec(0, 1), fault_spec(0, 1));
-        assert_ne!(fault_spec(0, 1).seed, fault_spec(0, 2).seed);
-        assert_ne!(fault_spec(1, 0).seed, fault_spec(0, 0).seed);
     }
 }

@@ -14,10 +14,10 @@ use paotr_core::prelude::*;
 use rand::Rng;
 
 /// The paper's nine sharing-ratio values.
-pub const SHARING_RATIOS: [f64; 9] = [1.0, 1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0];
+pub(crate) const SHARING_RATIOS: [f64; 9] = [1.0, 1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0];
 
 /// The paper's leaf-count range `m = 2..=20`.
-pub const LEAF_COUNTS: std::ops::RangeInclusive<usize> = 2..=20;
+pub(crate) const LEAF_COUNTS: std::ops::RangeInclusive<usize> = 2..=20;
 
 /// One cell of the Figure 4 grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +31,7 @@ pub struct AndConfig {
 impl AndConfig {
     /// Number of streams realising the target ratio: `round(m / rho)`,
     /// at least 1.
-    pub fn num_streams(&self) -> usize {
+    pub(crate) fn num_streams(&self) -> usize {
         ((self.leaves as f64 / self.rho).round() as usize).max(1)
     }
 }

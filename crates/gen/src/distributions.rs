@@ -32,29 +32,21 @@ impl ParamDistributions {
         }
     }
 
-    /// All leaves require exactly one item (the paper's Figure 3 shape).
-    pub fn unit_items() -> ParamDistributions {
-        ParamDistributions {
-            items: (1, 1),
-            ..ParamDistributions::paper()
-        }
-    }
-
     /// Samples a success probability.
-    pub fn sample_prob<R: Rng + ?Sized>(&self, rng: &mut R) -> Prob {
+    pub(crate) fn sample_prob<R: Rng + ?Sized>(&self, rng: &mut R) -> Prob {
         let (lo, hi) = self.prob;
         let p = if lo >= hi { lo } else { rng.gen_range(lo..hi) };
         Prob::new(p).expect("distribution bounds inside [0,1]")
     }
 
     /// Samples an item count.
-    pub fn sample_items<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample_items<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let (lo, hi) = self.items;
         rng.gen_range(lo..=hi)
     }
 
     /// Samples a per-item stream cost.
-    pub fn sample_cost<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_cost<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let (lo, hi) = self.cost;
         if lo >= hi {
             lo
@@ -64,12 +56,12 @@ impl ParamDistributions {
     }
 
     /// Samples a full leaf on the given stream.
-    pub fn sample_leaf<R: Rng + ?Sized>(&self, rng: &mut R, stream: StreamId) -> Leaf {
+    pub(crate) fn sample_leaf<R: Rng + ?Sized>(&self, rng: &mut R, stream: StreamId) -> Leaf {
         Leaf::raw(stream, self.sample_items(rng), self.sample_prob(rng))
     }
 
     /// Builds a catalog of `n` streams with sampled costs.
-    pub fn sample_catalog<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> StreamCatalog {
+    pub(crate) fn sample_catalog<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> StreamCatalog {
         StreamCatalog::from_costs((0..n).map(|_| self.sample_cost(rng)))
             .expect("sampled costs are finite and non-negative")
     }

@@ -65,14 +65,8 @@ impl DnfConfig {
 
     /// Number of streams realising the target sharing ratio for an
     /// instance with `leaves` leaves.
-    pub fn num_streams_for(&self, leaves: usize) -> usize {
+    pub(crate) fn num_streams_for(&self, leaves: usize) -> usize {
         ((leaves as f64 / self.rho).round() as usize).max(1)
-    }
-
-    /// Number of streams for the configuration's maximum size (used by
-    /// `PerTerm` shapes, whose size is deterministic).
-    pub fn num_streams(&self) -> usize {
-        self.num_streams_for(self.total_leaves())
     }
 }
 
@@ -239,7 +233,7 @@ mod tests {
         assert_eq!(inst.num_terms(), 10);
         assert!(inst.tree.terms().iter().all(|t| t.len() == 20));
         assert_eq!(inst.num_leaves(), 200);
-        assert_eq!(cfg.num_streams(), 40);
+        assert_eq!(inst.catalog.len(), 40);
     }
 
     #[test]

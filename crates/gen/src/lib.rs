@@ -15,17 +15,14 @@
 //! leaf's stream uniformly from `round(leaves / rho)` streams.
 #![forbid(unsafe_code)]
 
-pub mod and_grid;
+pub(crate) mod and_grid;
 pub mod churn;
 pub mod distributions;
-pub mod dnf_grid;
+pub(crate) mod dnf_grid;
 pub mod seeds;
 pub mod workload;
 
-pub use and_grid::{
-    fig4_grid, random_and_instance, AndConfig, FIG4_INSTANCES_PER_CONFIG, LEAF_COUNTS,
-    SHARING_RATIOS,
-};
+pub use and_grid::{fig4_grid, random_and_instance, AndConfig, FIG4_INSTANCES_PER_CONFIG};
 pub use churn::{churn_script, random_query_source, ChurnConfig, ChurnEvent};
 pub use distributions::ParamDistributions;
 pub use dnf_grid::{

@@ -24,9 +24,6 @@ pub enum Experiment {
     /// Daemon churn scripts (register/unregister/tick event streams for
     /// the serving daemon's soak and bench harnesses).
     Daemon,
-    /// Seeded fault plans (stream-outage and transient-read-failure
-    /// schedules for the chaos layer).
-    Faults,
     /// Free-form experiments (tests, examples).
     Custom(u64),
 }
@@ -40,7 +37,6 @@ impl Experiment {
             Experiment::Workload => 0x0f19_64b5_17c4_0010,
             Experiment::Serve => 0x0f19_64b5_17c4_0020,
             Experiment::Daemon => 0x0f19_64b5_17c4_0040,
-            Experiment::Faults => 0x0f19_64b5_17c4_0080,
             Experiment::Custom(t) => t ^ 0xc0ff_ee00_dead_beef,
         }
     }

@@ -63,7 +63,7 @@ impl WorkloadConfig {
     }
 
     /// Total number of streams in the generated catalog.
-    pub fn num_streams(&self) -> usize {
+    pub(crate) fn num_streams(&self) -> usize {
         self.hot_streams + self.queries * self.cold_streams_per_query
     }
 
@@ -124,11 +124,6 @@ pub fn workload_instance(config: WorkloadConfig, index: usize) -> (Vec<DnfTree>,
     let seed = instance_seed(Experiment::Workload, config.queries, index);
     let mut rng = StdRng::seed_from_u64(seed);
     random_workload(config, &ParamDistributions::paper(), &mut rng)
-}
-
-/// Instance `index` of the [`WorkloadConfig::large_workload`] preset.
-pub fn large_workload_instance(overlap: f64, index: usize) -> (Vec<DnfTree>, StreamCatalog) {
-    workload_instance(WorkloadConfig::large_workload(overlap), index)
 }
 
 /// Mean pairwise Jaccard overlap of the queries' stream sets — the
@@ -209,8 +204,8 @@ mod tests {
 
     #[test]
     fn large_workload_preset_is_seed_stable() {
-        let (a, cat_a) = large_workload_instance(0.6, 1);
-        let (b, cat_b) = large_workload_instance(0.6, 1);
+        let (a, cat_a) = workload_instance(WorkloadConfig::large_workload(0.6), 1);
+        let (b, cat_b) = workload_instance(WorkloadConfig::large_workload(0.6), 1);
         assert_eq!(a, b);
         assert_eq!(cat_a, cat_b);
         assert_eq!(a.len(), LARGE_WORKLOAD_QUERIES);
@@ -219,7 +214,15 @@ mod tests {
             WorkloadConfig::with_overlap(LARGE_WORKLOAD_QUERIES, 0.6)
         );
         // distinct indices and overlaps generate distinct workloads
-        assert_ne!(a, large_workload_instance(0.6, 2).0);
-        assert_ne!(cat_a.len(), large_workload_instance(0.2, 1).1.len());
+        assert_ne!(
+            a,
+            workload_instance(WorkloadConfig::large_workload(0.6), 2).0
+        );
+        assert_ne!(
+            cat_a.len(),
+            workload_instance(WorkloadConfig::large_workload(0.2), 1)
+                .1
+                .len()
+        );
     }
 }

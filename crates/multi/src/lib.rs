@@ -61,8 +61,8 @@ pub mod workload;
 
 pub use outcome::{compare, QueryReport, WorkloadOutcome};
 pub use planner::{
-    default_planners, planner_by_name, planner_names, BatchAwarePlanner, IndependentPlanner,
-    JointPlan, SharedGreedyPlanner, WorkloadPlanner,
+    default_planners, planner_by_name, planner_names, IndependentPlanner, JointPlan,
+    SharedGreedyPlanner, WorkloadPlanner,
 };
 pub use sim::{simulate, synthesize, SimConfig, WorkloadSimReport};
 pub use workload::{

@@ -47,7 +47,7 @@ pub struct WorkloadOutcome {
 impl WorkloadOutcome {
     /// Summarizes a joint plan (prediction only; attach measurements
     /// with [`WorkloadOutcome::attach_simulation`]).
-    pub fn from_plan(workload: &Workload, joint: &JointPlan) -> WorkloadOutcome {
+    pub(crate) fn from_plan(workload: &Workload, joint: &JointPlan) -> WorkloadOutcome {
         let weights = workload.weights();
         let per_query = workload
             .queries()
@@ -74,7 +74,7 @@ impl WorkloadOutcome {
     }
 
     /// Records measured energies from a simulation run.
-    pub fn attach_simulation(&mut self, sim: &WorkloadSimReport) {
+    pub(crate) fn attach_simulation(&mut self, sim: &WorkloadSimReport) {
         for (report, &e) in self.per_query.iter_mut().zip(&sim.per_query_energy) {
             report.simulated_energy = Some(e);
         }

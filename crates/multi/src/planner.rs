@@ -592,7 +592,7 @@ impl WorkloadPlanner for SharedGreedyPlanner {
 /// back-to-back, heaviest puller first, so the group's shared items are
 /// reused while still in memory this tick.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BatchAwarePlanner;
+pub(crate) struct BatchAwarePlanner;
 
 impl WorkloadPlanner for BatchAwarePlanner {
     fn name(&self) -> &str {

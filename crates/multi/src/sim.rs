@@ -170,7 +170,7 @@ pub fn simulate(workload: &Workload, joint: &JointPlan, config: SimConfig) -> Wo
 
 /// Acklam's rational approximation of the standard normal quantile
 /// function Φ⁻¹ (absolute error < 1.2e-9 on (0, 1)).
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0, 1)");
     const A: [f64; 6] = [
         -3.969683028665376e+01,

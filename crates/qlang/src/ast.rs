@@ -44,7 +44,7 @@ pub enum Agg {
 
 impl Agg {
     /// Parses an aggregate name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<Agg> {
+    pub(crate) fn from_name(name: &str) -> Option<Agg> {
         match name.to_ascii_uppercase().as_str() {
             "AVG" => Some(Agg::Avg),
             "MAX" => Some(Agg::Max),

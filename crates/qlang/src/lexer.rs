@@ -4,7 +4,7 @@ use crate::error::{ParseError, Result};
 use crate::token::{Token, TokenKind};
 
 /// Tokenizes a query string.
-pub fn lex(source: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

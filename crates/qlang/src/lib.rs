@@ -25,10 +25,10 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod ast;
+pub(crate) mod ast;
 pub mod compile;
 pub mod error;
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod parser;
 pub mod token;
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token with its byte offset in the source (for diagnostics).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// Byte offset of the token's first character.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier: a stream or aggregate name (`A`, `heart_rate`, `AVG`).
     Ident(String),
     /// Numeric literal (integers and decimals lex identically).

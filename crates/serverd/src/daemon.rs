@@ -139,7 +139,7 @@ impl Config {
     }
 
     /// Deserializes from the snapshot JSON object.
-    pub fn from_json(v: &Json) -> std::result::Result<Config, String> {
+    pub(crate) fn from_json(v: &Json) -> std::result::Result<Config, String> {
         let u32_of = |x: &Json| x.as_u64().and_then(|n| u32::try_from(n).ok());
         let section = |k: &str| v.get(k).filter(|x| !matches!(x, Json::Null));
         let drift = section("drift")

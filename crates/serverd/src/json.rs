@@ -93,7 +93,7 @@ impl Json {
     }
 
     /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -113,12 +113,12 @@ impl Json {
     }
 
     /// Wraps an array of `u64`s.
-    pub fn u64_arr<I: IntoIterator<Item = u64>>(vs: I) -> Json {
+    pub(crate) fn u64_arr<I: IntoIterator<Item = u64>>(vs: I) -> Json {
         Json::Arr(vs.into_iter().map(Json::from_u64).collect())
     }
 
     /// Wraps an array of `f64`s.
-    pub fn f64_arr<I: IntoIterator<Item = f64>>(vs: I) -> Json {
+    pub(crate) fn f64_arr<I: IntoIterator<Item = f64>>(vs: I) -> Json {
         Json::Arr(vs.into_iter().map(Json::Num).collect())
     }
 }

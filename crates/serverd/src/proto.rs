@@ -125,14 +125,14 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 }
 
 /// An `{"ok":true,...}` response with extra fields.
-pub fn ok_response<I: IntoIterator<Item = (&'static str, Json)>>(fields: I) -> String {
+pub(crate) fn ok_response<I: IntoIterator<Item = (&'static str, Json)>>(fields: I) -> String {
     let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
     pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     Json::Obj(pairs).to_string_compact()
 }
 
 /// An `{"ok":false,"error":...}` response.
-pub fn error_response(message: &str) -> String {
+pub(crate) fn error_response(message: &str) -> String {
     Json::obj([
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message.to_string())),

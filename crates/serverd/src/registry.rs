@@ -321,7 +321,7 @@ impl SessionRegistry {
 
     /// Adopts a re-calibrated probability vector for session `id` and
     /// re-plans that query alone through `engine`.
-    pub fn recalibrate(&mut self, id: u64, probs: Vec<f64>, engine: &Engine) -> Result<()> {
+    pub(crate) fn recalibrate(&mut self, id: u64, probs: Vec<f64>, engine: &Engine) -> Result<()> {
         let catalog = self.catalog.clone();
         let session = self
             .sessions

@@ -46,7 +46,7 @@ impl Telemetry {
 
     /// Energy still available under `budget` relative to the most
     /// recent tick's spend (`None` without a budget).
-    pub fn headroom(&self, budget: Option<f64>) -> Option<f64> {
+    pub(crate) fn headroom(&self, budget: Option<f64>) -> Option<f64> {
         budget.map(|b| b - self.last_tick_energy)
     }
 
@@ -89,7 +89,7 @@ impl Telemetry {
     }
 
     /// Deserializes from the snapshot/stats JSON object.
-    pub fn from_json(v: &Json) -> Result<Telemetry, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<Telemetry, String> {
         let u = |k: &str| v.field("telemetry", k, Json::as_u64);
         let f = |k: &str| v.field("telemetry", k, Json::as_f64);
         // Arrangement and fault counters arrived after version 1; absent

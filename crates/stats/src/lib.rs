@@ -18,5 +18,5 @@ pub mod table;
 pub use ascii::AsciiChart;
 pub use profile::{ratios, Profile};
 pub use summary::{best_counts, best_counts_with_tolerance, percentile, RatioSummary};
-pub use svg::{Chart, Series, Style};
-pub use table::{fmt_f64, fmt_short, Table};
+pub use svg::{Chart, Series};
+pub use table::{fmt_f64, Table};

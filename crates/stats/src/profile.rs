@@ -53,13 +53,6 @@ impl Profile {
         percentile(&self.sorted_ratios, x_percent)
     }
 
-    /// Fraction of instances (in percent) with ratio at most `y`.
-    pub fn coverage_at(&self, y: f64) -> f64 {
-        let n = self.sorted_ratios.len();
-        let covered = self.sorted_ratios.partition_point(|&r| r <= y);
-        covered as f64 / n as f64 * 100.0
-    }
-
     /// Samples the curve on an `points`-point uniform percentage grid,
     /// returning `(percentage, ratio)` pairs ready for plotting.
     pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
@@ -116,15 +109,6 @@ mod tests {
         assert_eq!(p.ratio_at(0.0), 1.0);
         assert_eq!(p.ratio_at(100.0), 4.0);
         assert!((p.ratio_at(50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coverage_is_inverse_of_quantile() {
-        let p = Profile::new("h", &[1.0, 1.0, 2.0, 8.0]);
-        assert_eq!(p.coverage_at(1.0), 50.0);
-        assert_eq!(p.coverage_at(2.0), 75.0);
-        assert_eq!(p.coverage_at(10.0), 100.0);
-        assert_eq!(p.coverage_at(0.5), 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! of cost ratios.
 
 /// Tolerance below which two costs count as a tie.
-pub const TIE_EPSILON: f64 = 1e-9;
+pub(crate) const TIE_EPSILON: f64 = 1e-9;
 
 /// Aggregate statistics over cost ratios (`candidate / baseline`, so 1.0
 /// means "as good as the baseline" and ratios are `>= 1` when the baseline

@@ -18,14 +18,14 @@ const MARGIN_T: f64 = 40.0;
 const MARGIN_B: f64 = 55.0;
 
 /// A qualitative 10-colour palette (one per heuristic curve).
-pub const PALETTE: [&str; 10] = [
+pub(crate) const PALETTE: [&str; 10] = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
     "#bcbd22", "#17becf",
 ];
 
 /// How a series is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Style {
+pub(crate) enum Style {
     /// Connected polyline.
     Line,
     /// Unconnected dots (for Figure-4-style clouds).
@@ -40,7 +40,7 @@ pub struct Series {
     /// `(x, y)` samples.
     pub points: Vec<(f64, f64)>,
     /// Drawing style.
-    pub style: Style,
+    pub(crate) style: Style,
     /// Stroke/fill colour (any SVG colour string).
     pub color: String,
 }
@@ -131,7 +131,7 @@ impl Chart {
     }
 
     /// Renders the chart as an SVG document.
-    pub fn to_svg(&self) -> String {
+    pub(crate) fn to_svg(&self) -> String {
         let ((x0, x1), (y0, y1)) = self.ranges();
         let plot_w = WIDTH - MARGIN_L - MARGIN_R;
         let plot_h = HEIGHT - MARGIN_T - MARGIN_B;

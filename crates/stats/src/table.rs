@@ -47,7 +47,7 @@ impl Table {
     }
 
     /// Serializes as RFC-4180 CSV.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         write_csv_row(&mut out, &self.headers);
         for row in &self.rows {
@@ -106,15 +106,6 @@ pub fn fmt_f64(v: f64) -> String {
     format!("{v:.12}")
 }
 
-/// Formats a float compactly for human-facing Markdown.
-pub fn fmt_short(v: f64) -> String {
-    if v.abs() >= 100.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +147,6 @@ mod tests {
 
     #[test]
     fn float_formatting() {
-        assert_eq!(fmt_short(1.23456789), "1.2346");
-        assert_eq!(fmt_short(123.456), "123.5");
         assert!(fmt_f64(1.0).starts_with("1.0000"));
     }
 }

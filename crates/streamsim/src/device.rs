@@ -87,11 +87,6 @@ impl DeviceMemory {
             set.clear();
         }
     }
-
-    /// Number of items currently held for stream `k`.
-    pub fn held_count(&self, k: StreamId) -> usize {
-        self.held[k.0].len()
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +111,7 @@ mod tests {
         let mut m = DeviceMemory::new(1);
         m.insert_window(A, 100, 2); // 99, 100
         m.insert_window(A, 100, 6); // 95..=100
-        assert_eq!(m.held_count(A), 6);
+        assert_eq!(m.held[A.0].len(), 6);
         assert_eq!(m.missing(A, 100, 6), 0);
     }
 
@@ -125,7 +120,7 @@ mod tests {
         let mut m = DeviceMemory::new(1);
         m.insert_window(A, 100, 10); // 91..=100
         m.prune(A, 96);
-        assert_eq!(m.held_count(A), 5); // 96..=100
+        assert_eq!(m.held[A.0].len(), 5); // 96..=100
         assert_eq!(m.missing(A, 100, 10), 5);
     }
 
@@ -135,8 +130,8 @@ mod tests {
         m.insert_window(A, 10, 3);
         m.insert_window(StreamId(1), 10, 2);
         m.clear();
-        assert_eq!(m.held_count(A), 0);
-        assert_eq!(m.held_count(StreamId(1)), 0);
+        assert_eq!(m.held[A.0].len(), 0);
+        assert_eq!(m.held[StreamId(1).0].len(), 0);
     }
 
     #[test]
@@ -145,7 +140,7 @@ mod tests {
         // now = 2 with window 5: only items 1 and 2 exist.
         assert_eq!(m.missing(A, 2, 5), 2);
         m.insert_window(A, 2, 5);
-        assert_eq!(m.held_count(A), 2);
+        assert_eq!(m.held[A.0].len(), 2);
         assert_eq!(m.missing(A, 2, 3), 0);
         assert_eq!(m.missing(A, 2, 5), 0);
         // before any item exists, nothing can be missing

@@ -27,19 +27,9 @@ impl EnergyModel {
         }
     }
 
-    /// Adds a per-contact wake-up surcharge.
-    pub fn with_wakeup(mut self, wakeup: f64) -> EnergyModel {
-        assert!(
-            wakeup >= 0.0 && wakeup.is_finite(),
-            "wake-up cost must be finite and >= 0"
-        );
-        self.wakeup_cost = wakeup;
-        self
-    }
-
     /// Energy for pulling `items` new items from stream `k`
     /// (zero items = no contact = no cost).
-    pub fn pull_cost(&self, k: StreamId, items: u32) -> f64 {
+    pub(crate) fn pull_cost(&self, k: StreamId, items: u32) -> f64 {
         if items == 0 {
             0.0
         } else {
@@ -74,15 +64,9 @@ mod tests {
     #[test]
     fn wakeup_surcharge_applies_per_contact() {
         let cat = StreamCatalog::from_costs([1.0]).unwrap();
-        let e = EnergyModel::from_catalog(&cat).with_wakeup(10.0);
+        let mut e = EnergyModel::from_catalog(&cat);
+        e.wakeup_cost = 10.0;
         assert_eq!(e.pull_cost(StreamId(0), 2), 12.0);
         assert_eq!(e.pull_cost(StreamId(0), 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "wake-up")]
-    fn negative_wakeup_rejected() {
-        let cat = StreamCatalog::from_costs([1.0]).unwrap();
-        let _ = EnergyModel::from_catalog(&cat).with_wakeup(-1.0);
     }
 }

@@ -46,4 +46,4 @@ pub use runtime::{
 pub use simulate::{run_pipeline, PipelineConfig, PipelineReport};
 pub use source::{SensorModel, SensorSource};
 pub use stream::SimStream;
-pub use trace::{estimate_probabilities, LeafRecord, TraceLog};
+pub use trace::{LeafRecord, TraceLog};

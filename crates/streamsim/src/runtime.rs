@@ -157,7 +157,6 @@ pub struct EnergyMeter {
     total: f64,
     maintain_total: f64,
     retry_total: f64,
-    retry_attempts: u64,
     evaluations: u64,
     items: Vec<u64>,
     maintain_items: Vec<u64>,
@@ -173,7 +172,6 @@ impl EnergyMeter {
             total: 0.0,
             maintain_total: 0.0,
             retry_total: 0.0,
-            retry_attempts: 0,
             evaluations: 0,
             items,
             maintain_items,
@@ -206,11 +204,6 @@ impl EnergyMeter {
         self.retry_total
     }
 
-    /// Lifetime count of failed contacts that were charged.
-    pub fn retry_attempts(&self) -> u64 {
-        self.retry_attempts
-    }
-
     /// Number of query evaluations metered.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -239,7 +232,7 @@ impl EnergyMeter {
     /// `k` — same per-item rates and wake-up surcharge as a pull, but
     /// accounted separately so serving reports can split "paid to
     /// maintain" from "paid to pull".
-    pub fn charge_maintenance(&mut self, k: StreamId, items: u32) -> f64 {
+    pub(crate) fn charge_maintenance(&mut self, k: StreamId, items: u32) -> f64 {
         let cost = self.model.pull_cost(k, items);
         self.maintain_total += cost;
         self.maintain_items[k.0] += u64::from(items);
@@ -250,10 +243,9 @@ impl EnergyMeter {
     /// pull `items`: a retry is a pull and burns the same energy, but
     /// the items never arrive, so the per-stream pulled counters stay
     /// untouched and the charge lands in a separate retry account.
-    pub fn charge_retry(&mut self, k: StreamId, items: u32) -> f64 {
+    pub(crate) fn charge_retry(&mut self, k: StreamId, items: u32) -> f64 {
         let cost = self.model.pull_cost(k, items);
         self.retry_total += cost;
-        self.retry_attempts += 1;
         cost
     }
 
@@ -330,12 +322,6 @@ impl Scheduler {
     /// The attached arrangement store, if any.
     pub fn arrangements(&self) -> Option<&ArrangementStore> {
         self.arrangements.as_ref()
-    }
-
-    /// Mutable access to the attached arrangement store (refcount
-    /// changes between ticks).
-    pub fn arrangements_mut(&mut self) -> Option<&mut ArrangementStore> {
-        self.arrangements.as_mut()
     }
 
     /// Lends a store to this scheduler and switches it to
@@ -947,7 +933,11 @@ mod tests {
     fn scheduler_policy_and_memory_are_observable() {
         let sched = Scheduler::new(2, MemoryPolicy::Retain);
         assert_eq!(sched.policy(), MemoryPolicy::Retain);
-        assert_eq!(sched.memory().held_count(StreamId(0)), 0);
+        assert_eq!(
+            sched.memory().missing(StreamId(0), 10, 3),
+            3,
+            "memory starts empty"
+        );
     }
 
     #[test]
@@ -1081,7 +1071,6 @@ mod tests {
         assert_eq!(out.failed_reads, 0);
         assert_eq!(out.cost, 12.0, "two failed 4-item contacts plus the pull");
         assert_eq!(m.retry_cost_total(), 8.0);
-        assert_eq!(m.retry_attempts(), 2);
         assert_eq!(m.total_cost(), 12.0);
         assert_eq!(m.items_pulled(), &[4], "failed contacts deliver no items");
     }

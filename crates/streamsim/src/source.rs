@@ -88,7 +88,7 @@ impl SensorSource {
     }
 
     /// Generates the next value.
-    pub fn next_value<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+    pub(crate) fn next_value<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let t = self.tick;
         self.tick += 1;
         match self.model {
@@ -132,7 +132,7 @@ impl SensorSource {
 
 /// Standard normal sample via Box-Muller (rand's `StandardNormal` lives in
 /// `rand_distr`, which we deliberately avoid depending on).
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -70,7 +70,7 @@ impl TraceLog {
 /// Per-leaf success-probability estimates from a trace, flat term-major
 /// order, with add-one (Laplace) smoothing:
 /// `(successes + 1) / (observations + 2)`.
-pub fn estimate_probabilities(log: &TraceLog, query: &SimQuery) -> Vec<f64> {
+pub(crate) fn estimate_probabilities(log: &TraceLog, query: &SimQuery) -> Vec<f64> {
     let refs = query.leaf_refs();
     let index_of = |r: LeafRef| -> usize {
         refs.iter()
@@ -92,7 +92,7 @@ pub fn estimate_probabilities(log: &TraceLog, query: &SimQuery) -> Vec<f64> {
 }
 
 /// Convenience: calibrated scheduling skeleton straight from a trace.
-pub fn calibrated_skeleton(log: &TraceLog, query: &SimQuery) -> DnfTree {
+pub(crate) fn calibrated_skeleton(log: &TraceLog, query: &SimQuery) -> DnfTree {
     query.skeleton(&estimate_probabilities(log, query))
 }
 

@@ -25,7 +25,7 @@ pub use std::hint::black_box;
 
 /// True when the benches were invoked in smoke mode (`--smoke` argument
 /// or `CRITERION_SMOKE=1`).
-pub fn smoke_mode() -> bool {
+pub(crate) fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke") || std::env::var_os("CRITERION_SMOKE").is_some()
 }
 

@@ -352,7 +352,7 @@ pub mod option {
 }
 
 /// Deterministic per-test seed derived from the test's name (FNV-1a).
-pub fn seed_for(test_name: &str) -> u64 {
+pub(crate) fn seed_for(test_name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in test_name.bytes() {
         h ^= u64::from(b);
