@@ -20,7 +20,7 @@ pub enum CheckError {
     },
     /// A joint-plan violation (see [`crate::verify_joint`]).
     Joint(crate::plan::JointViolation),
-    /// A snapshot-document violation (see [`crate::check_snapshot`]).
+    /// A snapshot-document violation (see `crate::check_snapshot`).
     Snapshot(paotr_serverd::SnapshotViolation),
     /// A qlang source lint (see [`crate::lint_query`]).
     Lint(crate::qlint::QueryLint),

@@ -177,7 +177,7 @@ pub struct SearchOptions {
     /// Prune branches whose partial cost reaches the incumbent.
     pub prune: bool,
     /// Additionally prune on the admissible open-term completion bound
-    /// (see [`CostModel::completion_lower_bound`]); only applied
+    /// (see `CostModel::completion_lower_bound`); only applied
     /// to depth-first searches, where the phase argument holds.
     pub completion_bound: bool,
     /// Initial incumbent (e.g. the best heuristic cost); `INFINITY` if

@@ -5,7 +5,7 @@
 //! Section I). This module provides:
 //!
 //! * `schedule_impl` (surfaced as
-//!   [`GeneralPlanner`](crate::plan::planners::GeneralPlanner)) — a
+//!   `GeneralPlanner`) — a
 //!   recursive depth-first heuristic generalizing the paper's winning
 //!   ideas: every operator node summarizes its subtree as
 //!   a macro-leaf `(expected cost, success probability)` and orders its
@@ -130,7 +130,7 @@ pub(crate) const MAX_GENERAL_EXHAUSTIVE: usize = 8;
 /// orders, each evaluated exactly. Test oracle only: `O(L! * 2^L * L)`.
 ///
 /// # Panics
-/// Panics when the tree has more than [`MAX_GENERAL_EXHAUSTIVE`] leaves.
+/// Panics when the tree has more than `MAX_GENERAL_EXHAUSTIVE` leaves.
 pub fn optimal(tree: &QueryTree, catalog: &StreamCatalog) -> (Vec<usize>, f64) {
     let l = tree.num_leaves();
     assert!(

@@ -19,7 +19,7 @@
 //! [`CostModel`] kernel: term summaries come from the per-term helpers
 //! (no per-term `AndTree` cost passes over catalog-wide buffers), and the
 //! dynamic selection loop prices each candidate term against the pushed
-//! prefix with one [`CostModel::frozen_append_cost`] call, then pushes
+//! prefix with one `CostModel::frozen_append_cost` call, then pushes
 //! the winner.
 
 use crate::cost::model::{CostModel, EvalScratch};

@@ -23,7 +23,7 @@ pub use stream_ordered::{Config as StreamConfig, LeafOrder, StreamOrder};
 /// One of the paper's polynomial-time DNF scheduling heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Heuristic {
-    /// "Stream-ord." — Lim et al. [4], with the paper's Proposition-1 leaf
+    /// "Stream-ord." — Lim et al. \[4\], with the paper's Proposition-1 leaf
     /// order improvement by default.
     StreamOrdered(StreamConfig),
     /// "Leaf-ord., random" — baseline; the seed makes runs reproducible.
@@ -70,12 +70,12 @@ impl Heuristic {
         }
     }
 
-    /// The stable kebab-case identifier, shared by [`FromStr`],
+    /// The stable kebab-case identifier, shared by [`FromStr`](std::str::FromStr),
     /// [`std::fmt::Display`], the CLI's `--heuristic` flag, and the
     /// planner registry (`crate::plan::PlannerRegistry`).
     ///
     /// `LeafRandom` maps to `leaf-random` regardless of its seed; parsing
-    /// restores the default seed ([`Heuristic::DEFAULT_RANDOM_SEED`]),
+    /// restores the default seed (`Heuristic::DEFAULT_RANDOM_SEED`),
     /// which [`Heuristic::with_seed`] can override.
     pub fn id(&self) -> &'static str {
         match self {
@@ -97,7 +97,7 @@ impl Heuristic {
         }
     }
 
-    /// Seed that [`FromStr`] gives `leaf-random`.
+    /// Seed that [`FromStr`](std::str::FromStr) gives `leaf-random`.
     pub(crate) const DEFAULT_RANDOM_SEED: u64 = 42;
 
     /// Returns `self` with the RNG seed replaced, for the variants that

@@ -1,4 +1,4 @@
-//! The stream-ordered heuristic of Lim, Misra & Mo (reference [4] of the
+//! The stream-ordered heuristic of Lim, Misra & Mo (reference \[4\] of the
 //! paper) — the only previously published heuristic for shared-stream DNF
 //! scheduling.
 //!
@@ -18,7 +18,7 @@
 //!
 //! Two design knobs are exposed as ablations:
 //!
-//! * **leaf order within a stream**: the original heuristic of [4]
+//! * **leaf order within a stream**: the original heuristic of \[4\]
 //!   evaluates a stream's leaves in *decreasing* item order; the paper
 //!   observes Proposition 1 also holds for DNF trees and switches to
 //!   *increasing* order, which wins or ties "in the vast majority of
@@ -50,7 +50,7 @@ pub enum LeafOrder {
     /// (default; used for the paper's experiments).
     #[default]
     IncreasingD,
-    /// Decreasing `d` — the original behaviour of [4].
+    /// Decreasing `d` — the original behaviour of \[4\].
     DecreasingD,
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * a [`Strategy`] decision-tree representation with an exact
 //!   expected-cost evaluator;
-//! * [`optimal_strategy`] — a memoized exponential dynamic program over
+//! * `optimal_strategy` — a memoized exponential dynamic program over
 //!   *information states* that computes the optimal non-linear strategy of
 //!   small DNF instances;
 //! * [`linearity_gap`] — compares the optimal non-linear cost against the

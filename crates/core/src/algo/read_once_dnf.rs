@@ -1,5 +1,5 @@
 //! Optimal scheduling of *read-once* DNF trees (Greiner et al., reference
-//! [6] of the paper).
+//! \[6\] of the paper).
 //!
 //! When every stream occurs at a single leaf, the optimal DNF schedule is
 //! depth-first: order the leaves inside each AND node with Smith's greedy,

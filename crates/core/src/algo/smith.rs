@@ -1,4 +1,4 @@
-//! Smith's greedy for read-once AND-trees (reference [7] of the paper).
+//! Smith's greedy for read-once AND-trees (reference \[7\] of the paper).
 //!
 //! For AND-trees in which every stream occurs at a single leaf, sorting the
 //! leaves by non-decreasing `d_j * c(S(j)) / q_j` is optimal

@@ -19,7 +19,7 @@ pub(crate) const MAX_ENUM_LEAVES: usize = 25;
 /// Exact expected cost of an AND-tree schedule via full enumeration.
 ///
 /// # Panics
-/// Panics if the tree has more than [`MAX_ENUM_LEAVES`] leaves.
+/// Panics if the tree has more than `MAX_ENUM_LEAVES` leaves.
 pub fn and_tree_expected_cost(
     tree: &AndTree,
     catalog: &StreamCatalog,
@@ -40,7 +40,7 @@ pub fn and_tree_expected_cost(
 /// Assignments are in flat term-major leaf order.
 ///
 /// # Panics
-/// Panics if the tree has more than [`MAX_ENUM_LEAVES`] leaves.
+/// Panics if the tree has more than `MAX_ENUM_LEAVES` leaves.
 pub fn dnf_expected_cost(tree: &DnfTree, catalog: &StreamCatalog, schedule: &DnfSchedule) -> f64 {
     let m = tree.num_leaves();
     assert!(
@@ -57,7 +57,7 @@ pub fn dnf_expected_cost(tree: &DnfTree, catalog: &StreamCatalog, schedule: &Dnf
 /// full enumeration.
 ///
 /// # Panics
-/// Panics if the tree has more than [`MAX_ENUM_LEAVES`] leaves.
+/// Panics if the tree has more than `MAX_ENUM_LEAVES` leaves.
 pub fn query_tree_expected_cost(
     tree: &QueryTree,
     catalog: &StreamCatalog,

@@ -62,7 +62,7 @@ pub(crate) fn expected_items_per_stream(
     expected_items_with_coverage(tree, catalog, schedule, &vec![0.0; catalog.len()])
 }
 
-/// [`expected_items_per_stream`] under *prior coverage*: `coverage[k]`
+/// `expected_items_per_stream` under *prior coverage*: `coverage[k]`
 /// is the expected number of leading (most recent) items of stream `k`
 /// already resident in device memory before this query starts — e.g.
 /// pulled by queries evaluated earlier in the same tick. Item `t` of a

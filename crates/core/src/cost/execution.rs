@@ -24,7 +24,7 @@
 //! [`crate::cost::montecarlo`] are their only callers (expectations
 //! over truth assignments need an in-process interpreter, not a
 //! data-path simulator). The
-//! general-tree interpreter [`execute_query_tree`] stays public: the
+//! general-tree interpreter `execute_query_tree` stays public: the
 //! runtime executes DNF schedules only, so general AND-OR trees have no
 //! replacement there.
 

@@ -19,7 +19,7 @@
 //!
 //! There is one algorithm, an *incremental* state on the scratch
 //! ([`CostModel::push`] / [`CostModel::pop`] / [`CostModel::peek`] /
-//! [`CostModel::completion_lower_bound`]): per `(stream, item)` bucket,
+//! `CostModel::completion_lower_bound`): per `(stream, item)` bucket,
 //! factor 1 is the product of `1 - reach` over the bucket's members in
 //! push order and factor 2 the product of `1 - success` over completed
 //! terms without a member there, so a leaf's marginal cost is an

@@ -189,7 +189,7 @@ impl Engine {
     }
 
     /// Plans with the registry's default planner for the query class
-    /// (see [`PlannerRegistry::default_for`]).
+    /// (see `PlannerRegistry::default_for`).
     pub fn plan<'a>(
         &self,
         query: impl Into<QueryRef<'a>>,

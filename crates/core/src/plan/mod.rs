@@ -9,7 +9,7 @@
 //!   ([`AndTree`]), DNF trees ([`DnfTree`]), and general AND-OR trees
 //!   ([`QueryTree`]), with conversions between the classes;
 //! * [`Plan`] — the unified output: an [`AndSchedule`], [`DnfSchedule`],
-//!   or decision-tree [`Strategy`](crate::algo::nonlinear::Strategy),
+//!   or decision-tree [`Strategy`],
 //!   together with its expected cost, the planner that produced it, and
 //!   the planning wall-time;
 //! * [`Planner`] — the trait every algorithm implements
@@ -205,7 +205,7 @@ impl<'a> From<&'a crate::tree::DnfInstance> for QueryRef<'a> {
 /// The executable artifact a planner produces, expressed over the
 /// *normalized* tree of the planner's native class (e.g. an AND-tree
 /// planner serving a one-term DNF returns leaf indices of
-/// [`QueryRef::to_and_tree`]).
+/// `QueryRef::to_and_tree`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanBody {
     /// A total order on an AND-tree's leaves.

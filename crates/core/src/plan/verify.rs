@@ -13,14 +13,14 @@
 //!   catalog presented, and every referenced stream resolves;
 //! * **price** — the stored expected cost is finite, non-negative and
 //!   reproduces under independent re-evaluation to ≤ 1e-9 relative
-//!   error ([`and_eval`](crate::cost::and_eval),
-//!   [`dnf_eval`](crate::cost::dnf_eval),
-//!   [`nonlinear::expected_cost`](crate::algo::nonlinear::expected_cost)
-//!   or [`general::expected_cost`](crate::algo::general::expected_cost),
+//!   error ([`and_eval`],
+//!   [`dnf_eval`],
+//!   [`nonlinear::expected_cost`]
+//!   or [`general::expected_cost`],
 //!   by body class);
 //! * **bound soundness** — for depth-first DNF schedules, the
 //!   branch-and-bound admissible bound
-//!   ([`CostModel::completion_lower_bound`]) evaluated at the
+//!   (`CostModel::completion_lower_bound`) evaluated at the
 //!   empty search state never exceeds the verified cost. An inflated
 //!   bound would let the B&B prune the optimum; a cost below the bound
 //!   is a mispriced plan.

@@ -84,7 +84,7 @@ impl AdmissionCtx<'_> {
     }
 
     /// Worst-case energy of a whole admitted set (used by reports; the
-    /// policies build it incrementally via [`AdmissionCtx::marginal_cost`]).
+    /// policies build it incrementally via `AdmissionCtx::marginal_cost`).
     pub fn worst_case_set(&self, admitted: &[usize]) -> f64 {
         if !self.shared {
             return admitted.iter().map(|&q| self.worst_case_query(q)).sum();

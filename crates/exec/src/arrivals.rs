@@ -4,7 +4,7 @@
 //! The simulation and bench paths evaluate every query every tick; a
 //! serving deployment does not — queries arrive on their own clocks
 //! (a dashboard refreshing once a minute, an alert firing on demand).
-//! [`ArrivalProcess`] turns an [`ArrivalSpec`] into a deterministic
+//! `ArrivalProcess` turns an [`ArrivalSpec`] into a deterministic
 //! per-query stream of arrival ticks, seeded through
 //! [`paotr_gen::seeds`] (domain [`Experiment::Serve`]) so a serve run
 //! is reproducible from `(workload seed, serve seed)` alone.

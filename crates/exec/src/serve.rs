@@ -2,7 +2,7 @@
 //! workload over arrival processes, with admission control and
 //! drift-triggered re-planning.
 //!
-//! Each tick the loop (1) polls every query's [`ArrivalProcess`],
+//! Each tick the loop (1) polls every query's `ArrivalProcess`,
 //! (2) hands the due set to the [`AdmissionPolicy`], (3) executes the
 //! admitted queries on the unified runtime (`stream_sim::runtime`
 //! [`Scheduler`] + [`EnergyMeter`] — the same scheduler the simulator

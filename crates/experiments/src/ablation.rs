@@ -1,6 +1,6 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! 1. **Stream-ordered leaf order** — the paper replaces [4]'s
+//! 1. **Stream-ordered leaf order** — the paper replaces \[4\]'s
 //!    decreasing-d order with increasing-d (Proposition 1) and claims it
 //!    wins or ties "in the vast majority of the cases"; we measure the
 //!    win/tie/loss split, plus the increasing-R vs decreasing-R reading
@@ -22,7 +22,7 @@ use paotr_stats::Table;
 
 /// Win/tie/loss counts of one variant against another.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Duel {
+struct Duel {
     /// Variant A strictly cheaper.
     pub wins: usize,
     /// Equal cost (within 1e-12 relative).

@@ -33,7 +33,7 @@ pub struct Row {
 }
 
 /// Query counts swept.
-pub const QUERY_COUNTS: [usize; 3] = [16, 64, 256];
+const QUERY_COUNTS: [usize; 3] = [16, 64, 256];
 /// Pairwise stream overlap of the generated workloads.
 pub const OVERLAP: f64 = 0.6;
 

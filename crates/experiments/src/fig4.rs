@@ -1,7 +1,7 @@
 //! Figure 4 + its inline statistics (experiment FIG4/STAT4).
 //!
 //! 157,000 random shared AND-trees; for each, the cost of the schedule
-//! produced by the read-once greedy of [7] (Smith) and by the optimal
+//! produced by the read-once greedy of \[7\] (Smith) and by the optimal
 //! Algorithm 1, both evaluated under the *shared* cost model. The paper
 //! plots both costs for all instances sorted by increasing optimal cost,
 //! and reports: max ratio 1.86, >10% worse on 19.54% of instances, >1% on

@@ -19,7 +19,7 @@ use paotr_stats::{best_counts, Chart, Profile, Series, Table};
 /// Node budget per instance for the exact search. Instances that exceed
 /// it are excluded from the profiles (and counted); with Proposition-1
 /// pruning and heuristic incumbents this is rarely hit.
-pub const NODE_LIMIT: u64 = 5_000_000;
+const NODE_LIMIT: u64 = 5_000_000;
 
 /// Per-instance result: heuristic costs (paper legend order) + optimum.
 #[derive(Debug, Clone)]

@@ -36,10 +36,10 @@ pub struct Row {
 }
 
 /// Arrival rates swept.
-pub const RATES: [f64; 3] = [0.25, 0.5, 1.0];
+const RATES: [f64; 3] = [0.25, 0.5, 1.0];
 /// Budget factors swept (fractions of the unconstrained shared-greedy
 /// max tick energy; infinity = accept-all).
-pub const BUDGET_FACTORS: [f64; 4] = [0.25, 0.5, 1.0, f64::INFINITY];
+const BUDGET_FACTORS: [f64; 4] = [0.25, 0.5, 1.0, f64::INFINITY];
 /// Queries in the served workload.
 pub const QUERIES: usize = 16;
 

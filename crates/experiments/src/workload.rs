@@ -32,13 +32,13 @@ pub struct Row {
 }
 
 /// Workload sizes swept with full shared-pull simulation.
-pub const QUERY_COUNTS: [usize; 3] = [4, 8, 16];
+const QUERY_COUNTS: [usize; 3] = [4, 8, 16];
 /// Overlap degrees swept.
-pub const OVERLAPS: [f64; 3] = [0.2, 0.5, 0.8];
+const OVERLAPS: [f64; 3] = [0.2, 0.5, 0.8];
 /// Overlap degrees for the 128-query `large_workload` preset cells
 /// (prediction-only — simulating 128 queries per tick would dominate
 /// the sweep; `simulated_speedup` is NaN on these rows).
-pub const LARGE_OVERLAPS: [f64; 2] = [0.2, 0.6];
+const LARGE_OVERLAPS: [f64; 2] = [0.2, 0.6];
 
 /// Runs the sweep; `--scale` controls instances per cell (10 at full
 /// scale).

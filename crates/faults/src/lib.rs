@@ -15,7 +15,7 @@
 //!   no stream count — a restored daemon replays the exact same faults
 //!   tick-for-tick;
 //! * [`FaultySource`] — a decorator implementing
-//!   [`StreamSource`](stream_sim::StreamSource) that gates sensor
+//!   [`StreamSource`] that gates sensor
 //!   contacts (`try_recent`) through a plan while leaving device-local
 //!   reads (`recent`) untouched.
 //!

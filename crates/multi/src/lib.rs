@@ -24,7 +24,7 @@
 //!   *all* queries against shared device memory and meters real energy;
 //! * [`outcome`] — [`WorkloadOutcome`] reports (per-query and aggregate
 //!   cost, sharing ratio, speedup vs. independent) and the
-//!   [`compare`](outcome::compare) harness behind
+//!   [`compare`] harness behind
 //!   `paotr workload --compare`.
 //!
 //! ## Quick start

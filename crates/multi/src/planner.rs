@@ -14,7 +14,7 @@
 //!   it creates for the rest is smallest, and each query may be
 //!   *re-planned* against an effective catalog in which already-covered
 //!   streams are discounted — coalescing cross-query pulls;
-//! * [`BatchAwarePlanner`] (`batch-aware`) — groups queries by their
+//! * `BatchAwarePlanner` (`batch-aware`) — groups queries by their
 //!   dominant stream and runs each group back-to-back (heaviest puller
 //!   first), so items pulled this tick are reused while still hot.
 //!
@@ -31,8 +31,10 @@
 //!   that stamps every per-query plan's cost;
 //! * wide rounds fan candidate evaluation out over `paotr_par`'s scoped
 //!   threads ([`SharedGreedyPlanner::threads`]) with one evaluation
-//!   scratch per participating thread per round — no per-candidate
-//!   allocation in the round loop;
+//!   scratch per participating thread per round. The scratch is reused,
+//!   but each candidate evaluation still collects its per-stream item
+//!   counts into a fresh `Vec<f64>` (a second one when the coalescing
+//!   re-plan wins), so the round loop allocates per candidate;
 //! * the expensive coalescing *re-plan* of a candidate is cached and
 //!   recomputed only when the coverage on that query's streams has moved
 //!   since the cached re-plan — the cached plan is reused exactly when it

@@ -13,7 +13,7 @@
 //!   predicate (default 0.5; in a deployment these come from trace
 //!   calibration — see `stream_sim::trace`).
 //!
-//! The [`compile`] module lowers parsed queries to `paotr_core` trees
+//! The [`compile`](mod@compile) module lowers parsed queries to `paotr_core` trees
 //! (with stream catalogs) and to `stream_sim` executable queries.
 //!
 //! ```

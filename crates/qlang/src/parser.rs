@@ -25,7 +25,7 @@ pub fn parse(source: &str) -> Result<Expr> {
 
 /// Like [`parse`], but also returns the byte offset of every predicate
 /// in depth-first (source) order — index `i` of the returned vector is
-/// the offset of the `i`-th [`PredicateAst`](crate::ast::PredicateAst)
+/// the offset of the `i`-th [`PredicateAst`]
 /// an in-order walk of the expression visits. Lint tooling uses these
 /// to point caret diagnostics at the exact predicate, the same way
 /// [`ParseError::render`] does for syntax errors.

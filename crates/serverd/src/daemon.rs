@@ -18,7 +18,7 @@
 //! restart continues on the same data the uninterrupted run would have
 //! seen.
 
-use crate::json::{parse as json_parse, Json};
+use crate::json::Json;
 use crate::proto::{error_response, ok_response, parse_command, Command};
 use crate::registry::SessionRegistry;
 use crate::snapshot::{Restored, SessionSnap, Snapshot, SnapshotError};
@@ -761,11 +761,7 @@ impl Daemon {
                 ));
                 Ok(ok_response(fields))
             }
-            Command::Plan => {
-                let digest = self.registry.plan_digest();
-                let plan = json_parse(&digest).expect("digest is valid JSON");
-                Ok(ok_response([("plan", plan)]))
-            }
+            Command::Plan => Ok(ok_response([("plan", self.registry.plan_json())])),
             Command::Replan => self.replan().map(|()| ok_response([])),
             Command::Snapshot { path: Some(path) } => self
                 .save_snapshot(&path)

@@ -206,9 +206,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s would
+/// overflow the serving thread's stack; the daemon's own documents nest
+/// at most 5 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON document (trailing whitespace allowed).
+/// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { src: input, pos: 0 };
+    let mut p = Parser {
+        src: input,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -220,10 +231,11 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 
 /// A cursor over the input. `pos` is a byte offset that only ever
 /// advances past ASCII bytes or whole characters, so it always sits on a
-/// char boundary.
+/// char boundary; `depth` counts the arrays and objects open at `pos`.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,12 +280,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -387,11 +409,16 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
+        // JSON has no infinities: `1e400` is refused rather than parsed
+        // to a value the writer cannot render back.
         let text = &self.src[start..self.pos];
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            message: format!("bad number `{text}`"),
-            offset: start,
-        })
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError {
+                message: format!("bad number `{text}`"),
+                offset: start,
+            }),
+        }
     }
 }
 
@@ -449,6 +476,7 @@ mod tests {
             "tru",
             "[1 2]",
             "1.2.3",
+            "1e400",
         ] {
             let err = parse(src).expect_err(src);
             assert!(err.offset <= src.len(), "{src}: offset {}", err.offset);

@@ -335,11 +335,17 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// A canonical one-line rendering of the current joint plan: the
-    /// execution order (session ids) plus every session's leaf schedule
-    /// in id order. Two plans are byte-identical exactly when their
-    /// digests are equal.
+    /// A canonical one-line rendering of the current joint plan, as the
+    /// `plan` reply carries it: the execution order (session ids) plus
+    /// every session's leaf schedule in id order. Two plans are
+    /// byte-identical exactly when their digests are equal.
     pub fn plan_digest(&self) -> String {
+        self.plan_json().to_string_compact()
+    }
+
+    /// The current joint plan as a JSON document (see
+    /// [`SessionRegistry::plan_digest`]).
+    pub(crate) fn plan_json(&self) -> crate::json::Json {
         use crate::json::Json;
         let schedules: Vec<Json> = self
             .sessions
@@ -364,7 +370,6 @@ impl SessionRegistry {
             ("order", Json::u64_arr(self.order.iter().copied())),
             ("schedules", Json::Arr(schedules)),
         ])
-        .to_string_compact()
     }
 
     /// What a **cold** full re-plan of the surviving set would produce:

@@ -27,7 +27,7 @@ pub struct RatioSummary {
     pub frac_over_10pct: f64,
     /// Fraction of ratios strictly above `1 + 1%`.
     pub frac_over_1pct: f64,
-    /// Fraction of ratios within [`TIE_EPSILON`] of 1 (exact ties).
+    /// Fraction of ratios within `TIE_EPSILON` of 1 (exact ties).
     pub frac_ties: f64,
     /// Median ratio.
     pub median: f64,

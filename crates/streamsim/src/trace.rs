@@ -3,7 +3,7 @@
 //! The paper assumes leaf success probabilities are "estimated based on
 //! historical traces obtained from previous query evaluations". This
 //! module closes that loop: the engine appends a [`LeafRecord`] per leaf
-//! evaluation, and [`estimate_probabilities`] turns a trace into per-leaf
+//! evaluation, and `estimate_probabilities` turns a trace into per-leaf
 //! success-rate estimates (with add-one smoothing so unobserved leaves get
 //! a neutral prior rather than a degenerate 0 or 1).
 

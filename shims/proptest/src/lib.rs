@@ -266,7 +266,7 @@ pub fn any<T: Arbitrary>() -> BoxedStrategy<T> {
 pub mod collection {
     use super::{Range, RangeInclusive, Rng, StdRng, Strategy};
 
-    /// Acceptable size arguments for [`vec`]: an exact size, `lo..hi`, or
+    /// Acceptable size arguments for [`vec`](fn@vec): an exact size, `lo..hi`, or
     /// `lo..=hi`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
