@@ -103,21 +103,11 @@ impl Arrangement {
         self.zero_reader_since
     }
 
-    /// Maintained items currently in the ring.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been maintained yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Items a maintenance at stream time `now` must fetch to bring
     /// this arrangement current: the production gap, capped at the
     /// window (a long-stale ring is simply rebuilt from the newest
     /// `window` items).
-    pub fn need(&self, now: u64) -> u32 {
+    pub(crate) fn need(&self, now: u64) -> u32 {
         let gap = now.saturating_sub(self.maintained_to);
         gap.min(u64::from(self.window)) as u32
     }
@@ -211,11 +201,6 @@ impl ArrangementStore {
         }
     }
 
-    /// The store configuration.
-    pub fn config(&self) -> ArrangeConfig {
-        self.config
-    }
-
     /// Live arrangements.
     pub fn len(&self) -> usize {
         self.arrangements.len()
@@ -245,11 +230,6 @@ impl ArrangementStore {
     /// Live arrangements in `(stream, window)` order.
     pub fn iter(&self) -> impl Iterator<Item = &Arrangement> {
         self.arrangements.values()
-    }
-
-    /// The arrangement at exactly `(stream, window)`, if live.
-    pub fn get(&self, stream: StreamId, window: u32) -> Option<&Arrangement> {
-        self.arrangements.get(&(stream.0, window))
     }
 
     /// Adds a reader to the `(stream, window)` arrangement, creating it

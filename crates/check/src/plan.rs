@@ -89,7 +89,7 @@ pub enum JointViolation {
 
 impl JointViolation {
     /// Stable kebab-case rule name.
-    pub fn rule(&self) -> &'static str {
+    pub(crate) fn rule(&self) -> &'static str {
         match self {
             JointViolation::OrderNotPermutation { .. } => "order-not-permutation",
             JointViolation::LengthMismatch { .. } => "length-mismatch",
@@ -104,7 +104,7 @@ impl JointViolation {
     }
 
     /// Path into the joint-plan document.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         match self {
             JointViolation::OrderNotPermutation { .. } => "order".into(),
             JointViolation::LengthMismatch { field, .. } => (*field).into(),

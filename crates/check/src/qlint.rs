@@ -36,7 +36,7 @@ pub enum LintRule {
 
 impl LintRule {
     /// Stable kebab-case rule name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             LintRule::UnusedStream => "unused-stream",
             LintRule::DuplicateTerm => "duplicate-term",

@@ -38,7 +38,7 @@ impl CheckError {
     }
 
     /// The checker layer that produced this error.
-    pub fn layer(&self) -> &'static str {
+    pub(crate) fn layer(&self) -> &'static str {
         match self {
             CheckError::Plan { .. } => "plan",
             CheckError::Joint(_) => "joint",
@@ -106,7 +106,7 @@ impl CheckReport {
     }
 
     /// Records a violation.
-    pub fn push(&mut self, e: CheckError) {
+    pub(crate) fn push(&mut self, e: CheckError) {
         self.errors.push(e);
     }
 
@@ -133,7 +133,7 @@ impl CheckReport {
 
     /// Human-readable rendering: a verdict line plus (when dirty) the
     /// findings as a Markdown table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         if self.is_clean() {
             format!(
                 "{}: OK ({} checks, 0 violations)\n",

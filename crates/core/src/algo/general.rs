@@ -13,9 +13,9 @@
 //!   by the dual ratio `C/p` under OR (shortcut on success). Costs are
 //!   computed read-once-style (sharing inside a subtree is not
 //!   discounted), which keeps the recursion `O(L log L)`;
-//! * [`expected_cost`] — exact expected cost of a general-tree schedule
+//! * `expected_cost` — exact expected cost of a general-tree schedule
 //!   by assignment enumeration (exponential; small trees);
-//! * [`optimal`] — exhaustive optimal schedule for tiny general trees,
+//! * `optimal` — exhaustive optimal schedule for tiny general trees,
 //!   the test oracle for the heuristic.
 
 use crate::cost::assignment;
@@ -119,7 +119,7 @@ fn combine(plans: impl IntoIterator<Item = Plan>, and: bool) -> Plan {
 /// Exact expected cost of a general-tree schedule (flat leaf order) by
 /// full truth-assignment enumeration. See
 /// [`crate::cost::assignment::query_tree_expected_cost`].
-pub fn expected_cost(tree: &QueryTree, catalog: &StreamCatalog, order: &[usize]) -> f64 {
+pub(crate) fn expected_cost(tree: &QueryTree, catalog: &StreamCatalog, order: &[usize]) -> f64 {
     assignment::query_tree_expected_cost(tree, catalog, order)
 }
 
@@ -131,7 +131,7 @@ pub(crate) const MAX_GENERAL_EXHAUSTIVE: usize = 8;
 ///
 /// # Panics
 /// Panics when the tree has more than `MAX_GENERAL_EXHAUSTIVE` leaves.
-pub fn optimal(tree: &QueryTree, catalog: &StreamCatalog) -> (Vec<usize>, f64) {
+pub(crate) fn optimal(tree: &QueryTree, catalog: &StreamCatalog) -> (Vec<usize>, f64) {
     let l = tree.num_leaves();
     assert!(
         l <= MAX_GENERAL_EXHAUSTIVE,

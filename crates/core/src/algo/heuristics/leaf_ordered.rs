@@ -25,7 +25,7 @@ pub(crate) enum LeafKey {
 
 /// Schedules all leaves by the chosen key (ties broken by leaf address,
 /// so results are deterministic).
-pub fn schedule(tree: &DnfTree, catalog: &StreamCatalog, key: LeafKey) -> DnfSchedule {
+pub(crate) fn schedule(tree: &DnfTree, catalog: &StreamCatalog, key: LeafKey) -> DnfSchedule {
     let mut refs: Vec<LeafRef> = tree.leaf_refs().collect();
     refs.sort_by(|&a, &b| {
         let ka = key_value(tree, catalog, a, key);

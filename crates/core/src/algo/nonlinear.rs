@@ -48,22 +48,12 @@ pub enum Strategy {
 impl Strategy {
     /// Number of probe nodes in the strategy (exponential in the leaf
     /// count in general — the practical drawback Section V points out).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Strategy::Done => 0,
             Strategy::Probe {
                 on_true, on_false, ..
             } => 1 + on_true.size() + on_false.size(),
-        }
-    }
-
-    /// Depth of the decision tree.
-    pub fn depth(&self) -> usize {
-        match self {
-            Strategy::Done => 0,
-            Strategy::Probe {
-                on_true, on_false, ..
-            } => 1 + on_true.depth().max(on_false.depth()),
         }
     }
 }
@@ -121,7 +111,7 @@ impl State {
 /// Panics if the strategy probes a leaf of an already-failed AND node or
 /// re-probes a leaf — both indicate a malformed strategy, since such leaves
 /// are never evaluated by a real engine.
-pub fn expected_cost(tree: &DnfTree, catalog: &StreamCatalog, strategy: &Strategy) -> f64 {
+pub(crate) fn expected_cost(tree: &DnfTree, catalog: &StreamCatalog, strategy: &Strategy) -> f64 {
     fn rec(tree: &DnfTree, catalog: &StreamCatalog, strategy: &Strategy, state: &State) -> f64 {
         match strategy {
             Strategy::Done => 0.0,
@@ -344,7 +334,6 @@ mod tests {
             }),
         };
         assert_eq!(s.size(), 2);
-        assert_eq!(s.depth(), 2);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl ArrangeTerm {
     /// Expected items per tick maintenance costs: the incremental
     /// append (capped at a ring rebuild) plus the amortized fill.
     /// Infinite with no readers — an unread arrangement can never pay.
-    pub fn maintain_items(&self) -> f64 {
+    pub(crate) fn maintain_items(&self) -> f64 {
         if self.readers == 0 {
             return f64::INFINITY;
         }

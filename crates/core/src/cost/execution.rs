@@ -147,7 +147,6 @@ pub(crate) fn execute_dnf_impl(
 #[derive(Debug, Clone)]
 pub struct LeafIndexer {
     offsets: Vec<usize>,
-    total: usize,
 }
 
 impl LeafIndexer {
@@ -159,28 +158,13 @@ impl LeafIndexer {
             offsets.push(acc);
             acc += t.len();
         }
-        LeafIndexer {
-            offsets,
-            total: acc,
-        }
+        LeafIndexer { offsets }
     }
 
     /// Flat index of address `r`.
     #[inline]
     pub fn flat(&self, r: crate::leaf::LeafRef) -> usize {
         self.offsets[r.term] + r.leaf
-    }
-
-    /// Total number of leaves.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// True when the tree has no leaves.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 }
 

@@ -18,7 +18,7 @@
 //! hundreds of streams while each query reads a handful.
 //!
 //! There is one algorithm, an *incremental* state on the scratch
-//! ([`CostModel::push`] / [`CostModel::pop`] / [`CostModel::peek`] /
+//! ([`CostModel::push`] / [`CostModel::pop`] / `CostModel::peek` /
 //! `CostModel::completion_lower_bound`): per `(stream, item)` bucket,
 //! factor 1 is the product of `1 - reach` over the bucket's members in
 //! push order and factor 2 the product of `1 - success` over completed
@@ -289,7 +289,7 @@ impl CostModel {
 
     /// The marginal expected cost leaf `r` would add if pushed now,
     /// without mutating the state — `O(window)`.
-    pub fn peek(&self, r: LeafRef, scratch: &EvalScratch) -> f64 {
+    pub(crate) fn peek(&self, r: LeafRef, scratch: &EvalScratch) -> f64 {
         let (k, items) = self.peek_items(r, scratch);
         items * self.unit_cost[k]
     }
@@ -508,12 +508,6 @@ impl CostModel {
         }
         scratch.touched.clear();
         bound
-    }
-
-    /// Number of terms (AND nodes) of the compiled tree.
-    #[inline]
-    pub fn num_terms(&self) -> usize {
-        self.n_terms
     }
 
     /// Number of leaves of term `i`.

@@ -64,7 +64,7 @@ impl Leaf {
     }
 
     /// Validates the leaf against a catalog (stream id in range).
-    pub fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
+    pub(crate) fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
         if self.items == 0 {
             return Err(Error::ZeroItems);
         }

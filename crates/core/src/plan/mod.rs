@@ -103,7 +103,7 @@ pub enum QueryRef<'a> {
 
 impl<'a> QueryRef<'a> {
     /// The representation class of the underlying tree.
-    pub fn class(&self) -> QueryClass {
+    pub(crate) fn class(&self) -> QueryClass {
         match self {
             QueryRef::And(_) => QueryClass::And,
             QueryRef::Dnf(_) => QueryClass::Dnf,
@@ -112,7 +112,7 @@ impl<'a> QueryRef<'a> {
     }
 
     /// Total number of leaves.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         match self {
             QueryRef::And(t) => t.len(),
             QueryRef::Dnf(t) => t.num_leaves(),
@@ -121,7 +121,7 @@ impl<'a> QueryRef<'a> {
     }
 
     /// True when no stream is referenced by two leaves.
-    pub fn is_read_once(&self) -> bool {
+    pub(crate) fn is_read_once(&self) -> bool {
         match self {
             QueryRef::And(t) => t.is_read_once(),
             QueryRef::Dnf(t) => t.is_read_once(),
@@ -130,7 +130,7 @@ impl<'a> QueryRef<'a> {
     }
 
     /// Checks every leaf against the catalog.
-    pub fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
+    pub(crate) fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
         match self {
             QueryRef::And(t) => t.validate(catalog),
             QueryRef::Dnf(t) => t.validate(catalog),
@@ -173,7 +173,7 @@ impl<'a> QueryRef<'a> {
     /// Stable structural fingerprint of this query (see [`fingerprint`]).
     /// Representation-level: an AND-tree and its one-term DNF wrapping
     /// hash differently.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         fingerprint::query_fingerprint(self)
     }
 }
@@ -305,7 +305,7 @@ pub struct Plan {
     /// Wall-clock time spent planning (excludes cache lookups; a cached
     /// [`Engine`] hit reports the original planning time).
     pub planning_time: Duration,
-    /// Fingerprint of the planned query (see [`QueryRef::fingerprint`]).
+    /// Fingerprint of the planned query (see `QueryRef::fingerprint`).
     pub query_fingerprint: u64,
     /// Fingerprint of the catalog (see [`catalog_fingerprint`]).
     pub catalog_fingerprint: u64,

@@ -171,11 +171,6 @@ impl HeuristicPlanner {
         };
         HeuristicPlanner { heuristic, name }
     }
-
-    /// The wrapped heuristic.
-    pub fn heuristic(&self) -> Heuristic {
-        self.heuristic
-    }
 }
 
 impl Planner for HeuristicPlanner {

@@ -22,7 +22,7 @@ pub struct PlannerRegistry {
 
 impl PlannerRegistry {
     /// An empty registry.
-    pub fn new() -> PlannerRegistry {
+    pub(crate) fn new() -> PlannerRegistry {
         PlannerRegistry {
             planners: Vec::new(),
             by_name: HashMap::new(),
@@ -58,7 +58,7 @@ impl PlannerRegistry {
 
     /// Adds a planner; rejects duplicate names so every name maps to one
     /// algorithm for the registry's whole lifetime.
-    pub fn register(&mut self, planner: Arc<dyn Planner>) -> Result<()> {
+    pub(crate) fn register(&mut self, planner: Arc<dyn Planner>) -> Result<()> {
         let name = planner.name().to_string();
         if self.by_name.contains_key(&name) {
             return Err(Error::InvalidStrategy(format!(
@@ -90,16 +90,6 @@ impl PlannerRegistry {
     /// All planners, in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Planner> {
         self.planners.iter().map(|p| p.as_ref())
-    }
-
-    /// Number of registered planners.
-    pub fn len(&self) -> usize {
-        self.planners.len()
-    }
-
-    /// True when no planner is registered.
-    pub fn is_empty(&self) -> bool {
-        self.planners.is_empty()
     }
 
     /// The paper's ten figure-legend heuristics as a registry view, in
@@ -191,7 +181,7 @@ mod tests {
             let p = r.get(name).unwrap();
             assert_eq!(p.name(), name);
         }
-        assert_eq!(r.names().len(), r.len());
+        assert_eq!(r.names().len(), r.planners.len());
     }
 
     #[test]

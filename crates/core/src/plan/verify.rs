@@ -15,8 +15,8 @@
 //!   reproduces under independent re-evaluation to ≤ 1e-9 relative
 //!   error ([`and_eval`],
 //!   [`dnf_eval`],
-//!   [`nonlinear::expected_cost`]
-//!   or [`general::expected_cost`],
+//!   `nonlinear::expected_cost`
+//!   or `general::expected_cost`,
 //!   by body class);
 //! * **bound soundness** — for depth-first DNF schedules, the
 //!   branch-and-bound admissible bound

@@ -47,20 +47,14 @@ impl Prob {
 
     /// The failure probability `q = 1 - p`.
     #[inline]
-    pub fn fail(self) -> f64 {
+    pub(crate) fn fail(self) -> f64 {
         1.0 - self.0
     }
 
     /// Probability that two independent events both occur.
     #[inline]
-    pub fn and(self, other: Prob) -> Prob {
+    pub(crate) fn and(self, other: Prob) -> Prob {
         Prob(self.0 * other.0)
-    }
-
-    /// Probability that at least one of two independent events occurs.
-    #[inline]
-    pub fn or(self, other: Prob) -> Prob {
-        Prob(1.0 - (1.0 - self.0) * (1.0 - other.0))
     }
 }
 
@@ -126,7 +120,6 @@ mod tests {
         let a = Prob::new(0.5).unwrap();
         let b = Prob::new(0.5).unwrap();
         assert!((a.and(b).value() - 0.25).abs() < 1e-12);
-        assert!((a.or(b).value() - 0.75).abs() < 1e-12);
     }
 
     #[test]

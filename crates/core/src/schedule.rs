@@ -46,7 +46,7 @@ impl AndSchedule {
 
     /// Unchecked constructor for algorithm outputs that are permutations by
     /// construction.
-    pub fn from_order_unchecked(order: Vec<usize>) -> AndSchedule {
+    pub(crate) fn from_order_unchecked(order: Vec<usize>) -> AndSchedule {
         AndSchedule(order)
     }
 
@@ -63,14 +63,8 @@ impl AndSchedule {
 
     /// Number of scheduled leaves.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// True for the empty schedule.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 

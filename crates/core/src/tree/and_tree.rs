@@ -72,14 +72,9 @@ impl AndTree {
         map
     }
 
-    /// The distinct streams used by this tree.
-    pub fn streams(&self) -> Vec<StreamId> {
-        self.leaves_by_stream().into_keys().collect()
-    }
-
     /// True when no stream occurs in more than one leaf — the classical
     /// *read-once* assumption under which Smith's greedy is optimal.
-    pub fn is_read_once(&self) -> bool {
+    pub(crate) fn is_read_once(&self) -> bool {
         self.leaves_by_stream().values().all(|g| g.len() == 1)
     }
 

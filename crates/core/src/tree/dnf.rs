@@ -20,7 +20,7 @@ pub struct AndTerm {
 
 impl AndTerm {
     /// Creates an AND term; rejects empty terms.
-    pub fn new(leaves: Vec<Leaf>) -> Result<AndTerm> {
+    pub(crate) fn new(leaves: Vec<Leaf>) -> Result<AndTerm> {
         if leaves.is_empty() {
             return Err(Error::EmptyTree);
         }
@@ -72,7 +72,7 @@ pub struct DnfTree {
 
 impl DnfTree {
     /// Creates a DNF tree; rejects trees with no terms.
-    pub fn new(terms: Vec<AndTerm>) -> Result<DnfTree> {
+    pub(crate) fn new(terms: Vec<AndTerm>) -> Result<DnfTree> {
         if terms.is_empty() {
             return Err(Error::EmptyTree);
         }
@@ -170,15 +170,6 @@ impl DnfTree {
     /// True when no stream occurs in more than one leaf (read-once case).
     pub fn is_read_once(&self) -> bool {
         self.leaves_by_stream().values().all(|g| g.len() == 1)
-    }
-
-    /// Sharing ratio `rho` = leaves / distinct streams.
-    pub fn sharing_ratio(&self) -> f64 {
-        let streams = self.leaves_by_stream().len();
-        if streams == 0 {
-            return 0.0;
-        }
-        self.num_leaves() as f64 / streams as f64
     }
 
     /// Validates shape and stream references.
@@ -313,11 +304,12 @@ mod tests {
         let t = fig3_tree([0.5; 7]);
         // AND probs: 0.125, 0.25, 0.25 -> 1 - 0.875*0.75*0.75
         let expect = 1.0 - 0.875 * 0.75 * 0.75;
-        let p = t
+        let fail: f64 = t
             .terms()
             .iter()
-            .fold(Prob::ZERO, |acc, term| acc.or(term.success_prob()));
-        assert!((p.value() - expect).abs() < 1e-12);
+            .map(|term| term.success_prob().fail())
+            .product();
+        assert!((1.0 - fail - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -327,7 +319,6 @@ mod tests {
         assert_eq!(groups.len(), 4);
         assert_eq!(groups[&StreamId(1)].len(), 2); // B used by l2 and l6
         assert!(!t.is_read_once());
-        assert!((t.sharing_ratio() - 7.0 / 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,18 +43,10 @@ impl Node {
     }
 
     /// Number of leaves in the subtree.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,
             Node::And(cs) | Node::Or(cs) => cs.iter().map(Node::num_leaves).sum(),
-        }
-    }
-
-    /// Depth of the subtree (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::And(cs) | Node::Or(cs) => 1 + cs.iter().map(Node::depth).max().unwrap_or(0),
         }
     }
 
@@ -71,7 +63,7 @@ impl Node {
     }
 
     /// Validates shape (no empty operator nodes) and stream references.
-    pub fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
+    pub(crate) fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
         match self {
             Node::Leaf(l) => l.validate(catalog),
             Node::And(cs) | Node::Or(cs) => {
@@ -102,7 +94,7 @@ impl QueryTree {
 
     /// The root node.
     #[inline]
-    pub fn root(&self) -> &Node {
+    pub(crate) fn root(&self) -> &Node {
         &self.root
     }
 
@@ -111,13 +103,8 @@ impl QueryTree {
         self.root.num_leaves()
     }
 
-    /// Tree depth.
-    pub fn depth(&self) -> usize {
-        self.root.depth()
-    }
-
     /// All leaves, left-to-right.
-    pub fn leaves(&self) -> Vec<&Leaf> {
+    pub(crate) fn leaves(&self) -> Vec<&Leaf> {
         let mut out = Vec::with_capacity(self.num_leaves());
         self.root.collect_leaves(&mut out);
         out
@@ -137,33 +124,14 @@ impl QueryTree {
         self.leaves_by_stream().values().all(|&n| n == 1)
     }
 
-    /// Sharing ratio (leaves / distinct streams).
-    pub fn sharing_ratio(&self) -> f64 {
-        let s = self.leaves_by_stream().len();
-        if s == 0 {
-            return 0.0;
-        }
-        self.num_leaves() as f64 / s as f64
-    }
-
     /// Validates against a stream catalog.
-    pub fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
+    pub(crate) fn validate(&self, catalog: &StreamCatalog) -> Result<()> {
         self.root.validate(catalog)
-    }
-
-    /// Flattens nested same-operator nodes (`And(And(x), y)` becomes
-    /// `And(x, y)`) and removes single-child operator nodes. The result is
-    /// logically (and cost-wise) equivalent: evaluation order and
-    /// short-circuit semantics only depend on the alternation structure.
-    pub fn normalized(&self) -> QueryTree {
-        QueryTree {
-            root: normalize(&self.root),
-        }
     }
 
     /// Attempts to view the tree as a single-level AND-tree
     /// (after normalization).
-    pub fn as_and_tree(&self) -> Option<AndTree> {
+    pub(crate) fn as_and_tree(&self) -> Option<AndTree> {
         let n = normalize(&self.root);
         match n {
             Node::Leaf(l) => Some(AndTree::from(vec![l])),
@@ -292,7 +260,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(t.num_leaves(), 3);
-        assert_eq!(t.depth(), 3);
     }
 
     #[test]
@@ -308,8 +275,7 @@ mod tests {
             leaf(2, 1, 0.5),
         ]))
         .unwrap();
-        let n = t.normalized();
-        match n.root() {
+        match normalize(t.root()) {
             Node::And(cs) => assert_eq!(cs.len(), 3),
             _ => panic!("expected flattened AND"),
         }
@@ -318,7 +284,7 @@ mod tests {
     #[test]
     fn normalization_collapses_single_child() {
         let t = QueryTree::new(Node::or(vec![Node::and(vec![leaf(0, 1, 0.5)])])).unwrap();
-        assert!(matches!(t.normalized().root(), Node::Leaf(_)));
+        assert!(matches!(normalize(t.root()), Node::Leaf(_)));
     }
 
     #[test]
@@ -359,11 +325,12 @@ mod tests {
         ]))
         .unwrap();
         let dnf = t.as_dnf().unwrap();
-        let p = dnf
+        let fail: f64 = dnf
             .terms()
             .iter()
-            .fold(Prob::ZERO, |acc, term| acc.or(term.success_prob()));
-        assert!((p.value() - 0.625).abs() < 1e-12);
+            .map(|term| term.success_prob().fail())
+            .product();
+        assert!((1.0 - fail - 0.625).abs() < 1e-12);
     }
 
     #[test]
@@ -384,6 +351,5 @@ mod tests {
     fn read_once_and_sharing() {
         let t = QueryTree::new(Node::or(vec![leaf(0, 1, 0.5), leaf(0, 2, 0.5)])).unwrap();
         assert!(!t.is_read_once());
-        assert!((t.sharing_ratio() - 2.0).abs() < 1e-12);
     }
 }

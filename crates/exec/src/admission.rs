@@ -77,7 +77,7 @@ impl AdmissionCtx<'_> {
     }
 
     /// Folds `q`'s windows into the admitted set's per-stream maxima.
-    pub fn absorb(&self, acc: &mut [u32], q: usize) {
+    pub(crate) fn absorb(&self, acc: &mut [u32], q: usize) {
         for (a, &w) in acc.iter_mut().zip(&self.windows[q]) {
             *a = (*a).max(w);
         }

@@ -60,7 +60,7 @@ impl ArrivalProcess {
     /// # Panics
     /// Panics on `Periodic { every: 0 }` or a non-positive/non-finite
     /// Poisson rate.
-    pub fn new(spec: ArrivalSpec, seed: u64, query: usize) -> ArrivalProcess {
+    pub(crate) fn new(spec: ArrivalSpec, seed: u64, query: usize) -> ArrivalProcess {
         match spec {
             ArrivalSpec::Periodic { every } => {
                 assert!(every >= 1, "periodic arrivals need every >= 1");

@@ -75,11 +75,6 @@ impl FaultSpec {
             stale_serve: false,
         }
     }
-
-    /// True iff this spec can never produce a fault.
-    pub fn is_none(&self) -> bool {
-        self.transient_rate <= 0.0 && (self.outage_streams <= 0.0 || self.outage_len == 0)
-    }
 }
 
 impl Default for FaultSpec {
@@ -161,7 +156,7 @@ impl FaultPlan {
     }
 
     /// Whether stream `k` is in hard outage at stream time `now`.
-    pub fn is_out(&self, k: StreamId, now: u64) -> bool {
+    pub(crate) fn is_out(&self, k: StreamId, now: u64) -> bool {
         if self.forced_out.contains(&k.0) {
             return true;
         }
@@ -206,7 +201,7 @@ pub struct FaultySource<'a, S> {
 
 impl<'a, S: StreamSource> FaultySource<'a, S> {
     /// Wraps one stream.
-    pub fn new(inner: &'a S, plan: &'a FaultPlan, stream: StreamId) -> FaultySource<'a, S> {
+    pub(crate) fn new(inner: &'a S, plan: &'a FaultPlan, stream: StreamId) -> FaultySource<'a, S> {
         FaultySource {
             inner,
             plan,
@@ -270,8 +265,6 @@ mod tests {
                 assert!(!plan.read_fails(StreamId(k), now, 0));
             }
         }
-        assert!(FaultSpec::none().is_none());
-        assert!(!FaultSpec::default().is_none());
     }
 
     #[test]

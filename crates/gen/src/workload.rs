@@ -66,11 +66,6 @@ impl WorkloadConfig {
     pub(crate) fn num_streams(&self) -> usize {
         self.hot_streams + self.queries * self.cold_streams_per_query
     }
-
-    /// Total number of leaves across the workload.
-    pub fn total_leaves(&self) -> usize {
-        self.queries * self.terms_per_query * self.leaves_per_term
-    }
 }
 
 /// Generates one random workload: `queries` DNF trees over a single
@@ -127,8 +122,8 @@ pub fn workload_instance(config: WorkloadConfig, index: usize) -> (Vec<DnfTree>,
 }
 
 /// Mean pairwise Jaccard overlap of the queries' stream sets — the
-/// workload-level counterpart of a single tree's
-/// [`DnfTree::sharing_ratio`]. 0 for single-query workloads. Thin alias
+/// workload-level counterpart of a single tree's sharing ratio. 0 for
+/// single-query workloads. Thin alias
 /// of [`paotr_core::tree::mean_pairwise_stream_overlap`], the canonical
 /// definition shared with the interference analysis in `paotr_multi`.
 pub fn mean_pairwise_overlap(trees: &[DnfTree]) -> f64 {

@@ -155,7 +155,7 @@ impl JointPlan {
 
     /// Fraction of the independent baseline cost the joint plan is
     /// predicted to amortize away (0 = no sharing benefit).
-    pub fn sharing_ratio(&self, weights: &[f64]) -> f64 {
+    pub(crate) fn sharing_ratio(&self, weights: &[f64]) -> f64 {
         let indep = self.aggregate_independent(weights);
         if indep <= 0.0 {
             return 0.0;
@@ -293,14 +293,6 @@ pub struct SharedGreedyPlanner {
 }
 
 impl SharedGreedyPlanner {
-    /// Single-threaded configuration (the reference behaviour; useful
-    /// for deterministic timing comparisons).
-    pub fn sequential() -> SharedGreedyPlanner {
-        SharedGreedyPlanner {
-            threads: ThreadCount::Fixed(1),
-        }
-    }
-
     /// Catalog in which stream `k`'s per-item cost is scaled by the
     /// fraction of the query's widest window on `k` that is *not*
     /// already covered — a covered stream looks cheap, so the per-query
@@ -795,7 +787,11 @@ mod tests {
             );
             let w = Workload::from_trees(trees, catalog).unwrap();
             let engine = Engine::new();
-            let seq = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
+            let seq = SharedGreedyPlanner {
+                threads: ThreadCount::Fixed(1),
+            }
+            .plan(&w, &engine)
+            .unwrap();
             for threads in [2, 3, 4] {
                 let par = SharedGreedyPlanner {
                     threads: ThreadCount::Fixed(threads),

@@ -13,7 +13,7 @@ pub struct ParseError {
 
 impl ParseError {
     /// Creates an error.
-    pub fn new(message: impl Into<String>, offset: usize) -> ParseError {
+    pub(crate) fn new(message: impl Into<String>, offset: usize) -> ParseError {
         ParseError {
             message: message.into(),
             offset,

@@ -97,7 +97,7 @@ impl Config {
     /// Serializes to the snapshot JSON object. The `arrange` key is
     /// emitted only when arrangements are on, so arrangement-free
     /// configs render exactly the version-1 object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut fields = vec![
             ("seed", Json::from_u64(self.seed)),
             ("planner", Json::Str(self.planner.clone())),
@@ -197,7 +197,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Ticks in the batch.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.energies.len() as u64
     }
 

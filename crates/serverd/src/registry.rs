@@ -78,7 +78,11 @@ impl SessionRegistry {
     /// `paotr_multi::planner_names()` entry), holding at most
     /// `max_sessions` sessions with windows at most `max_window`
     /// (itself at most [`MAX_WINDOW`]).
-    pub fn new(planner: &str, max_sessions: usize, max_window: u32) -> Result<SessionRegistry> {
+    pub(crate) fn new(
+        planner: &str,
+        max_sessions: usize,
+        max_window: u32,
+    ) -> Result<SessionRegistry> {
         if planner_by_name(planner).is_none() {
             return Err(Error::Rejected(format!(
                 "unknown planner `{planner}` (expected one of {:?})",
@@ -132,21 +136,6 @@ impl SessionRegistry {
         self.shared
     }
 
-    /// The joint planner's registry name.
-    pub fn planner(&self) -> &str {
-        &self.planner
-    }
-
-    /// The configured window ceiling.
-    pub fn max_window(&self) -> u32 {
-        self.max_window
-    }
-
-    /// The configured session ceiling.
-    pub fn max_sessions(&self) -> usize {
-        self.max_sessions
-    }
-
     /// The session with id `id`.
     pub fn session(&self, id: u64) -> Option<&Session> {
         self.sessions.get(&id)
@@ -160,7 +149,7 @@ impl SessionRegistry {
     /// Compiles `source`, merges its streams into the union catalog,
     /// plans it through `engine`'s cached path, and appends it to the
     /// execution order. Returns the new session id.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         source: &str,
         weight: f64,
@@ -260,7 +249,7 @@ impl SessionRegistry {
     }
 
     /// Removes session `id` and splices it out of the execution order.
-    pub fn unregister(&mut self, id: u64) -> Result<()> {
+    pub(crate) fn unregister(&mut self, id: u64) -> Result<()> {
         if self.sessions.remove(&id).is_none() {
             return Err(Error::Rejected(format!("unknown session id {id}")));
         }
@@ -269,7 +258,7 @@ impl SessionRegistry {
     }
 
     /// The survivors as a [`Workload`] (sessions in id order).
-    pub fn workload(&self) -> Result<Workload> {
+    pub(crate) fn workload(&self) -> Result<Workload> {
         let queries = self
             .sessions
             .values()
@@ -406,7 +395,7 @@ impl SessionRegistry {
 
     /// The value `next_id` will assign (persisted so ids never recycle
     /// across restarts).
-    pub fn next_id(&self) -> u64 {
+    pub(crate) fn next_id(&self) -> u64 {
         self.next_id
     }
 }

@@ -294,7 +294,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Serializes to the snapshot JSON document.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut fields = vec![
             ("version", Json::from_u64(self.version)),
             ("config", self.config.to_json()),
@@ -419,7 +419,7 @@ impl Snapshot {
     /// generation, so even if the new primary is later corrupted on
     /// disk, [`Snapshot::load_with_fallback`] still has a complete
     /// document to restore from.
-    pub fn save(&self, path: &str) -> std::result::Result<(), SnapshotError> {
+    pub(crate) fn save(&self, path: &str) -> std::result::Result<(), SnapshotError> {
         let tmp = format!("{path}.tmp");
         std::fs::write(&tmp, self.render())
             .map_err(|e| SnapshotError::Io(format!("write {tmp}: {e}")))?;

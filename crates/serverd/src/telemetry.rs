@@ -40,7 +40,7 @@ impl Deref for Telemetry {
 
 impl Telemetry {
     /// Evaluations served per tick.
-    pub fn evals_per_tick(&self) -> f64 {
+    pub(crate) fn evals_per_tick(&self) -> f64 {
         self.evals as f64 / self.ticks.max(1) as f64
     }
 
@@ -125,7 +125,7 @@ impl Telemetry {
 
     /// A `paotr_stats` rendering of the live state — what the `stats`
     /// protocol command returns under `"table"`.
-    pub fn table(&self, live_sessions: usize, budget: Option<f64>) -> paotr_stats::Table {
+    pub(crate) fn table(&self, live_sessions: usize, budget: Option<f64>) -> paotr_stats::Table {
         let mut t = paotr_stats::Table::new(["metric", "value"]);
         let rows: Vec<(&str, String)> = vec![
             ("ticks", self.ticks.to_string()),

@@ -37,16 +37,6 @@ impl Profile {
         }
     }
 
-    /// Number of instances behind the curve.
-    pub fn len(&self) -> usize {
-        self.sorted_ratios.len()
-    }
-
-    /// True when the profile has no instances (cannot happen via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.sorted_ratios.is_empty()
-    }
-
     /// The ratio achieved at percentage `x` of the instances
     /// (the quantile function).
     pub fn ratio_at(&self, x_percent: f64) -> f64 {

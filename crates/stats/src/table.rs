@@ -36,16 +36,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Serializes as RFC-4180 CSV.
     pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();

@@ -82,7 +82,7 @@ impl DeviceMemory {
     }
 
     /// Forgets everything.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for set in &mut self.held {
             set.clear();
         }

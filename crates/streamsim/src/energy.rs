@@ -38,13 +38,8 @@ impl EnergyModel {
     }
 
     /// Number of streams covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.per_item.len()
-    }
-
-    /// True when no stream is covered.
-    pub fn is_empty(&self) -> bool {
-        self.per_item.is_empty()
     }
 }
 

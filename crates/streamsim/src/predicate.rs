@@ -41,7 +41,7 @@ impl WindowOp {
     }
 
     /// Canonical (query-language) name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             WindowOp::Last => "LAST",
             WindowOp::Avg => "AVG",
@@ -67,7 +67,7 @@ pub enum Comparator {
 
 impl Comparator {
     /// Evaluates `lhs (cmp) rhs`.
-    pub fn eval(self, lhs: f64, rhs: f64) -> bool {
+    pub(crate) fn eval(self, lhs: f64, rhs: f64) -> bool {
         match self {
             Comparator::Lt => lhs < rhs,
             Comparator::Le => lhs <= rhs,
@@ -77,7 +77,7 @@ impl Comparator {
     }
 
     /// Source form.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Comparator::Lt => "<",
             Comparator::Le => "<=",

@@ -43,7 +43,7 @@ impl SimQuery {
     }
 
     /// Leaf at address `r`.
-    pub fn leaf(&self, r: LeafRef) -> &SimLeaf {
+    pub(crate) fn leaf(&self, r: LeafRef) -> &SimLeaf {
         &self.terms[r.term][r.leaf]
     }
 

@@ -178,11 +178,6 @@ impl EnergyMeter {
         }
     }
 
-    /// The pricing model.
-    pub fn model(&self) -> &EnergyModel {
-        &self.model
-    }
-
     /// Total energy spent since construction: query pulls plus
     /// arrangement maintenance plus failed-read retries.
     pub fn total_cost(&self) -> f64 {
@@ -204,11 +199,6 @@ impl EnergyMeter {
         self.retry_total
     }
 
-    /// Number of query evaluations metered.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
     /// Lifetime items pulled per stream by query evaluation.
     pub fn items_pulled(&self) -> &[u64] {
         &self.items
@@ -221,7 +211,7 @@ impl EnergyMeter {
 
     /// Prices a pull of `items` new items from stream `k`, adds it to
     /// the totals and returns the energy charged.
-    pub fn charge(&mut self, k: StreamId, items: u32) -> f64 {
+    pub(crate) fn charge(&mut self, k: StreamId, items: u32) -> f64 {
         let cost = self.model.pull_cost(k, items);
         self.total += cost;
         self.items[k.0] += u64::from(items);
@@ -307,16 +297,6 @@ impl Scheduler {
         assert!(max_attempts >= 1, "at least one attempt is required");
         self.max_attempts = max_attempts;
         self.stale_fallback = stale_fallback;
-    }
-
-    /// The configured memory policy.
-    pub fn policy(&self) -> MemoryPolicy {
-        self.policy
-    }
-
-    /// The device memory (read access, e.g. for diagnostics).
-    pub fn memory(&self) -> &DeviceMemory {
-        &self.memory
     }
 
     /// The attached arrangement store, if any.
@@ -779,7 +759,7 @@ mod tests {
         let out2 = evaluate(&mut d, &q, &s, std::slice::from_ref(&stream), None);
         assert_eq!(out2.cost, 1.0);
         assert_eq!(d.1.total_cost(), 6.0);
-        assert_eq!(d.1.evaluations(), 2);
+        assert_eq!(d.1.evaluations, 2);
     }
 
     #[test]
@@ -858,7 +838,7 @@ mod tests {
         let o1 = evaluate(&mut b, &q1, &s1, &streams, None);
         assert_eq!(outs, vec![o0, o1]);
         assert_eq!(a.total_cost(), b.1.total_cost());
-        assert_eq!(a.evaluations(), 2);
+        assert_eq!(a.evaluations, 2);
 
         // ...including under Retain, whose cross-evaluation retention
         // must not be wiped by the non-shared path.
@@ -888,7 +868,7 @@ mod tests {
         let mut log = TraceLog::default();
         let out = evaluate(&mut d, &q, &s, &streams, Some(&mut log));
         assert_eq!(out.evaluated, 2);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.records().len(), 2);
         assert!(log.records()[0].value);
         assert!(!log.records()[1].value);
     }
@@ -901,8 +881,8 @@ mod tests {
         assert_eq!(m.charge(StreamId(0), 0), 0.0);
         assert_eq!(m.total_cost(), 8.0);
         assert_eq!(m.items_pulled(), &[3, 2]);
-        assert_eq!(m.evaluations(), 0);
-        assert_eq!(m.model().len(), 2);
+        assert_eq!(m.evaluations, 0);
+        assert_eq!(m.model.len(), 2);
     }
 
     #[test]
@@ -920,7 +900,7 @@ mod tests {
         assert_eq!(outs[0].cost, 8.0);
         assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
         assert_eq!(m.total_cost(), 8.0);
-        assert_eq!(m.evaluations(), 2);
+        assert_eq!(m.evaluations, 2);
 
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         let mut m = meter(&[1.0]);
@@ -932,9 +912,9 @@ mod tests {
     #[test]
     fn scheduler_policy_and_memory_are_observable() {
         let sched = Scheduler::new(2, MemoryPolicy::Retain);
-        assert_eq!(sched.policy(), MemoryPolicy::Retain);
+        assert_eq!(sched.policy, MemoryPolicy::Retain);
         assert_eq!(
-            sched.memory().missing(StreamId(0), 10, 3),
+            sched.memory.missing(StreamId(0), 10, 3),
             3,
             "memory starts empty"
         );
@@ -967,7 +947,7 @@ mod tests {
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 8));
         let mut arranged = Scheduler::with_arrangements(1, store);
-        assert_eq!(arranged.policy(), MemoryPolicy::Arranged);
+        assert_eq!(arranged.policy, MemoryPolicy::Arranged);
         let mut plain = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         let mut am = meter(&[1.0]);
         let mut pm = meter(&[1.0]);
@@ -1175,13 +1155,13 @@ mod tests {
         assert!(store.acquire(StreamId(0), 3));
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         assert!(sched.take_arrangements().is_none());
-        assert_eq!(sched.policy(), MemoryPolicy::ClearEachQuery);
+        assert_eq!(sched.policy, MemoryPolicy::ClearEachQuery);
         sched.attach_arrangements(store);
-        assert_eq!(sched.policy(), MemoryPolicy::Arranged);
+        assert_eq!(sched.policy, MemoryPolicy::Arranged);
         assert_eq!(sched.arrangements().unwrap().len(), 1);
         let back = sched.take_arrangements().expect("store comes back");
         assert_eq!(back.len(), 1);
-        assert_eq!(sched.policy(), MemoryPolicy::ClearEachQuery);
+        assert_eq!(sched.policy, MemoryPolicy::ClearEachQuery);
         assert!(sched.arrangements().is_none());
     }
 }

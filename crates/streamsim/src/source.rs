@@ -82,11 +82,6 @@ impl SensorSource {
         }
     }
 
-    /// The number of values generated so far.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Generates the next value.
     pub(crate) fn next_value<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let t = self.tick;
@@ -150,7 +145,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.next_value(&mut rng), 42.0);
         }
-        assert_eq!(s.tick(), 10);
+        assert_eq!(s.tick, 10);
     }
 
     #[test]

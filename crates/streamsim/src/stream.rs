@@ -37,7 +37,7 @@ impl SimStream {
     }
 
     /// Produces the next item (one tick of the sensor).
-    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    pub(crate) fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.history.len() == self.capacity {
             self.history.pop_front();
         }

@@ -34,28 +34,13 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Appends one record.
-    pub fn push(&mut self, r: LeafRecord) {
+    pub(crate) fn push(&mut self, r: LeafRecord) {
         self.records.push(r);
     }
 
     /// All records, in evaluation order.
     pub fn records(&self) -> &[LeafRecord] {
         &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no leaf has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total energy recorded.
-    pub fn total_cost(&self) -> f64 {
-        self.records.iter().map(|r| r.cost).sum()
     }
 
     /// Drops every record, keeping the allocation. Long-running loops
@@ -154,7 +139,7 @@ mod tests {
         let mut log = TraceLog::default();
         log.push(rec(LeafRef::new(0, 0), true));
         log.push(rec(LeafRef::new(0, 1), false));
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.total_cost(), 2.0);
+        assert_eq!(log.records().len(), 2);
+        assert_eq!(log.records().iter().map(|r| r.cost).sum::<f64>(), 2.0);
     }
 }
