@@ -20,7 +20,7 @@
 
 pub mod plan;
 pub(crate) mod qlint;
-pub mod report;
+pub(crate) mod report;
 pub mod snapshot;
 pub mod srclint;
 

@@ -5,7 +5,7 @@
 //! (`O(m log m)`). Section II-A of the paper shows this is **no longer
 //! optimal for shared streams** — the Figure 2 instance is the
 //! counter-example, reproduced in this module's tests — which motivates
-//! Algorithm 1 ([`crate::algo::greedy`]).
+//! Algorithm 1 (`crate::algo::greedy`).
 
 use crate::schedule::AndSchedule;
 use crate::stream::StreamCatalog;

@@ -5,7 +5,7 @@
 //!
 //! | module | method | scope | complexity |
 //! |---|---|---|---|
-//! | [`execution`] | ground-truth interpreter (one assignment) | any tree | `O(L)` per run |
+//! | `execution` | ground-truth interpreter (one assignment) | any tree | `O(L)` per run |
 //! | [`assignment`] | exact expectation by enumeration | any tree, small `L` | `O(2^L * L)` |
 //! | [`and_eval`] | closed form | AND-trees | `O(m)` |
 //! | [`dnf_eval`] | Proposition 2, literal (the oracle) | DNF trees | `O(L * D * N^2)` |
@@ -16,7 +16,7 @@ pub mod and_eval;
 pub mod arrange;
 pub mod assignment;
 pub mod dnf_eval;
-pub mod execution;
+pub(crate) mod execution;
 pub mod model;
 pub mod montecarlo;
 

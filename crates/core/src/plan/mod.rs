@@ -44,10 +44,10 @@
 //! assert!((plan.expected_cost.unwrap() - 1.825).abs() < 1e-12);
 //! ```
 
-pub mod engine;
-pub mod fingerprint;
+pub(crate) mod engine;
+pub(crate) mod fingerprint;
 pub mod planners;
-pub mod registry;
+pub(crate) mod registry;
 pub mod verify;
 
 pub use engine::{CacheStats, Engine};

@@ -14,8 +14,6 @@ use std::fmt;
 pub struct Prob(f64);
 
 impl Prob {
-    /// The impossible event.
-    pub const ZERO: Prob = Prob(0.0);
     /// The certain event.
     pub(crate) const ONE: Prob = Prob(1.0);
     /// A fair coin flip (test fixtures).
@@ -104,7 +102,7 @@ mod tests {
 
     #[test]
     fn clamped_saturates() {
-        assert_eq!(Prob::clamped(-3.0).unwrap(), Prob::ZERO);
+        assert_eq!(Prob::clamped(-3.0).unwrap(), Prob::new(0.0).unwrap());
         assert_eq!(Prob::clamped(7.0).unwrap(), Prob::ONE);
         assert!(Prob::clamped(f64::NAN).is_err());
     }

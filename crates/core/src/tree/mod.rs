@@ -10,11 +10,11 @@
 //!   provide exact-but-exponential evaluation and heuristics as an
 //!   extension).
 
-pub mod and_tree;
+pub(crate) mod and_tree;
 pub mod builder;
 pub mod display;
-pub mod dnf;
-pub mod general;
+pub(crate) mod dnf;
+pub(crate) mod general;
 
 pub use and_tree::AndTree;
 pub use builder::{InstanceBuilder, TermBuilder};

@@ -7,19 +7,19 @@
 //! the ROADMAP's "heavy traffic" framing requires, built on the unified
 //! tick runtime (`stream_sim::runtime`):
 //!
-//! * [`arrivals`] — per-query arrival processes ([`ArrivalSpec::Periodic`],
+//! * `arrivals` — per-query arrival processes ([`ArrivalSpec::Periodic`],
 //!   [`ArrivalSpec::Poisson`]), seeded through `paotr_gen::seeds` for
 //!   reproducible traffic;
-//! * [`admission`] — the [`AdmissionPolicy`] trait with the
+//! * `admission` — the [`AdmissionPolicy`] trait with the
 //!   [`AcceptAll`] baseline and worst-case [`EnergyBudget`] control
 //!   (shed or defer low-weight queries; admitted sets provably fit the
 //!   per-tick budget);
-//! * [`serve`] — the [`ServeLoop`]: multiplexes a planned workload over
+//! * `serve` — the [`ServeLoop`]: multiplexes a planned workload over
 //!   the arrivals, executes admitted queries on one shared-memory
 //!   scheduler tick, estimates per-leaf hit rates from the execution
 //!   trace, and re-plans queries whose observed rates drift beyond a
 //!   [`DriftConfig`] tolerance;
-//! * [`tick`] — [`run_tick`], the one tick driver the serve loop and
+//! * `tick` — [`run_tick`], the one tick driver the serve loop and
 //!   the `paotr_serverd` daemon share, and the [`TickCounters`] both
 //!   report from.
 //!
@@ -54,10 +54,10 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod admission;
-pub mod arrivals;
-pub mod serve;
-pub mod tick;
+pub(crate) mod admission;
+pub(crate) mod arrivals;
+pub(crate) mod serve;
+pub(crate) mod tick;
 
 pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyBudget};
 pub use arrivals::ArrivalSpec;

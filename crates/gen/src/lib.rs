@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod and_grid;
-pub mod churn;
+pub(crate) mod churn;
 pub mod distributions;
 pub(crate) mod dnf_grid;
 pub mod seeds;

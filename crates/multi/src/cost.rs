@@ -9,7 +9,7 @@
 //! an earlier query's pull are free, and the per-stream items of that
 //! pricing advance the coverage. This is the expected-state
 //! approximation of the true (stochastic) shared execution; the
-//! `streamsim` path in [`crate::sim`] validates it against measured
+//! `streamsim` path in `crate::sim` validates it against measured
 //! energy.
 
 use crate::workload::Workload;

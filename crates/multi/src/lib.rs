@@ -20,9 +20,9 @@
 //!   `batch-aware` (dominant-stream grouping);
 //! * [`cost`] — the shared-tick coverage cost model pricing a joint
 //!   plan without simulation;
-//! * [`sim`] — the `stream-sim` validation path: one tick evaluates
+//! * `sim` — the `stream-sim` validation path: one tick evaluates
 //!   *all* queries against shared device memory and meters real energy;
-//! * [`outcome`] — [`WorkloadOutcome`] reports (per-query and aggregate
+//! * `outcome` — [`WorkloadOutcome`] reports (per-query and aggregate
 //!   cost, sharing ratio, speedup vs. independent) and the
 //!   [`compare`] harness behind
 //!   `paotr workload --compare`.
@@ -54,9 +54,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod outcome;
+pub(crate) mod outcome;
 pub mod planner;
-pub mod sim;
+pub(crate) mod sim;
 pub mod workload;
 
 pub use outcome::{compare, QueryReport, WorkloadOutcome};

@@ -13,7 +13,7 @@
 //!   predicate (default 0.5; in a deployment these come from trace
 //!   calibration — see `stream_sim::trace`).
 //!
-//! The [`compile`](mod@compile) module lowers parsed queries to `paotr_core` trees
+//! The `compile` module lowers parsed queries to `paotr_core` trees
 //! (with stream catalogs) and to `stream_sim` executable queries.
 //!
 //! ```
@@ -26,11 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod ast;
-pub mod compile;
+pub(crate) mod compile;
 pub mod error;
 pub(crate) mod lexer;
-pub mod parser;
-pub mod token;
+pub(crate) mod parser;
+pub(crate) mod token;
 
 pub use ast::{Agg, CmpOp, Expr, PredicateAst};
 pub use compile::{compile, compile_str, to_sim_query, Compiled};

@@ -8,7 +8,7 @@
 //! as sessions come and go, and survives restarts through versioned
 //! snapshots.
 //!
-//! * [`registry`] — the [`SessionRegistry`]: live sessions over one
+//! * `registry` — the [`SessionRegistry`]: live sessions over one
 //!   append-only union [`StreamCatalog`](paotr_core::stream::StreamCatalog);
 //!   churn *patches* the shared execution order immediately and
 //!   re-plans jointly through the [`Engine`](paotr_core::plan::Engine)'s
@@ -22,7 +22,7 @@
 //!   state, telemetry. Rendering a parsed snapshot reproduces it
 //!   byte-for-byte, [`Snapshot::validate`] is the one rule set a
 //!   restore enforces, and restores continue counters exactly;
-//! * [`telemetry`] — live counters rendered through `paotr_stats` and
+//! * `telemetry` — live counters rendered through `paotr_stats` and
 //!   queryable over the protocol;
 //! * [`proto`] — the wire commands (`register`, `unregister`, `tick`,
 //!   `stats`, `plan`, `replan`, `snapshot`, `shutdown`);
@@ -50,9 +50,9 @@
 pub mod daemon;
 pub mod json;
 pub mod proto;
-pub mod registry;
+pub(crate) mod registry;
 pub mod snapshot;
-pub mod telemetry;
+pub(crate) mod telemetry;
 
 pub use daemon::{Config, Daemon, TcpOptions};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};

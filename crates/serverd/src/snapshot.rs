@@ -34,7 +34,7 @@ use stream_sim::{SimLeaf, SimQuery};
 /// Current snapshot format version. Version 2 added the optional
 /// `arrangements` section (and arrangement telemetry); daemons without
 /// arrangements still write version 1, and this build reads both.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub(crate) const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a snapshot failed to save or load.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,7 +268,7 @@ pub struct ArrangeSnap {
 /// The daemon's complete persistent state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Format version ([`SNAPSHOT_VERSION`]).
+    /// Format version (`SNAPSHOT_VERSION`).
     pub version: u64,
     /// Daemon configuration.
     pub config: Config,

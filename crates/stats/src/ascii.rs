@@ -16,7 +16,7 @@ pub struct AsciiChart {
 }
 
 /// Glyphs assigned to series, in order.
-pub const GLYPHS: [char; 10] = ['*', '+', 'o', 'x', '#', '@', '%', '&', '=', '~'];
+pub(crate) const GLYPHS: [char; 10] = ['*', '+', 'o', 'x', '#', '@', '%', '&', '=', '~'];
 
 impl AsciiChart {
     /// Creates an empty chart of `width x height` character cells mapped

@@ -1,19 +1,19 @@
 //! # paotr-stats — statistics and figure plumbing for the experiments
 //!
-//! * [`summary`] — ratio aggregates (the paper's inline Figure-4 numbers:
+//! * `summary` — ratio aggregates (the paper's inline Figure-4 numbers:
 //!   max ratio, %>10%, %>1%, tie rate) and best-heuristic win counting;
-//! * [`profile`] — performance profiles (the ratio-vs-fraction curves of
+//! * `profile` — performance profiles (the ratio-vs-fraction curves of
 //!   Figures 5 and 6);
-//! * [`table`] — dependency-free CSV / Markdown table writers;
-//! * [`svg`] — dependency-free SVG line/scatter charts;
-//! * [`ascii`] — terminal charts for the examples.
+//! * `table` — dependency-free CSV / Markdown table writers;
+//! * `svg` — dependency-free SVG line/scatter charts;
+//! * `ascii` — terminal charts for the examples.
 #![forbid(unsafe_code)]
 
-pub mod ascii;
-pub mod profile;
-pub mod summary;
-pub mod svg;
-pub mod table;
+pub(crate) mod ascii;
+pub(crate) mod profile;
+pub(crate) mod summary;
+pub(crate) mod svg;
+pub(crate) mod table;
 
 pub use ascii::AsciiChart;
 pub use profile::{ratios, Profile};

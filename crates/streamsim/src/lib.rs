@@ -5,35 +5,35 @@
 //! hardware, so this crate simulates the whole data path the scheduling
 //! problem lives in:
 //!
-//! * [`source`] — synthetic sensor models (sine, random walk, spikes,
+//! * `source` — synthetic sensor models (sine, random walk, spikes,
 //!   Gaussian), deterministic given a seed;
 //! * [`stream`] — per-sensor history buffers with a pull interface
 //!   ("give me the last `n` items");
-//! * [`device`] — device-side item memory, the mechanism that makes
+//! * `device` — device-side item memory, the mechanism that makes
 //!   streams *shared* across leaves;
-//! * [`predicate`] — windowed predicates (`AVG(A,5) < 70`, ...);
-//! * [`query`] — DNF queries over concrete predicates, and their abstract
+//! * `predicate` — windowed predicates (`AVG(A,5) < 70`, ...);
+//! * `query` — DNF queries over concrete predicates, and their abstract
 //!   scheduling skeletons;
-//! * [`energy`] — per-item energy model (plus a wake-up surcharge knob);
-//! * [`runtime`] — the **unified tick-driven execution runtime**: the
+//! * `energy` — per-item energy model (plus a wake-up surcharge knob);
+//! * `runtime` — the **unified tick-driven execution runtime**: the
 //!   [`StreamSource`] read interface, the pull-coalescing
 //!   [`Scheduler`] and the [`EnergyMeter`] — the single implementation
 //!   every execution path (single queries, multi-query shared ticks,
 //!   the serving loop) runs on;
-//! * [`trace`] — execution traces and probability calibration ("inferred
+//! * `trace` — execution traces and probability calibration ("inferred
 //!   from historical traces", as the paper assumes);
-//! * [`simulate`] — the calibrate–schedule–measure pipeline.
+//! * `simulate` — the calibrate–schedule–measure pipeline.
 #![forbid(unsafe_code)]
 
-pub mod device;
-pub mod energy;
-pub mod predicate;
-pub mod query;
-pub mod runtime;
-pub mod simulate;
-pub mod source;
+pub(crate) mod device;
+pub(crate) mod energy;
+pub(crate) mod predicate;
+pub(crate) mod query;
+pub(crate) mod runtime;
+pub(crate) mod simulate;
+pub(crate) mod source;
 pub mod stream;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use device::{DeviceMemory, MemoryPolicy};
 pub use energy::EnergyModel;
