@@ -283,6 +283,9 @@ impl Engine {
         // on the cache. Racing threads may duplicate work; last insert
         // wins, which is harmless (plans for one key are deterministic).
         let planner = self.registry.get_required(planner_name)?;
+        // Planners index the catalog by stream id and would panic on a
+        // leaf past its end; reject such a query with a typed error.
+        query.validate(catalog)?;
         let planning_started = std::time::Instant::now();
         let plan = planner.plan(query, catalog)?;
         // Every `Engine::plan*` entry point funnels through here, so in
@@ -479,6 +482,49 @@ mod tests {
         // the parallel path populates the same cache
         assert_eq!(engine.cache_stats().entries, 3, "seeds 0 and 3 collide");
         assert!(engine.plan_batch(&[], &cat, one).unwrap().is_empty());
+    }
+
+    #[test]
+    fn plan_workload_defaults_weights_and_sums_costs() {
+        // Workload weights live on `paotr_multi::Workload`; the engine's
+        // batch path plans each query at unit weight, so the batch total
+        // is the plain sum of the per-query plan costs at any thread count.
+        let engine = Engine::new();
+        let trees: Vec<DnfTree> = (0..3).map(shared_dnf).collect();
+        let queries: Vec<QueryRef<'_>> = trees.iter().map(QueryRef::from).collect();
+        let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
+        let sum: f64 = queries
+            .iter()
+            .map(|q| Engine::new().plan(*q, &cat).unwrap().expected_cost.unwrap())
+            .sum();
+        for threads in [1, 3] {
+            let plans = engine
+                .plan_batch(&queries, &cat, paotr_par::ThreadCount::Fixed(threads))
+                .unwrap();
+            assert_eq!(plans.len(), 3);
+            let total: f64 = plans.iter().map(|p| p.expected_cost.unwrap()).sum();
+            assert!((total - sum).abs() < 1e-12, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn plan_workload_rejects_malformed_inputs() {
+        // A query over a stream the catalog lacks fails the whole batch
+        // with a typed error, whichever thread plans it.
+        let engine = Engine::new();
+        let good = shared_dnf(0);
+        let bad = DnfTree::from_leaves(vec![vec![leaf(2, 1, 0.5)]]).unwrap();
+        let cat = StreamCatalog::from_costs([2.0, 3.0]).unwrap();
+        let queries = [QueryRef::from(&good), QueryRef::from(&bad)];
+        for threads in [1, 2] {
+            let err = engine
+                .plan_batch(&queries, &cat, paotr_par::ThreadCount::Fixed(threads))
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::error::Error::UnknownStream { stream: 2, .. }),
+                "{threads} threads: {err}"
+            );
+        }
     }
 
     #[test]
