@@ -28,8 +28,7 @@
 //! The store is deliberately independent of any stream trait: callers
 //! hand it newest-first item slices (the `recent(n)` shape every stream
 //! source already serves), so the crate depends only on `paotr-core`
-//! and slots under the simulator, the serving loop and the daemon
-//! alike. Whether maintaining beats re-pulling for a given stream is
+//! and slots under the scheduler the serving loop and the daemon share. Whether maintaining beats re-pulling for a given stream is
 //! decided by the planner through `paotr_core::cost::arrange` — the
 //! store only executes the decision.
 #![forbid(unsafe_code)]

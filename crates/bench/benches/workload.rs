@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paotr_core::plan::Engine;
+use paotr_exec::{AcceptAll, ServeConfig, ServeLoop};
 use paotr_gen::workload::{workload_instance, WorkloadConfig, LARGE_WORKLOAD_QUERIES};
-use paotr_multi::{planner_by_name, simulate, SimConfig, Workload};
+use paotr_multi::{planner_by_name, Workload};
 
 fn workload(queries: usize, overlap: f64, seed: usize) -> Workload {
     // At 128 queries this config is exactly the seed-stable
@@ -55,16 +56,18 @@ fn bench_planning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shared-tick simulation throughput: joint vs. independent execution.
+/// Shared-tick execution throughput: joint vs. independent plans,
+/// every query served every tick under accept-all admission.
 fn bench_execution(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_sim");
     group.sample_size(10);
     let engine = Engine::new();
     let w = workload(16, 0.6, 0);
-    let cfg = SimConfig {
+    let cfg = ServeConfig {
         ticks: 50,
         seed: 1,
         ticks_between: 1,
+        ..Default::default()
     };
     for name in ["independent", "shared-greedy"] {
         let joint = planner_by_name(name)
@@ -72,7 +75,11 @@ fn bench_execution(c: &mut Criterion) {
             .plan(&w, &engine)
             .expect("workloads plan");
         group.bench_function(BenchmarkId::new("16q_50ticks", name), |b| {
-            b.iter(|| simulate(&w, &joint, cfg))
+            b.iter(|| {
+                ServeLoop::new(&w, &joint, cfg)
+                    .run(&mut AcceptAll, &engine)
+                    .expect("plans serve")
+            })
         });
     }
     group.finish();

@@ -312,7 +312,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 r.planner,
                 r.arrangements,
                 r.arrangement_hit_items,
-                r.pulled_items,
+                r.pulled_items.iter().sum::<u64>(),
                 r.maintained_items,
                 r.pull_energy,
                 r.maintain_energy

@@ -3,14 +3,14 @@
 //! Generates a random workload over one shared catalog (via
 //! `paotr_gen::workload`), analyses cross-query stream interference,
 //! plans it with one or all workload planners and — unless `--no-sim` —
-//! validates predictions against simulated energy in `stream-sim`'s
-//! shared-pull execution path.
+//! validates predictions against the energy measured by serving every
+//! query every tick through `paotr_exec`'s serve loop.
 
 use paotr_core::plan::Engine;
+use paotr_exec::{compare, ServeConfig};
 use paotr_gen::workload::{workload_instance, WorkloadConfig};
 use paotr_multi::{
-    compare, default_planners, planner_by_name, SharedGreedyPlanner, SimConfig, Workload,
-    WorkloadPlanner,
+    default_planners, planner_by_name, SharedGreedyPlanner, Workload, WorkloadPlanner,
 };
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -143,10 +143,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     });
 
-    let sim = simulate.then_some(SimConfig {
+    let sim = simulate.then_some(ServeConfig {
         ticks: evals,
         seed: seed as u64,
         ticks_between: 1,
+        ..Default::default()
     });
     let outcomes = compare(&workload, &engine, &planners, sim).map_err(|e| e.to_string())?;
 

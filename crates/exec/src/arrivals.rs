@@ -1,8 +1,8 @@
 //! Arrival processes: when does each query of a served workload ask to
 //! be evaluated?
 //!
-//! The simulation and bench paths evaluate every query every tick; a
-//! serving deployment does not — queries arrive on their own clocks
+//! Joint-plan measurement and the bench paths evaluate every query
+//! every tick; a serving deployment does not — queries arrive on their own clocks
 //! (a dashboard refreshing once a minute, an alert firing on demand).
 //! `ArrivalProcess` turns an [`ArrivalSpec`] into a deterministic
 //! per-query stream of arrival ticks, seeded through
@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// One arrival every `every` ticks, starting at tick 0 (`every = 1`
-    /// reproduces the evaluate-every-tick workloads of the simulator).
+    /// evaluates every query every tick, as joint-plan measurement
+    /// does).
     Periodic {
         /// Ticks between arrivals (>= 1).
         every: u64,

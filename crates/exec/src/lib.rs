@@ -1,10 +1,11 @@
-//! # paotr-exec — the serving runtime
+//! # paotr-exec — the multi-query execution runtime
 //!
-//! The simulator answers "what would this workload cost per tick"; a
-//! deployment asks a harder question: queries *arrive* on their own
-//! clocks, the device has an energy envelope, and the probabilities the
-//! plans were calibrated against drift. This crate is the serving layer
-//! the ROADMAP's "heavy traffic" framing requires, built on the unified
+//! `paotr_multi` plans a workload jointly; this crate executes the
+//! plans. Serving every query every tick under accept-all admission
+//! answers "what does this joint plan cost per tick"; a deployment asks
+//! a harder question: queries *arrive* on their own clocks, the device
+//! has an energy envelope, and the probabilities the plans were
+//! calibrated against drift. Both run on one path, built on the unified
 //! tick runtime (`stream_sim::runtime`):
 //!
 //! * `arrivals` — per-query arrival processes ([`ArrivalSpec::Periodic`],
@@ -21,7 +22,14 @@
 //!   [`DriftConfig`] tolerance;
 //! * `tick` — [`run_tick`], the one tick driver the serve loop and
 //!   the `paotr_serverd` daemon share, and the [`TickCounters`] both
-//!   report from.
+//!   report from;
+//! * `sim` — the lowering of abstract workload trees to concrete
+//!   predicates over Gaussian streams, whose marginal truth rates
+//!   match the trees' leaf probabilities;
+//! * `outcome` — [`WorkloadOutcome`] reports (per-query and aggregate
+//!   cost, sharing ratio, predicted and measured speedup vs.
+//!   independent) and the [`compare`] harness behind
+//!   `paotr workload --compare`.
 //!
 //! ## Quick start
 //!
@@ -56,11 +64,14 @@
 
 pub(crate) mod admission;
 pub(crate) mod arrivals;
+pub(crate) mod outcome;
 pub(crate) mod serve;
+pub(crate) mod sim;
 pub(crate) mod tick;
 
 pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyBudget};
 pub use arrivals::ArrivalSpec;
+pub use outcome::{compare, QueryReport, WorkloadOutcome};
 pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
 pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};

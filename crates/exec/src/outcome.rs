@@ -1,10 +1,10 @@
 //! Workload-level reports: predicted and measured costs per planner.
 
-use crate::planner::{JointPlan, WorkloadPlanner};
-use crate::sim::{simulate, SimConfig, WorkloadSimReport};
-use crate::workload::Workload;
+use crate::admission::AcceptAll;
+use crate::serve::{ServeConfig, ServeLoop, ServeReport};
 use paotr_core::error::Result;
 use paotr_core::plan::Engine;
+use paotr_multi::{IndependentPlanner, JointPlan, Workload, WorkloadPlanner};
 
 /// One query's entry in a [`WorkloadOutcome`].
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +17,7 @@ pub struct QueryReport {
     pub independent_cost: f64,
     /// Predicted expected cost under the joint plan.
     pub predicted_cost: f64,
-    /// Measured mean energy per tick, when simulation ran.
+    /// Measured mean energy per tick, when the plan was served.
     pub simulated_energy: Option<f64>,
 }
 
@@ -37,17 +37,17 @@ pub struct WorkloadOutcome {
     pub sharing_ratio: f64,
     /// Predicted speedup over the independent baseline.
     pub speedup: f64,
-    /// Measured mean energy per tick (all queries), when simulated.
+    /// Measured mean energy per tick (all queries), when served.
     pub simulated_energy: Option<f64>,
-    /// Measured speedup over the independent baseline's simulation,
-    /// when both were simulated.
+    /// Measured speedup over the independent baseline's serve run,
+    /// when both were served.
     pub simulated_speedup: Option<f64>,
 }
 
 impl WorkloadOutcome {
     /// Summarizes a joint plan (prediction only; attach measurements
-    /// with [`WorkloadOutcome::attach_simulation`]).
-    pub(crate) fn from_plan(workload: &Workload, joint: &JointPlan) -> WorkloadOutcome {
+    /// with [`WorkloadOutcome::attach_measurement`]).
+    fn from_plan(workload: &Workload, joint: &JointPlan) -> WorkloadOutcome {
         let weights = workload.weights();
         let per_query = workload
             .queries()
@@ -73,53 +73,64 @@ impl WorkloadOutcome {
         }
     }
 
-    /// Records measured energies from a simulation run.
-    pub(crate) fn attach_simulation(&mut self, sim: &WorkloadSimReport) {
-        for (report, &e) in self.per_query.iter_mut().zip(&sim.per_query_energy) {
-            report.simulated_energy = Some(e);
+    /// Records measured energies from a serve run; returns the measured
+    /// mean energy per tick: the sum of the per-query means, in
+    /// workload order.
+    fn attach_measurement(&mut self, report: &ServeReport) -> f64 {
+        let per_query = report.mean_query_energy();
+        for (row, &e) in self.per_query.iter_mut().zip(&per_query) {
+            row.simulated_energy = Some(e);
         }
-        self.simulated_energy = Some(sim.total_energy);
+        let total = per_query.iter().sum();
+        self.simulated_energy = Some(total);
+        total
     }
 }
 
-/// Plans `workload` with every planner, optionally simulating each
-/// plan, and fills in measured speedups relative to the `independent`
-/// baseline. The baseline simulation is always run when `sim` is set —
-/// the caller's planner list does not need to contain `independent`,
-/// nor put it first — and is reused for the `independent` row itself
-/// rather than re-simulated. This is the engine behind
-/// `paotr workload --compare`.
+/// Plans `workload` with every planner, optionally serving each plan
+/// under `serve` with accept-all admission (the default periodic
+/// arrivals evaluate every query every tick), and fills in measured
+/// speedups relative to the `independent` baseline. The
+/// baseline is always served when `serve` is set — the caller's planner
+/// list does not need to contain `independent`, nor put it first — and
+/// is reused for the `independent` row itself rather than served again.
+/// This is the engine behind `paotr workload --compare`.
 pub fn compare(
     workload: &Workload,
     engine: &Engine,
     planners: &[Box<dyn WorkloadPlanner>],
-    sim: Option<SimConfig>,
+    serve: Option<ServeConfig>,
 ) -> Result<Vec<WorkloadOutcome>> {
-    let baseline_joint = match sim {
-        Some(_) => Some(crate::planner::IndependentPlanner.plan(workload, engine)?),
-        None => None,
+    let measure = |joint: &JointPlan, config: ServeConfig| {
+        ServeLoop::new(workload, joint, config).run(&mut AcceptAll, engine)
     };
-    let baseline = match (sim, &baseline_joint) {
-        (Some(cfg), Some(jp)) => Some(simulate(workload, jp, cfg)),
-        _ => None,
+    let baseline = match serve {
+        Some(config) => {
+            let joint = IndependentPlanner.plan(workload, engine)?;
+            let report = measure(&joint, config)?;
+            Some((joint, report))
+        }
+        None => None,
     };
     let mut outcomes = Vec::with_capacity(planners.len());
     for planner in planners {
+        let reuse = planner.name() == "independent";
         // reuse the already-planned baseline for the `independent` row
-        let joint = match &baseline_joint {
-            Some(jp) if planner.name() == "independent" => jp.clone(),
+        let joint = match &baseline {
+            Some((jp, _)) if reuse => jp.clone(),
             _ => planner.plan(workload, engine)?,
         };
         let mut outcome = WorkloadOutcome::from_plan(workload, &joint);
-        if let (Some(cfg), Some(base)) = (sim, baseline.as_ref()) {
-            let report = if planner.name() == "independent" {
+        if let (Some(config), Some((_, base))) = (serve, &baseline) {
+            let report = if reuse {
                 base.clone()
             } else {
-                simulate(workload, &joint, cfg)
+                measure(&joint, config)?
             };
-            outcome.attach_simulation(&report);
-            if report.total_energy > 0.0 {
-                outcome.simulated_speedup = Some(base.total_energy / report.total_energy);
+            let energy = outcome.attach_measurement(&report);
+            if energy > 0.0 {
+                let base_energy: f64 = base.mean_query_energy().iter().sum();
+                outcome.simulated_speedup = Some(base_energy / energy);
             }
         }
         outcomes.push(outcome);
@@ -130,11 +141,11 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::default_planners;
     use paotr_core::leaf::Leaf;
     use paotr_core::prob::Prob;
     use paotr_core::stream::{StreamCatalog, StreamId};
     use paotr_core::tree::DnfTree;
+    use paotr_multi::default_planners;
 
     fn leaf(s: usize, d: u32, p: f64) -> Leaf {
         Leaf::new(StreamId(s), d, Prob::new(p).unwrap()).unwrap()
@@ -155,10 +166,11 @@ mod tests {
             &w,
             &Engine::new(),
             &default_planners(),
-            Some(SimConfig {
+            Some(ServeConfig {
                 ticks: 120,
                 seed: 5,
                 ticks_between: 1,
+                ..Default::default()
             }),
         )
         .unwrap();
@@ -181,7 +193,7 @@ mod tests {
 
     #[test]
     fn compare_defines_sim_speedup_without_an_independent_row() {
-        use crate::planner::SharedGreedyPlanner;
+        use paotr_multi::SharedGreedyPlanner;
         let w = workload();
         let planners: Vec<Box<dyn WorkloadPlanner>> =
             vec![Box::new(SharedGreedyPlanner::default())];
@@ -189,10 +201,11 @@ mod tests {
             &w,
             &Engine::new(),
             &planners,
-            Some(SimConfig {
+            Some(ServeConfig {
                 ticks: 60,
                 seed: 9,
                 ticks_between: 1,
+                ..Default::default()
             }),
         )
         .unwrap();
@@ -200,7 +213,7 @@ mod tests {
         assert_eq!(outcomes[0].planner, "shared-greedy");
         assert!(
             outcomes[0].simulated_speedup.is_some(),
-            "baseline is simulated implicitly"
+            "baseline is served implicitly"
         );
     }
 

@@ -5,9 +5,9 @@
 //! Each tick the loop (1) polls every query's `ArrivalProcess`,
 //! (2) hands the due set to the [`AdmissionPolicy`], (3) executes the
 //! admitted queries on the unified runtime (`stream_sim::runtime`
-//! [`Scheduler`] + [`EnergyMeter`] — the same scheduler the simulator
-//! and the single-query engine run on, so served energies are directly
-//! comparable to simulated and predicted ones), and (4) feeds the
+//! [`Scheduler`] + [`EnergyMeter`] — the same scheduler the single-query
+//! pipeline runs on, so served energies are directly comparable to
+//! measured and predicted ones), and (4) feeds the
 //! execution trace into per-leaf hit-rate estimators. When a query's
 //! observed rates diverge from its calibrated probabilities beyond the
 //! [`DriftConfig`] tolerance, the query is re-planned through the
@@ -15,13 +15,14 @@
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
+use crate::sim::synthesize;
 use crate::tick::{run_tick, Tick, TickCounters, TickQuery, TickStats};
 use paotr_core::error::{Error, Result};
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_faults::{FaultPlan, FaultSpec};
-use paotr_multi::{outage_catalog, synthesize, JointPlan, Workload};
+use paotr_multi::{outage_catalog, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Deref;
@@ -112,10 +113,13 @@ pub struct ServeReport {
     pub counters: TickCounters,
     /// Evaluations served per query (workload order).
     pub per_query_served: Vec<u64>,
+    /// Energy spent on each query over the run (workload order),
+    /// summed evaluation by evaluation in execution order.
+    pub per_query_energy: Vec<f64>,
     /// Fraction of served evaluations that came out TRUE.
     pub truth_rate: f64,
-    /// Stream items paid for by query pulls.
-    pub pulled_items: u64,
+    /// Stream items paid for by query pulls, per stream.
+    pub pulled_items: Vec<u64>,
     /// Stream items paid for by arrangement maintenance (0 with
     /// arrangements off).
     pub maintained_items: u64,
@@ -167,6 +171,12 @@ impl ServeReport {
         self.total_energy / self.ticks.max(1) as f64
     }
 
+    /// Mean energy per tick spent on each query (workload order).
+    pub fn mean_query_energy(&self) -> Vec<f64> {
+        let ticks = self.ticks.max(1) as f64;
+        self.per_query_energy.iter().map(|e| e / ticks).collect()
+    }
+
     /// Energy per served evaluation (`None` when nothing was served).
     pub(crate) fn energy_per_served(&self) -> Option<f64> {
         (self.evals > 0).then(|| self.total_energy / self.evals as f64)
@@ -176,7 +186,7 @@ impl ServeReport {
     /// plus arrangement maintenance — the acceptance metric arranged
     /// serving is judged on.
     pub fn fetched_items(&self) -> u64 {
-        self.pulled_items + self.maintained_items
+        self.pulled_items.iter().sum::<u64>() + self.maintained_items
     }
 
     /// A `paotr_stats` summary table over several runs — the report the
@@ -338,12 +348,10 @@ pub struct ServeLoop {
 
 impl ServeLoop {
     /// Wires `workload` for serving under `joint`: concrete predicates
-    /// are synthesized from the abstract trees (the same lowering the
-    /// validation simulator uses), so each leaf's marginal truth rate
-    /// matches its calibrated probability.
+    /// are synthesized from the abstract trees, so each leaf's marginal
+    /// truth rate matches its calibrated probability.
     pub fn new(workload: &Workload, joint: &JointPlan, config: ServeConfig) -> ServeLoop {
-        let (queries, _) = synthesize(workload);
-        ServeLoop::with_queries(queries, workload, joint, config)
+        ServeLoop::with_queries(synthesize(workload), workload, joint, config)
     }
 
     /// Wires custom concrete queries (shape-compatible with the
@@ -407,8 +415,7 @@ impl ServeLoop {
         let n_streams = self.catalog.len();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
-        // Streams, warmed to the widest window (same lowering as the
-        // validation simulator).
+        // Streams, warmed to the widest window.
         let mut horizons = vec![1u32; n_streams];
         for q in &self.queries {
             for (k, &w) in q.max_windows(n_streams).iter().enumerate() {
@@ -420,16 +427,16 @@ impl ServeLoop {
         // With arrangements on, the serving loop is the (sole) reader
         // of every materialized stream: acquire the joint plan's
         // materialization set once and maintain it for the whole run.
-        let mut scheduler = match self.config.arrange {
-            Some(cfg) if self.shared && !self.materialized.is_empty() => {
+        let mut scheduler = Scheduler::new(n_streams, MemoryPolicy::ClearEachQuery);
+        if let Some(cfg) = self.config.arrange {
+            if self.shared && !self.materialized.is_empty() {
                 let mut store = ArrangementStore::new(cfg);
                 for &(k, window) in &self.materialized {
                     store.acquire(k, window);
                 }
-                Scheduler::with_arrangements(n_streams, store)
+                scheduler.attach_arrangements(store);
             }
-            _ => Scheduler::new(n_streams, MemoryPolicy::ClearEachQuery),
-        };
+        }
         let mut meter = EnergyMeter::new(EnergyModel::from_catalog(&self.catalog));
         let faults = FaultPlan::new(self.config.faults.unwrap_or_else(FaultSpec::none));
         // Outage signature of the previous tick.
@@ -466,6 +473,7 @@ impl ServeLoop {
         let mut total_arrivals = 0u64;
         let mut outage_replans = 0u64;
         let mut per_query_served = vec![0u64; n];
+        let mut per_query_energy = vec![0.0f64; n];
         let mut max_staleness = 0u64;
         let mut verdicts: Vec<VerdictRecord> = Vec::new();
 
@@ -532,6 +540,7 @@ impl ServeLoop {
                 &mut counters,
                 |q, out| {
                     per_query_served[q] += 1;
+                    per_query_energy[q] += out.cost;
                     max_staleness = max_staleness.max(out.staleness);
                     if self.config.record_verdicts {
                         verdicts.push(VerdictRecord {
@@ -565,13 +574,14 @@ impl ServeLoop {
             admission: policy.name().to_string(),
             arrivals: total_arrivals,
             per_query_served,
+            per_query_energy,
             truth_rate: if counters.evals > 0 {
                 counters.truths as f64 / counters.evals as f64
             } else {
                 0.0
             },
             counters,
-            pulled_items: meter.items_pulled().iter().sum(),
+            pulled_items: meter.items_pulled().to_vec(),
             maintained_items: meter.items_maintained().iter().sum(),
             pull_energy: meter.pull_cost_total(),
             arrangements: stats.map_or(0, |s| s.arrangements),

@@ -244,3 +244,212 @@ pub fn run_tick(
     };
     (stats, drifted)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::AcceptAll;
+    use paotr_core::stream::{StreamCatalog, StreamId};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use stream_sim::{
+        Comparator, EnergyModel, MemoryPolicy, Predicate, SensorModel, SensorSource, SimLeaf,
+        WindowOp,
+    };
+
+    fn constant_stream(v: f64, ticks: usize) -> SimStream {
+        let mut s = SimStream::new(SensorSource::new(SensorModel::Constant(v)), 64);
+        let mut rng = StdRng::seed_from_u64(0);
+        s.advance_by(ticks, &mut rng);
+        s
+    }
+
+    fn cmp_leaf(stream: usize, window: u32, cmp: Comparator, thr: f64) -> SimLeaf {
+        SimLeaf {
+            stream: StreamId(stream),
+            predicate: Predicate::new(WindowOp::Avg, window, cmp, thr),
+        }
+    }
+
+    fn leaf(stream: usize, window: u32, thr: f64) -> SimLeaf {
+        cmp_leaf(stream, window, Comparator::Lt, thr)
+    }
+
+    fn meter(costs: &[f64]) -> EnergyMeter {
+        let cat = StreamCatalog::from_costs(costs.iter().copied()).unwrap();
+        EnergyMeter::new(EnergyModel::from_catalog(&cat))
+    }
+
+    fn schedule(q: &SimQuery) -> DnfSchedule {
+        DnfSchedule::from_order_unchecked(q.leaf_refs())
+    }
+
+    /// Serves one tick in which every query is due and admitted, in
+    /// the order given; returns the outcomes in execution order.
+    fn tick(
+        scheduler: &mut Scheduler,
+        meter: &mut EnergyMeter,
+        pairs: &[(&SimQuery, &DnfSchedule)],
+        streams: &[SimStream],
+        shared: bool,
+    ) -> (Vec<QueryOutcome>, TickCounters) {
+        let n = pairs.len();
+        let n_streams = streams.len();
+        let mut drift: Vec<DriftState> = pairs
+            .iter()
+            .map(|(q, _)| DriftState::new(&q.skeleton(&vec![0.5; q.num_leaves()])))
+            .collect();
+        let mut queries: Vec<TickQuery> = pairs
+            .iter()
+            .zip(&mut drift)
+            .map(|(&(sim, schedule), drift)| TickQuery {
+                sim,
+                schedule,
+                drift,
+            })
+            .collect();
+        let windows: Vec<Vec<u32>> = pairs
+            .iter()
+            .map(|(q, _)| q.max_windows(n_streams))
+            .collect();
+        let order: Vec<usize> = (0..n).collect();
+        let mut counters = TickCounters::default();
+        let mut outcomes = Vec::new();
+        run_tick(
+            Tick {
+                tick: 0,
+                weights: &vec![1.0; n],
+                windows: &windows,
+                costs: &vec![1.0; n_streams],
+                shared,
+                order: &order,
+                pending: &mut vec![Some(0); n],
+                policy: &mut AcceptAll,
+                scheduler,
+                streams,
+                faults: &FaultPlan::none(),
+                meter,
+                drift: None,
+                trace: &mut TraceLog::default(),
+            },
+            &mut queries,
+            &mut counters,
+            |_, out| outcomes.push(out.clone()),
+        );
+        (outcomes, counters)
+    }
+
+    /// One query on its own: the memory policy, then the loop.
+    fn evaluate(
+        scheduler: &mut Scheduler,
+        meter: &mut EnergyMeter,
+        q: &SimQuery,
+        s: &DnfSchedule,
+        streams: &[SimStream],
+    ) -> QueryOutcome {
+        scheduler.begin_tick(std::slice::from_ref(&q), streams);
+        scheduler.run_query(q, s, streams, meter, None)
+    }
+
+    fn clearing(n_streams: usize) -> Scheduler {
+        Scheduler::new(n_streams, MemoryPolicy::ClearEachQuery)
+    }
+
+    #[test]
+    fn shared_tick_makes_items_free_for_later_queries() {
+        // Two queries reading the same stream: q0 pulls 8 items, q1
+        // needs 5 of them.
+        let q0 = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
+        let q1 = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let (s0, s1) = (schedule(&q0), schedule(&q1));
+        let workload = [(&q0, &s0), (&q1, &s1)];
+
+        let mut iso = meter(&[1.0]);
+        let (outs, _) = tick(&mut clearing(1), &mut iso, &workload, &streams, false);
+        assert_eq!(outs[0].cost, 8.0);
+        assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
+        assert_eq!(iso.total_cost(), 13.0);
+
+        let mut shared = meter(&[1.0]);
+        let (outs, _) = tick(&mut clearing(1), &mut shared, &workload, &streams, true);
+        assert_eq!(outs[0].cost, 8.0);
+        assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
+        assert_eq!(shared.total_cost(), 8.0);
+        assert_eq!(outs[1].items_pulled, vec![0]);
+    }
+
+    #[test]
+    fn shared_tick_order_changes_who_pays() {
+        let big = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
+        let small = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let (sb, ss) = (schedule(&big), schedule(&small));
+
+        // small first: pays 5, then big tops up 3. Total unchanged.
+        let mut m = meter(&[1.0]);
+        let pairs = [(&small, &ss), (&big, &sb)];
+        let (outs, _) = tick(&mut clearing(1), &mut m, &pairs, &streams, true);
+        assert_eq!(outs[0].cost, 5.0);
+        assert_eq!(outs[1].cost, 3.0);
+        assert_eq!(m.total_cost(), 8.0);
+    }
+
+    #[test]
+    fn workload_matches_per_query_evaluate_when_isolated() {
+        let q0 = SimQuery::new(vec![vec![
+            leaf(0, 4, 70.0),
+            cmp_leaf(1, 2, Comparator::Gt, 100.0),
+        ]])
+        .unwrap();
+        let q1 = SimQuery::new(vec![vec![leaf(1, 3, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
+        let (s0, s1) = (schedule(&q0), schedule(&q1));
+        let pairs = [(&q0, &s0), (&q1, &s1)];
+
+        let mut a = meter(&[1.0, 2.0]);
+        let (outs, counters) = tick(&mut clearing(2), &mut a, &pairs, &streams, false);
+        let (mut sched, mut b) = (clearing(2), meter(&[1.0, 2.0]));
+        let o0 = evaluate(&mut sched, &mut b, &q0, &s0, &streams);
+        let o1 = evaluate(&mut sched, &mut b, &q1, &s1, &streams);
+        assert_eq!(outs, vec![o0, o1]);
+        assert_eq!(a.total_cost(), b.total_cost());
+        assert_eq!(counters.evals, 2);
+
+        // ...including under Retain, whose cross-evaluation retention
+        // must not be wiped by the non-shared path.
+        let mut sched = Scheduler::new(2, MemoryPolicy::Retain);
+        let mut a = meter(&[1.0, 2.0]);
+        let (outs, _) = tick(&mut sched, &mut a, &pairs, &streams, false);
+        let mut sched = Scheduler::new(2, MemoryPolicy::Retain);
+        let mut b = meter(&[1.0, 2.0]);
+        let o0 = evaluate(&mut sched, &mut b, &q0, &s0, &streams);
+        let o1 = evaluate(&mut sched, &mut b, &q1, &s1, &streams);
+        assert_eq!(outs, vec![o0, o1]);
+        assert!(
+            outs[1].items_pulled[1] < 3,
+            "retained items from q0 serve part of q1's window"
+        );
+    }
+
+    #[test]
+    fn run_tick_shared_coalesces_pulls_across_queries() {
+        let q0 = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
+        let q1 = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
+        let streams = vec![constant_stream(50.0, 20)];
+        let (s0, s1) = (schedule(&q0), schedule(&q1));
+        let pairs = [(&q0, &s0), (&q1, &s1)];
+
+        let mut m = meter(&[1.0]);
+        let (outs, counters) = tick(&mut clearing(1), &mut m, &pairs, &streams, true);
+        assert_eq!(outs[0].cost, 8.0);
+        assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
+        assert_eq!(m.total_cost(), 8.0);
+        assert_eq!(counters.evals, 2);
+
+        let mut m = meter(&[1.0]);
+        let (outs, _) = tick(&mut clearing(1), &mut m, &pairs, &streams, false);
+        assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
+        assert_eq!(m.total_cost(), 13.0);
+    }
+}

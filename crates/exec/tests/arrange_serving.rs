@@ -77,6 +77,6 @@ fn arrangements_off_reports_no_arrangement_activity() {
     assert_eq!(r.maintain_energy, 0.0);
     assert_eq!(r.arrangements, 0);
     assert_eq!(r.arrangement_hit_items, 0);
-    assert_eq!(r.fetched_items(), r.pulled_items);
+    assert_eq!(r.fetched_items(), r.pulled_items.iter().sum::<u64>());
     assert_eq!(r.total_energy, r.pull_energy);
 }

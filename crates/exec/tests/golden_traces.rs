@@ -1,24 +1,23 @@
 // Golden constants are pinned at full captured precision on purpose.
 #![allow(clippy::excessive_precision)]
 
-//! Golden-trace equivalence: the unified runtime must reproduce the
-//! pre-refactor execution paths' energy traces.
-//!
-//! The constants below were captured from the repository state *before*
-//! the single-query engine's workload loop and `multi::sim::simulate`
-//! were ported onto the unified `stream_sim::runtime` (`Scheduler` +
-//! `EnergyMeter`): the seed scenario from `multi/sim.rs` plus the three
-//! bench workload shapes (4 / 16 / 64 queries at 0.6 overlap, instance
-//! 0). Any divergence beyond 1e-9 relative means the refactor changed
-//! the semantics, not just the plumbing.
+//! Golden-trace equivalence: serving a joint plan (every query due
+//! every tick, accept-all admission, joint-plan order) must reproduce
+//! the multi-query energy traces captured before execution was unified
+//! on `stream_sim::runtime` (`Scheduler` + `EnergyMeter`). The
+//! scenarios are a 3-query seed workload plus the three bench workload
+//! shapes (4 / 16 / 64 queries at 0.6 overlap, instance 0). Energies
+//! are mean per tick. Any divergence beyond 1e-9 relative means
+//! execution semantics changed, not just the plumbing.
 
 use paotr_core::leaf::Leaf;
 use paotr_core::plan::Engine;
 use paotr_core::prob::Prob;
 use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_core::tree::DnfTree;
+use paotr_exec::{AcceptAll, ServeConfig, ServeLoop, ServeReport};
 use paotr_gen::workload::{workload_instance, WorkloadConfig};
-use paotr_multi::{planner_by_name, simulate, SimConfig, Workload, WorkloadSimReport};
+use paotr_multi::{planner_by_name, Workload};
 
 fn leaf(s: usize, d: u32, p: f64) -> Leaf {
     Leaf::new(StreamId(s), d, Prob::new(p).unwrap()).unwrap()
@@ -28,24 +27,27 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
 }
 
-fn run(workload: &Workload, planner: &str, cfg: SimConfig) -> WorkloadSimReport {
+fn run(workload: &Workload, planner: &str, cfg: ServeConfig) -> ServeReport {
     let engine = Engine::new();
     let joint = planner_by_name(planner)
         .unwrap()
         .plan(workload, &engine)
         .unwrap();
-    simulate(workload, &joint, cfg)
+    ServeLoop::new(workload, &joint, cfg)
+        .run(&mut AcceptAll, &engine)
+        .unwrap()
 }
 
-fn check(tag: &str, report: &WorkloadSimReport, total: f64, per_query: Option<&[f64]>) {
+fn check(tag: &str, report: &ServeReport, total: f64, per_query: Option<&[f64]>) {
+    let per_query_energy = report.mean_query_energy();
+    let total_energy: f64 = per_query_energy.iter().sum();
     assert!(
-        close(report.total_energy, total),
-        "{tag}: total {:.17e} vs golden {total:.17e}",
-        report.total_energy
+        close(total_energy, total),
+        "{tag}: total {total_energy:.17e} vs golden {total:.17e}"
     );
     if let Some(golden) = per_query {
-        assert_eq!(report.per_query_energy.len(), golden.len(), "{tag}");
-        for (q, (&got, &want)) in report.per_query_energy.iter().zip(golden).enumerate() {
+        assert_eq!(per_query_energy.len(), golden.len(), "{tag}");
+        for (q, (&got, &want)) in per_query_energy.iter().zip(golden).enumerate() {
             assert!(
                 close(got, want),
                 "{tag} q{q}: {got:.17e} vs golden {want:.17e}"
@@ -54,8 +56,8 @@ fn check(tag: &str, report: &WorkloadSimReport, total: f64, per_query: Option<&[
     }
 }
 
-/// The overlapping 3-query seed scenario of `multi/sim.rs`, all three
-/// planners, per-query energies pinned.
+/// The overlapping 3-query seed scenario, all three planners,
+/// per-query energies pinned.
 #[test]
 fn seed_scenario_traces_match_pre_refactor() {
     let trees = vec![
@@ -64,10 +66,11 @@ fn seed_scenario_traces_match_pre_refactor() {
         DnfTree::from_leaves(vec![vec![leaf(0, 3, 0.9), leaf(1, 4, 0.6)]]).unwrap(),
     ];
     let w = Workload::from_trees(trees, StreamCatalog::from_costs([2.0, 1.0]).unwrap()).unwrap();
-    let cfg = SimConfig {
+    let cfg = ServeConfig {
         ticks: 300,
         seed: 3,
         ticks_between: 1,
+        ..Default::default()
     };
 
     let r = run(&w, "independent", cfg);
@@ -81,7 +84,7 @@ fn seed_scenario_traces_match_pre_refactor() {
             7.67999999999999972e0,
         ]),
     );
-    assert_eq!(r.items_pulled, vec![2061, 2700]);
+    assert_eq!(r.pulled_items, vec![2061, 2700]);
 
     let r = run(&w, "shared-greedy", cfg);
     check(
@@ -94,7 +97,7 @@ fn seed_scenario_traces_match_pre_refactor() {
             3.27999999999999980e0,
         ]),
     );
-    assert_eq!(r.items_pulled, vec![1336, 1200]);
+    assert_eq!(r.pulled_items, vec![1336, 1200]);
 
     let r = run(&w, "batch-aware", cfg);
     check(
@@ -122,10 +125,11 @@ fn bench_shape_traces_match_pre_refactor() {
     for (queries, indep_total, shared_total) in golden {
         let (trees, catalog) = workload_instance(WorkloadConfig::with_overlap(queries, 0.6), 0);
         let w = Workload::from_trees(trees, catalog).unwrap();
-        let cfg = SimConfig {
+        let cfg = ServeConfig {
             ticks: 50,
             seed: 1,
             ticks_between: 1,
+            ..Default::default()
         };
         check(
             &format!("bench{queries}q/independent"),
@@ -148,10 +152,11 @@ fn bench_shape_traces_match_pre_refactor() {
 fn bench4_per_query_traces_match_pre_refactor() {
     let (trees, catalog) = workload_instance(WorkloadConfig::with_overlap(4, 0.6), 0);
     let w = Workload::from_trees(trees, catalog).unwrap();
-    let cfg = SimConfig {
+    let cfg = ServeConfig {
         ticks: 50,
         seed: 1,
         ticks_between: 1,
+        ..Default::default()
     };
     check(
         "bench4q/independent",

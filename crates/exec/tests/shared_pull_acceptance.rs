@@ -1,13 +1,13 @@
 //! End-to-end acceptance: on a generated 16-query workload with >= 50%
 //! pairwise stream overlap, joint planning measurably beats the
-//! independent baseline in *simulated* energy, and the planner's
-//! predictions point the same way.
+//! independent baseline in *measured* energy (every query served every
+//! tick), and the planner's predictions point the same way.
 
 use paotr_core::plan::Engine;
+use paotr_exec::{compare, AcceptAll, ServeConfig, ServeLoop};
 use paotr_gen::workload::{mean_pairwise_overlap, workload_instance, WorkloadConfig};
 use paotr_multi::{
-    compare, default_planners, simulate, IndependentPlanner, SharedGreedyPlanner, SimConfig,
-    Workload, WorkloadPlanner,
+    default_planners, IndependentPlanner, JointPlan, SharedGreedyPlanner, Workload, WorkloadPlanner,
 };
 
 fn sixteen_query_workload() -> Workload {
@@ -38,22 +38,22 @@ fn shared_greedy_simulated_energy_beats_independent_on_16_query_workload() {
     );
     assert!(report.shared_streams() >= 2);
 
-    let cfg = SimConfig {
+    let cfg = ServeConfig {
         ticks: 250,
         seed: 42,
         ticks_between: 1,
+        ..Default::default()
     };
-    let indep = simulate(
-        &workload,
-        &IndependentPlanner.plan(&workload, &engine).unwrap(),
-        cfg,
-    );
-    let shared = simulate(
-        &workload,
+    let serve = |joint: &JointPlan| {
+        ServeLoop::new(&workload, joint, cfg)
+            .run(&mut AcceptAll, &engine)
+            .unwrap()
+    };
+    let indep = serve(&IndependentPlanner.plan(&workload, &engine).unwrap());
+    let shared = serve(
         &SharedGreedyPlanner::default()
             .plan(&workload, &engine)
             .unwrap(),
-        cfg,
     );
     assert!(
         shared.total_energy < indep.total_energy * 0.9,
@@ -71,10 +71,11 @@ fn compare_table_reports_sharing_ratio_and_speedup_for_every_planner() {
         &workload,
         &engine,
         &default_planners(),
-        Some(SimConfig {
+        Some(ServeConfig {
             ticks: 120,
             seed: 7,
             ticks_between: 1,
+            ..Default::default()
         }),
     )
     .unwrap();
@@ -89,7 +90,7 @@ fn compare_table_reports_sharing_ratio_and_speedup_for_every_planner() {
             o.planner
         );
         assert!(o.speedup > 1.0);
-        let sim_speedup = o.simulated_speedup.expect("simulation ran");
+        let sim_speedup = o.simulated_speedup.expect("plans were served");
         assert!(
             sim_speedup > 1.0,
             "{} measured speedup {sim_speedup} <= 1",

@@ -1,14 +1,15 @@
 //! Multi-query workload sweep: workload size × stream-overlap degree.
 //!
 //! Beyond the paper: for each `(queries, overlap)` cell, plan a batch of
-//! generated workloads with every joint planner, validate predictions in
-//! the shared-pull simulator, and record the sharing ratio and measured
-//! speedup over the independent baseline. Writes `workload.csv`.
+//! generated workloads with every joint planner, validate predictions by
+//! serving every query every tick, and record the sharing ratio and
+//! measured speedup over the independent baseline. Writes `workload.csv`.
 
 use crate::common::{progress_line, Options};
 use paotr_core::plan::Engine;
+use paotr_exec::{compare, ServeConfig};
 use paotr_gen::workload::{workload_instance, WorkloadConfig, LARGE_WORKLOAD_QUERIES};
-use paotr_multi::{compare, default_planners, SimConfig, Workload};
+use paotr_multi::{default_planners, Workload};
 use std::io::Write;
 
 /// One `(cell, planner)` aggregate.
@@ -69,10 +70,11 @@ pub fn run(opts: &Options) -> Vec<Row> {
                     &workload,
                     &engine,
                     &default_planners(),
-                    Some(SimConfig {
+                    Some(ServeConfig {
                         ticks: 120,
                         seed: opts.seed ^ index as u64,
                         ticks_between: 1,
+                        ..Default::default()
                     }),
                 )
                 .expect("workloads plan");

@@ -6,9 +6,9 @@
 //! A fleet device rarely serves one query: it serves a workload, and
 //! items pulled for one query sit in device memory where every other
 //! query evaluated this tick can read them for free. This crate plans
-//! and executes such workloads jointly (in the spirit of shared query
-//! execution, arXiv:1809.00159, and greedy multi-query optimization,
-//! arXiv:cs/9910021):
+//! such workloads jointly (in the spirit of shared query execution,
+//! arXiv:1809.00159, and greedy multi-query optimization,
+//! arXiv:cs/9910021); `paotr_exec` executes the plans:
 //!
 //! * [`Workload`] — queries + weights over one shared
 //!   [`StreamCatalog`](paotr_core::stream::StreamCatalog), with a
@@ -19,13 +19,7 @@
 //!   MQO: coverage-aware sequencing + coalescing re-plans) and
 //!   `batch-aware` (dominant-stream grouping);
 //! * [`cost`] — the shared-tick coverage cost model pricing a joint
-//!   plan without simulation;
-//! * `sim` — the `stream-sim` validation path: one tick evaluates
-//!   *all* queries against shared device memory and meters real energy;
-//! * `outcome` — [`WorkloadOutcome`] reports (per-query and aggregate
-//!   cost, sharing ratio, speedup vs. independent) and the
-//!   [`compare`] harness behind
-//!   `paotr workload --compare`.
+//!   plan without executing it.
 //!
 //! ## Quick start
 //!
@@ -54,17 +48,13 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub(crate) mod outcome;
 pub mod planner;
-pub(crate) mod sim;
 pub mod workload;
 
-pub use outcome::{compare, QueryReport, WorkloadOutcome};
 pub use planner::{
     default_planners, planner_by_name, planner_names, IndependentPlanner, JointPlan,
     SharedGreedyPlanner, WorkloadPlanner,
 };
-pub use sim::{simulate, synthesize, SimConfig, WorkloadSimReport};
 pub use workload::{
     outage_catalog, InterferenceReport, StreamInterference, Workload, WorkloadQuery,
 };

@@ -155,7 +155,7 @@ impl JointPlan {
 
     /// Fraction of the independent baseline cost the joint plan is
     /// predicted to amortize away (0 = no sharing benefit).
-    pub(crate) fn sharing_ratio(&self, weights: &[f64]) -> f64 {
+    pub fn sharing_ratio(&self, weights: &[f64]) -> f64 {
         let indep = self.aggregate_independent(weights);
         if indep <= 0.0 {
             return 0.0;

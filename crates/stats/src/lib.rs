@@ -5,17 +5,14 @@
 //! * `profile` — performance profiles (the ratio-vs-fraction curves of
 //!   Figures 5 and 6);
 //! * `table` — dependency-free CSV / Markdown table writers;
-//! * `svg` — dependency-free SVG line/scatter charts;
-//! * `ascii` — terminal charts for the examples.
+//! * `svg` — dependency-free SVG line/scatter charts.
 #![forbid(unsafe_code)]
 
-pub(crate) mod ascii;
 pub(crate) mod profile;
 pub(crate) mod summary;
 pub(crate) mod svg;
 pub(crate) mod table;
 
-pub use ascii::AsciiChart;
 pub use profile::{ratios, Profile};
 pub use summary::{best_counts, best_counts_with_tolerance, percentile, RatioSummary};
 pub use svg::{Chart, Series};

@@ -21,12 +21,6 @@ pub enum MemoryPolicy {
     /// overlapping windows across ticks make later evaluations cheaper,
     /// a realistic extension beyond the paper's model.
     Retain,
-    /// Serve pulls from maintained arrangements where one is current
-    /// (see `paotr-arrange`), falling back to cleared per-tick memory
-    /// for unarranged streams. The scheduler carries the
-    /// `ArrangementStore` itself — the policy stays a plain marker so
-    /// it remains `Copy` and comparable.
-    Arranged,
 }
 
 /// Per-stream sets of held item timestamps.

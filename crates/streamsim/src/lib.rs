@@ -18,8 +18,8 @@
 //! * `runtime` — the **unified tick-driven execution runtime**: the
 //!   [`StreamSource`] read interface, the pull-coalescing
 //!   [`Scheduler`] and the [`EnergyMeter`] — the single implementation
-//!   every execution path (single queries, multi-query shared ticks,
-//!   the serving loop) runs on;
+//!   both execution paths (the single-query pipeline and the
+//!   multi-query tick driver in `paotr_exec`) run on;
 //! * `trace` — execution traces and probability calibration ("inferred
 //!   from historical traces", as the paper assumes);
 //! * `simulate` — the calibrate–schedule–measure pipeline.

@@ -1,9 +1,9 @@
 //! The unified tick-driven execution runtime.
 //!
-//! Every execution path of the workspace — the calibrate–schedule–
-//! measure pipeline in [`crate::simulate`], the multi-query shared-pull
-//! loop in `paotr_multi::sim`, and the serving loop in `paotr_exec` —
-//! runs on the three pieces of this module:
+//! Both execution paths of the workspace — the single-query
+//! calibrate–schedule–measure pipeline in [`crate::simulate`], and the
+//! multi-query tick driver `paotr_exec::run_tick` behind the serve loop
+//! and the daemon — run on the three pieces of this module:
 //!
 //! * [`StreamSource`] — the read interface a stream must offer the
 //!   executor (`now` + `recent`), implemented by the sensor-backed
@@ -246,10 +246,9 @@ impl EnergyMeter {
 
 /// The tick-driven pull scheduler: one shared [`DeviceMemory`], a
 /// [`MemoryPolicy`], and the short-circuiting schedule interpreter.
-/// Under [`MemoryPolicy::Arranged`] the scheduler additionally carries
-/// an [`ArrangementStore`]: leaves whose pull a current arrangement
-/// covers are served from the maintained ring instead of charging the
-/// meter.
+/// A scheduler may additionally carry an [`ArrangementStore`]: leaves
+/// whose pull a current arrangement covers are served from the
+/// maintained ring instead of charging the meter.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     memory: DeviceMemory,
@@ -266,18 +265,6 @@ impl Scheduler {
             memory: DeviceMemory::new(n_streams),
             policy,
             arrangements: None,
-            max_attempts: 1,
-            stale_fallback: false,
-        }
-    }
-
-    /// A scheduler serving pulls from `store` where possible
-    /// ([`MemoryPolicy::Arranged`]).
-    pub fn with_arrangements(n_streams: usize, store: ArrangementStore) -> Scheduler {
-        Scheduler {
-            memory: DeviceMemory::new(n_streams),
-            policy: MemoryPolicy::Arranged,
-            arrangements: Some(store),
             max_attempts: 1,
             stale_fallback: false,
         }
@@ -304,22 +291,16 @@ impl Scheduler {
         self.arrangements.as_ref()
     }
 
-    /// Lends a store to this scheduler and switches it to
-    /// [`MemoryPolicy::Arranged`]. Owners whose store outlives the
-    /// scheduler (the serving daemon builds a fresh scheduler per
-    /// batch) attach before a batch and [`Scheduler::take_arrangements`]
-    /// after.
+    /// Lends a store to this scheduler, which then serves pulls from
+    /// it where possible. Owners whose store outlives the scheduler (the
+    /// serving daemon builds a fresh scheduler per batch) attach before
+    /// a batch and [`Scheduler::take_arrangements`] after.
     pub fn attach_arrangements(&mut self, store: ArrangementStore) {
-        self.policy = MemoryPolicy::Arranged;
         self.arrangements = Some(store);
     }
 
-    /// Detaches and returns the store, reverting the policy to
-    /// [`MemoryPolicy::ClearEachQuery`].
+    /// Detaches and returns the store.
     pub fn take_arrangements(&mut self) -> Option<ArrangementStore> {
-        if self.arrangements.is_some() {
-            self.policy = MemoryPolicy::ClearEachQuery;
-        }
         self.arrangements.take()
     }
 
@@ -381,7 +362,7 @@ impl Scheduler {
     /// short-circuiting, paying (through `meter`) only for items
     /// missing from memory, optionally appending per-leaf records to a
     /// trace. Call [`Scheduler::begin_tick`] first to apply the memory
-    /// policy — or use [`Scheduler::run_tick`], which sequences both.
+    /// policy.
     ///
     /// Under fault injection (sources whose [`StreamSource::try_recent`]
     /// can fail) evaluation is three-valued: an unreadable leaf becomes
@@ -582,41 +563,6 @@ impl Scheduler {
             items_pulled,
         }
     }
-
-    /// Executes a whole tick: every `(query, schedule)` pair in order.
-    ///
-    /// With `shared = true` the memory policy is applied once for the
-    /// whole set and all queries run against one shared memory — items
-    /// pulled by an earlier query are free for every later query this
-    /// tick. With `shared = false` the policy is applied before *each*
-    /// query, exactly as if the queries were evaluated one at a time
-    /// (under [`MemoryPolicy::ClearEachQuery`] every query pays its own
-    /// pulls — the independent baseline).
-    ///
-    /// # Panics
-    /// As [`Scheduler::run_query`], for each pair.
-    pub fn run_tick<S: StreamSource>(
-        &mut self,
-        queries: &[(&SimQuery, &DnfSchedule)],
-        streams: &[S],
-        shared: bool,
-        meter: &mut EnergyMeter,
-        mut trace: Option<&mut TraceLog>,
-    ) -> Vec<QueryOutcome> {
-        if shared {
-            let all: Vec<&SimQuery> = queries.iter().map(|(q, _)| *q).collect();
-            self.begin_tick(&all, streams);
-        }
-        queries
-            .iter()
-            .map(|(query, schedule)| {
-                if !shared {
-                    self.begin_tick(std::slice::from_ref(query), streams);
-                }
-                self.run_query(query, schedule, streams, meter, trace.as_deref_mut())
-            })
-            .collect()
-    }
 }
 
 /// Catalog-backed synthetic sources: one standard-normal Gaussian
@@ -777,85 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_tick_makes_items_free_for_later_queries() {
-        // Two queries reading the same stream: q0 pulls 8 items, q1
-        // needs 5 of them.
-        let q0 = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
-        let q1 = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
-        let streams = vec![constant_stream(50.0, 20)];
-        let s0 = DnfSchedule::from_order_unchecked(q0.leaf_refs());
-        let s1 = DnfSchedule::from_order_unchecked(q1.leaf_refs());
-        let workload = [(&q0, &s0), (&q1, &s1)];
-
-        let (mut sched, mut iso) = device(&[1.0]);
-        let outs = sched.run_tick(&workload, &streams, false, &mut iso, None);
-        assert_eq!(outs[0].cost, 8.0);
-        assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
-        assert_eq!(iso.total_cost(), 13.0);
-
-        let (mut sched, mut shared) = device(&[1.0]);
-        let outs = sched.run_tick(&workload, &streams, true, &mut shared, None);
-        assert_eq!(outs[0].cost, 8.0);
-        assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
-        assert_eq!(shared.total_cost(), 8.0);
-        assert_eq!(outs[1].items_pulled, vec![0]);
-    }
-
-    #[test]
-    fn shared_tick_order_changes_who_pays() {
-        let big = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
-        let small = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
-        let streams = vec![constant_stream(50.0, 20)];
-        let sb = DnfSchedule::from_order_unchecked(big.leaf_refs());
-        let ss = DnfSchedule::from_order_unchecked(small.leaf_refs());
-
-        // small first: pays 5, then big tops up 3. Total unchanged.
-        let (mut sched, mut m) = device(&[1.0]);
-        let pairs = [(&small, &ss), (&big, &sb)];
-        let outs = sched.run_tick(&pairs, &streams, true, &mut m, None);
-        assert_eq!(outs[0].cost, 5.0);
-        assert_eq!(outs[1].cost, 3.0);
-        assert_eq!(m.total_cost(), 8.0);
-    }
-
-    #[test]
-    fn workload_matches_per_query_evaluate_when_isolated() {
-        let q0 = SimQuery::new(vec![vec![
-            leaf(0, 4, 70.0),
-            cmp_leaf(1, 2, Comparator::Gt, 100.0),
-        ]])
-        .unwrap();
-        let q1 = SimQuery::new(vec![vec![leaf(1, 3, 70.0)]]).unwrap();
-        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
-        let s0 = DnfSchedule::from_order_unchecked(q0.leaf_refs());
-        let s1 = DnfSchedule::from_order_unchecked(q1.leaf_refs());
-        let pairs = [(&q0, &s0), (&q1, &s1)];
-
-        let (mut sched, mut a) = device(&[1.0, 2.0]);
-        let outs = sched.run_tick(&pairs, &streams, false, &mut a, None);
-        let mut b = device(&[1.0, 2.0]);
-        let o0 = evaluate(&mut b, &q0, &s0, &streams, None);
-        let o1 = evaluate(&mut b, &q1, &s1, &streams, None);
-        assert_eq!(outs, vec![o0, o1]);
-        assert_eq!(a.total_cost(), b.1.total_cost());
-        assert_eq!(a.evaluations, 2);
-
-        // ...including under Retain, whose cross-evaluation retention
-        // must not be wiped by the non-shared path.
-        let mut sched = Scheduler::new(2, MemoryPolicy::Retain);
-        let mut a = meter(&[1.0, 2.0]);
-        let outs = sched.run_tick(&pairs, &streams, false, &mut a, None);
-        let mut b = (Scheduler::new(2, MemoryPolicy::Retain), meter(&[1.0, 2.0]));
-        let o0 = evaluate(&mut b, &q0, &s0, &streams, None);
-        let o1 = evaluate(&mut b, &q1, &s1, &streams, None);
-        assert_eq!(outs, vec![o0, o1]);
-        assert!(
-            outs[1].items_pulled[1] < 3,
-            "retained items from q0 serve part of q1's window"
-        );
-    }
-
-    #[test]
     fn trace_records_every_evaluated_leaf() {
         let q = SimQuery::new(vec![vec![
             leaf(0, 2, 70.0),
@@ -883,30 +750,6 @@ mod tests {
         assert_eq!(m.items_pulled(), &[3, 2]);
         assert_eq!(m.evaluations, 0);
         assert_eq!(m.model.len(), 2);
-    }
-
-    #[test]
-    fn run_tick_shared_coalesces_pulls_across_queries() {
-        let q0 = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
-        let q1 = SimQuery::new(vec![vec![leaf(0, 5, 70.0)]]).unwrap();
-        let streams = vec![constant_stream(50.0, 20)];
-        let s0 = DnfSchedule::from_order_unchecked(q0.leaf_refs());
-        let s1 = DnfSchedule::from_order_unchecked(q1.leaf_refs());
-        let pairs = [(&q0, &s0), (&q1, &s1)];
-
-        let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
-        let mut m = meter(&[1.0]);
-        let outs = sched.run_tick(&pairs, &streams, true, &mut m, None);
-        assert_eq!(outs[0].cost, 8.0);
-        assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
-        assert_eq!(m.total_cost(), 8.0);
-        assert_eq!(m.evaluations, 2);
-
-        let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
-        let mut m = meter(&[1.0]);
-        let outs = sched.run_tick(&pairs, &streams, false, &mut m, None);
-        assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
-        assert_eq!(m.total_cost(), 13.0);
     }
 
     #[test]
@@ -946,8 +789,9 @@ mod tests {
 
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 8));
-        let mut arranged = Scheduler::with_arrangements(1, store);
-        assert_eq!(arranged.policy, MemoryPolicy::Arranged);
+        let mut arranged = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
+        arranged.attach_arrangements(store);
+        assert!(arranged.arrangements().is_some());
         let mut plain = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         let mut am = meter(&[1.0]);
         let mut pm = meter(&[1.0]);
@@ -988,7 +832,8 @@ mod tests {
 
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 4));
-        let mut sched = Scheduler::with_arrangements(1, store);
+        let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
+        sched.attach_arrangements(store);
         let mut m = meter(&[1.0]);
         sched.maintain_tick(&streams, &mut m);
         sched.begin_tick(std::slice::from_ref(&query), &streams);
@@ -1119,7 +964,8 @@ mod tests {
 
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 4));
-        let mut sched = Scheduler::with_arrangements(1, store);
+        let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
+        sched.attach_arrangements(store);
         sched.set_fault_policy(1, true);
         let mut m = meter(&[1.0]);
 
@@ -1155,13 +1001,19 @@ mod tests {
         assert!(store.acquire(StreamId(0), 3));
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         assert!(sched.take_arrangements().is_none());
-        assert_eq!(sched.policy, MemoryPolicy::ClearEachQuery);
+        assert!(sched.arrangements().is_none());
         sched.attach_arrangements(store);
-        assert_eq!(sched.policy, MemoryPolicy::Arranged);
+        assert!(sched.arrangements().is_some());
         assert_eq!(sched.arrangements().unwrap().len(), 1);
         let back = sched.take_arrangements().expect("store comes back");
         assert_eq!(back.len(), 1);
         assert_eq!(sched.policy, MemoryPolicy::ClearEachQuery);
         assert!(sched.arrangements().is_none());
+
+        // Lending a store leaves the caller's memory policy alone.
+        let mut retain = Scheduler::new(1, MemoryPolicy::Retain);
+        retain.attach_arrangements(back);
+        assert!(retain.take_arrangements().is_some());
+        assert_eq!(retain.policy, MemoryPolicy::Retain);
     }
 }
