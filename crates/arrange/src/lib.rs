@@ -23,7 +23,12 @@
 //!   [`ArrangeConfig::grace`] maintenance ticks (so churny sessions
 //!   re-acquire warm state) and is then dropped. During grace the
 //!   arrangement is *not* maintained — it goes stale for free and
-//!   catches up (at most one window of items) if re-acquired.
+//!   catches up (at most one window of items) if re-acquired;
+//! * **pricing, not copying** — a reader asks
+//!   [`covers`](ArrangementStore::covers) whether its window is already
+//!   on the device, then reads it from the stream once. Ring values are
+//!   read back only by [`serve_stale`](ArrangementStore::serve_stale)
+//!   (degraded serving while a stream is out).
 //!
 //! The store is deliberately independent of any stream trait: callers
 //! hand it newest-first item slices (the `recent(n)` shape every stream
@@ -131,21 +136,9 @@ impl Arrangement {
         self.maintained_to = now;
     }
 
-    /// True when a `window`-item read at stream time `now` can be
-    /// served from the ring.
-    fn can_serve(&self, now: u64, window: u32) -> bool {
-        self.window >= window && self.maintained_to == now && self.ring.len() >= window as usize
-    }
-
-    /// The newest `window` items, newest first. Caller checks
-    /// [`can_serve`](Arrangement::can_serve).
-    fn read(&self, window: u32) -> Vec<f64> {
-        self.ring
-            .iter()
-            .rev()
-            .take(window as usize)
-            .copied()
-            .collect()
+    /// True when the ring holds a full `window`-item read.
+    fn holds(&self, window: u32) -> bool {
+        self.window >= window && self.ring.len() >= window as usize
     }
 }
 
@@ -331,17 +324,15 @@ impl ArrangementStore {
         need
     }
 
-    /// Serves a `window`-item read of stream `k` at stream time `now`
-    /// from maintained state, newest first. `None` when no arrangement
-    /// covers the window current to `now` — the caller falls back to a
-    /// priced pull. The smallest covering arrangement wins (ties are
-    /// impossible: keys are unique).
-    pub fn serve(&mut self, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
+    /// True (and a counted hit) when a ring wide, full and current to
+    /// `now` covers a `window`-item read of stream `k`: it holds exactly
+    /// the stream's newest items, so the read costs no pull. `false`
+    /// sends the caller to a priced pull.
+    pub fn covers(&mut self, k: StreamId, now: u64, window: u32) -> bool {
         let hit = self
             .stream_range(k)
-            .find(|a| a.can_serve(now, window))
-            .map(|a| a.read(window));
-        if hit.is_some() {
+            .any(|a| a.holds(window) && a.maintained_to == now);
+        if hit {
             self.hits += 1;
             self.hit_items += u64::from(window);
         }
@@ -356,10 +347,12 @@ impl ArrangementStore {
     /// caller (they carry no bit-for-bit guarantee, so they must not
     /// inflate the hit statistics replay tests compare).
     pub fn serve_stale(&self, k: StreamId, now: u64, window: u32) -> Option<(Vec<f64>, u64)> {
-        self.stream_range(k)
-            .filter(|a| a.window >= window && a.ring.len() >= window as usize)
-            .max_by_key(|a| a.maintained_to)
-            .map(|a| (a.read(window), now.saturating_sub(a.maintained_to)))
+        let a = self
+            .stream_range(k)
+            .filter(|a| a.holds(window))
+            .max_by_key(|a| a.maintained_to)?;
+        let data = a.ring.iter().rev().take(window as usize).copied().collect();
+        Some((data, now.saturating_sub(a.maintained_to)))
     }
 
     /// Restores a persisted arrangement shell (ring contents are
@@ -454,6 +447,19 @@ mod tests {
         ArrangementStore::new(ArrangeConfig { grace: 2 })
     }
 
+    /// A current read of the ring: `covers` counts the hit, and the
+    /// contents come back through `serve_stale` at age 0.
+    fn serve(s: &mut ArrangementStore, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
+        if !s.covers(k, now, window) {
+            return None;
+        }
+        let (data, age) = s
+            .serve_stale(k, now, window)
+            .expect("a covering ring is servable");
+        assert_eq!(age, 0, "a covering ring is current");
+        Some(data)
+    }
+
     #[test]
     fn cold_fill_then_incremental_maintenance() {
         let mut s = store();
@@ -466,7 +472,7 @@ mod tests {
         assert_eq!(s.maintain(A, 10, fetch_at(10)), 4);
         assert_eq!(s.maintenance_need(A, 10), 0, "current ring needs nothing");
         assert_eq!(s.maintain(A, 11, fetch_at(11)), 1, "one new item per tick");
-        assert_eq!(s.serve(A, 11, 4), Some(vec![11.0, 10.0, 9.0, 8.0]));
+        assert_eq!(serve(&mut s, A, 11, 4), Some(vec![11.0, 10.0, 9.0, 8.0]));
         assert_eq!(s.stats().maintained_items, 5);
         assert_eq!(s.stats().hit_items, 4);
     }
@@ -476,11 +482,11 @@ mod tests {
         let mut s = store();
         s.acquire(A, 4);
         s.maintain(A, 10, fetch_at(10));
-        assert_eq!(s.serve(A, 11, 4), None, "stale by one tick");
-        assert_eq!(s.serve(A, 10, 5), None, "window wider than the spec");
-        assert_eq!(s.serve(B, 10, 1), None, "unknown stream");
+        assert_eq!(serve(&mut s, A, 11, 4), None, "stale by one tick");
+        assert_eq!(serve(&mut s, A, 10, 5), None, "window wider than the spec");
+        assert_eq!(serve(&mut s, B, 10, 1), None, "unknown stream");
         assert_eq!(
-            s.serve(A, 10, 3),
+            serve(&mut s, A, 10, 3),
             Some(vec![10.0, 9.0, 8.0]),
             "narrower is fine"
         );
@@ -494,8 +500,8 @@ mod tests {
         s.acquire(A, 6);
         assert_eq!(s.maintenance_need(A, 20), 6, "widest need wins");
         assert_eq!(s.maintain(A, 20, fetch_at(20)), 6, "one physical fetch");
-        assert_eq!(s.serve(A, 20, 3), Some(vec![20.0, 19.0, 18.0]));
-        assert_eq!(s.serve(A, 20, 6).map(|d| d.len()), Some(6));
+        assert_eq!(serve(&mut s, A, 20, 3), Some(vec![20.0, 19.0, 18.0]));
+        assert_eq!(serve(&mut s, A, 20, 6).map(|d| d.len()), Some(6));
         assert_eq!(
             s.stats().maintained_items,
             6,
@@ -511,7 +517,10 @@ mod tests {
         // 90 ticks later: only the newest 4 items matter.
         assert_eq!(s.maintenance_need(A, 100), 4);
         s.maintain(A, 100, fetch_at(100));
-        assert_eq!(s.serve(A, 100, 4), Some(vec![100.0, 99.0, 98.0, 97.0]));
+        assert_eq!(
+            serve(&mut s, A, 100, 4),
+            Some(vec![100.0, 99.0, 98.0, 97.0])
+        );
     }
 
     #[test]
@@ -545,7 +554,7 @@ mod tests {
         s.acquire(A, 4);
         assert_eq!(s.maintenance_need(A, 12), 2, "catches up the missed gap");
         s.maintain(A, 12, fetch_at(12));
-        assert_eq!(s.serve(A, 12, 4), Some(vec![12.0, 11.0, 10.0, 9.0]));
+        assert_eq!(serve(&mut s, A, 12, 4), Some(vec![12.0, 11.0, 10.0, 9.0]));
     }
 
     #[test]
@@ -577,9 +586,9 @@ mod tests {
         // stream buffer cannot reach one item past its capacity): serving
         // waits until the next maintenance completes the ring.
         s.refill(A, 4, &[30.0, 29.0, 28.0]).unwrap();
-        assert_eq!(s.serve(A, 30, 4), None, "ring still one short");
+        assert_eq!(serve(&mut s, A, 30, 4), None, "ring still one short");
         assert_eq!(s.maintain(A, 31, fetch_at(31)), 1);
-        assert_eq!(s.serve(A, 31, 4), Some(vec![31.0, 30.0, 29.0, 28.0]));
+        assert_eq!(serve(&mut s, A, 31, 4), Some(vec![31.0, 30.0, 29.0, 28.0]));
     }
 
     #[test]

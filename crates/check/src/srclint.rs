@@ -1,6 +1,6 @@
 //! The repo's custom source lint (the `src-lint` bin).
 //!
-//! Three rules, each born from a real defect class in this codebase's
+//! Four rules, each born from a real defect class in this codebase's
 //! history:
 //!
 //! * **float-cmp** — `partial_cmp(..).unwrap()` / `.expect(..)` in f64
@@ -12,6 +12,12 @@
 //!   documenting (`expect("why this holds")`) or worth a typed error.
 //! * **unsafe-block** — `unsafe` anywhere, test modules included. Every
 //!   crate root also carries `#![forbid(unsafe_code)]`.
+//! * **serve-panic** — `panic!`, `unreachable!`, `todo!` or
+//!   `unimplemented!` in the non-test code of the serving crates
+//!   (`streamsim`, `arrange`, `faults`, `exec`, `serverd`). A cold
+//!   stream used to abort the tick runtime through such a `panic!`;
+//!   serving paths return typed errors or degrade (an unreadable leaf
+//!   is Kleene-unknown) instead.
 //!
 //! Any line can opt out with an inline `// lint:allow(<rule>)` on the
 //! same line or the line directly above; the escape hatch is meant to
@@ -28,6 +34,13 @@ use std::path::{Path, PathBuf};
 /// (a CLI that unwraps prints a panic to its own user; the daemon and
 /// library paths must not).
 const BIN_CRATES: [&str; 3] = ["crates/cli", "crates/experiments", "crates/bench"];
+
+/// Crates (under `crates/`) whose `src/` serves requests:
+/// `serve-panic` applies there.
+const SERVING_CRATES: [&str; 5] = ["streamsim", "arrange", "faults", "exec", "serverd"];
+
+/// The panicking macros `serve-panic` rejects.
+const PANIC_MACROS: [&str; 4] = ["panic!", "unreachable!", "todo!", "unimplemented!"];
 
 /// The lint's own implementation necessarily spells out the patterns it
 /// hunts for; it is fully exempt (and lives in a `forbid(unsafe_code)`
@@ -70,26 +83,33 @@ fn allowed(rule: &str, line: &str, prev: Option<&str>) -> bool {
     marker(line) || prev.is_some_and(marker)
 }
 
-/// True when the byte after an `unsafe` match keeps it from being the
+/// True when the byte at `idx` is an identifier character.
+fn is_ident_byte(line: &str, idx: usize) -> bool {
+    line.as_bytes()
+        .get(idx)
+        .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
+}
+
+/// True when the bytes around an `unsafe` match keep it from being the
 /// keyword (`unsafe_code`, `unsafely`, ...).
 fn is_unsafe_keyword(line: &str, idx: usize) -> bool {
-    // Preceded by start or a non-identifier character…
-    if idx > 0 {
-        let before = line.as_bytes()[idx - 1];
-        if before.is_ascii_alphanumeric() || before == b'_' {
-            return false;
-        }
-    }
-    // …and followed by one too.
-    match line.as_bytes().get(idx + "unsafe".len()) {
-        Some(&c) => !(c.is_ascii_alphanumeric() || c == b'_'),
-        None => true,
-    }
+    // Preceded by start or a non-identifier character, and followed by
+    // one too.
+    (idx == 0 || !is_ident_byte(line, idx - 1)) && !is_ident_byte(line, idx + "unsafe".len())
+}
+
+/// True when `line` invokes one of [`PANIC_MACROS`] (not as the tail of
+/// a longer identifier such as `my_todo!`).
+fn invokes_panic_macro(line: &str) -> bool {
+    PANIC_MACROS.iter().any(|m| {
+        line.match_indices(m)
+            .any(|(idx, _)| idx == 0 || !is_ident_byte(line, idx - 1))
+    })
 }
 
 /// True when the line is inside a string literal context we can cheaply
 /// dodge: doc comments and plain comments. (Full string-literal
-/// tracking is overkill for three rules; the allow marker covers the
+/// tracking is overkill for four rules; the allow marker covers the
 /// rare false positive.)
 fn is_comment(line: &str) -> bool {
     let t = line.trim_start();
@@ -105,6 +125,9 @@ pub(crate) fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
         return Vec::new();
     }
     let in_tests_dir = norm.contains("/tests/") || norm.ends_with("/tests.rs");
+    let serving = SERVING_CRATES
+        .iter()
+        .any(|c| norm.starts_with(&format!("crates/{c}/src/")));
     let in_bin = norm.contains("/bin/")
         || norm.ends_with("/main.rs")
         || BIN_CRATES
@@ -156,6 +179,20 @@ pub(crate) fn lint_source(path: &str, text: &str) -> Vec<LintHit> {
                 file: norm.clone(),
                 line: lineno,
                 rule: "bare-unwrap",
+                snippet: line.trim().to_string(),
+            });
+        }
+
+        // serve-panic: an abort on a serving path.
+        if !exempt_code
+            && serving
+            && invokes_panic_macro(line)
+            && !allowed("serve-panic", line, prev)
+        {
+            hits.push(LintHit {
+                file: norm.clone(),
+                line: lineno,
+                rule: "serve-panic",
                 snippet: line.trim().to_string(),
             });
         }
@@ -281,6 +318,33 @@ mod tests {
         // identifier containing the substring is not the keyword
         let ident = "forbid_unsafe_code_everywhere();\n";
         assert!(rules_of("crates/core/src/x.rs", ident).is_empty());
+    }
+
+    #[test]
+    fn serve_panic_fires_in_serving_crates_only() {
+        for bad in [
+            "panic!(\"cold stream\");\n",
+            "_ => unreachable!(),\n",
+            "todo!()\n",
+            "unimplemented!(\"later\")\n",
+        ] {
+            for krate in SERVING_CRATES {
+                let path = format!("crates/{krate}/src/x.rs");
+                assert_eq!(rules_of(&path, bad), ["serve-panic"], "{path}: {bad}");
+            }
+            // Planning crates, bins and test code are out of scope.
+            assert!(rules_of("crates/core/src/x.rs", bad).is_empty());
+            assert!(rules_of("crates/cli/src/x.rs", bad).is_empty());
+            assert!(rules_of("crates/serverd/tests/x.rs", bad).is_empty());
+            let tested = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{bad}}}\n");
+            assert!(rules_of("crates/exec/src/x.rs", &tested).is_empty());
+        }
+        // Not the macros: longer identifiers, non-macro paths, comments
+        // and asserts.
+        let clean = "my_todo!(); std::panic::catch_unwind(f); assert!(ok);\n// panic!()\n";
+        assert!(rules_of("crates/exec/src/x.rs", clean).is_empty());
+        let allowed = "panic!(\"x\"); // lint:allow(serve-panic)\n";
+        assert!(rules_of("crates/exec/src/x.rs", allowed).is_empty());
     }
 
     #[test]

@@ -61,6 +61,7 @@ fn print_help() {
         "paotr — cost-optimal execution of boolean query trees with shared streams\n\n\
          usage:\n\
          \x20 paotr schedule \"<query>\" [--costs A=1,B=2] [--heuristic NAME | --all | --optimal]\n\
+         \x20                [--seed S]\n\
          \x20 paotr explain  \"<query>\" [--costs A=1,B=2]\n\
          \x20 paotr simulate \"<query>\" [--costs A=1,B=2] [--evals N] [--retain] [--seed S]\n\
          \x20 paotr workload [--queries N] [--overlap F] [--seed S] [--evals N]\n\
@@ -70,9 +71,15 @@ fn print_help() {
          \x20                [--arrivals poisson|periodic] [--rate F] [--every N]\n\
          \x20                [--budget J] [--defer] [--no-drift] [--drift-tolerance F]\n\
          \x20                [--planner NAME | --compare] [--check-budget J]\n\
+         \x20                [--arrange] [--arrange-grace N]\n\
+         \x20                [--faults] [--fault-seed S] [--fault-rate P] [--outage-streams F]\n\
+         \x20                [--outage-len N] [--outage-gap N] [--retries N] [--no-stale]\n\
          \x20 paotr serve    --daemon [--seed S] [--planner NAME] [--budget J] [--shed]\n\
          \x20                [--replan-after N] [--max-sessions N] [--max-window N]\n\
-         \x20                [--listen ADDR] [--snapshot PATH]\n\
+         \x20                [--listen ADDR] [--snapshot PATH] [--idle-timeout MS]\n\
+         \x20                [--arrange] [--arrange-grace N]\n\
+         \x20                [--faults] [--fault-seed S] [--fault-rate P] [--outage-streams F]\n\
+         \x20                [--outage-len N] [--outage-gap N] [--retries N] [--no-stale]\n\
          \x20 paotr check    snapshot <path>\n\
          \x20 paotr check    query \"<query or file>\" [--costs A=1,B=2]\n\
          \x20 paotr check    workload [--queries N] [--overlap F] [--seed S]\n\

@@ -17,12 +17,12 @@ use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
 use crate::sim::synthesize;
 use crate::tick::{run_tick, Tick, TickCounters, TickQuery, TickStats};
-use paotr_core::error::{Error, Result};
+use paotr_core::error::Result;
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_faults::{FaultPlan, FaultSpec};
-use paotr_multi::{outage_catalog, JointPlan, Workload};
+use paotr_multi::{outage_catalog, plan_schedule, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Deref;
@@ -453,17 +453,6 @@ impl ServeLoop {
         // The catalog re-plans see: dead streams are penalized during an
         // outage, so re-plans pull them last.
         let mut live_catalog = self.catalog.clone();
-        let replan = |q: usize, probs: &[f64], catalog: &StreamCatalog, why: &str| {
-            let tree = self.queries[q].skeleton(probs);
-            let plan = engine.plan(&tree, catalog)?;
-            let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-                Error::InvalidWorkload(format!(
-                    "planner `{}` produced a non-schedule plan during {why} re-planning",
-                    plan.planner
-                ))
-            })?;
-            Ok::<_, Error>(Arc::new(schedule))
-        };
         // `Some(t)` = a request has been pending since tick `t`; deferred
         // requests keep their original arrival tick so admission's
         // equal-weight tie-break serves the oldest request first.
@@ -492,8 +481,10 @@ impl ServeLoop {
                     };
                     for (q, w) in windows.iter().enumerate() {
                         if (0..n_streams).any(|k| out[k] != last_out[k] && w[k] > 0) {
+                            let tree = self.queries[q].skeleton(drift[q].calibrated());
+                            let name = format!("q{q}");
                             schedules[q] =
-                                replan(q, drift[q].calibrated(), &live_catalog, "outage")?;
+                                Arc::new(plan_schedule(engine, &tree, &live_catalog, &name)?);
                             outage_replans += 1;
                         }
                     }
@@ -553,7 +544,9 @@ impl ServeLoop {
                 },
             );
             for (q, probs) in drifted {
-                schedules[q] = replan(q, &probs, &live_catalog, "drift")?;
+                let tree = self.queries[q].skeleton(&probs);
+                let name = format!("q{q}");
+                schedules[q] = Arc::new(plan_schedule(engine, &tree, &live_catalog, &name)?);
                 drift[q].reset_to(probs);
             }
             on_tick(&stats);

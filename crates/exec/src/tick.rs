@@ -197,7 +197,7 @@ pub fn run_tick(
             .scheduler
             .run_query(query.sim, query.schedule, &sources, t.meter, trace);
         counters.evals += 1;
-        counters.truths += u64::from(out.value);
+        counters.truths += u64::from(out.verdict == Verdict::True);
         counters.retries += u64::from(out.retries);
         counters.failed_reads += u64::from(out.failed_reads);
         counters.stale_serves += u64::from(out.stale_leaves);

@@ -14,17 +14,16 @@
 //!   deterministic hashes, so the plan needs no state, no horizon and
 //!   no stream count — a restored daemon replays the exact same faults
 //!   tick-for-tick;
-//! * [`FaultySource`] — a decorator implementing
-//!   [`StreamSource`] that gates sensor
-//!   contacts (`try_recent`) through a plan while leaving device-local
-//!   reads (`recent`) untouched.
+//! * [`FaultySource`] — a decorator implementing [`StreamSource`] that
+//!   prices sensor contacts through a plan (`is_out`, `contact_fails`)
+//!   while leaving window reads (`recent`) untouched.
 //!
 //! The scheduler's three-valued evaluation and retry pricing live in
 //! `stream_sim::runtime`; this crate only decides *when* things fail.
 #![forbid(unsafe_code)]
 
 use paotr_gen::seeds::mix;
-use stream_sim::{ReadAttempt, StreamSource};
+use stream_sim::StreamSource;
 
 pub use paotr_core::stream::StreamId;
 
@@ -188,10 +187,10 @@ impl FaultPlan {
 }
 
 /// [`StreamSource`] decorator that replays a [`FaultPlan`] over an
-/// inner source. Device-local reads (`now`, `recent`) pass through
-/// untouched — faults only gate *sensor contacts* (`try_recent`) and
-/// the outage flag, exactly the surface the scheduler's retry and
-/// Kleene paths consume.
+/// inner source. Reads (`now`, `recent`) pass through untouched —
+/// faults only decide the outage flag and whether a *sensor contact*
+/// fails (`contact_fails`), exactly the surface the scheduler's retry
+/// and Kleene paths consume.
 #[derive(Debug)]
 pub struct FaultySource<'a, S> {
     inner: &'a S,
@@ -200,15 +199,6 @@ pub struct FaultySource<'a, S> {
 }
 
 impl<'a, S: StreamSource> FaultySource<'a, S> {
-    /// Wraps one stream.
-    pub(crate) fn new(inner: &'a S, plan: &'a FaultPlan, stream: StreamId) -> FaultySource<'a, S> {
-        FaultySource {
-            inner,
-            plan,
-            stream,
-        }
-    }
-
     /// Wraps a whole catalog's streams (index = stream id) under one
     /// plan. Callers wrap unconditionally — under [`FaultPlan::none`]
     /// the decorator is a pass-through — so faulty and fault-free runs
@@ -217,7 +207,11 @@ impl<'a, S: StreamSource> FaultySource<'a, S> {
         streams
             .iter()
             .enumerate()
-            .map(|(k, s)| FaultySource::new(s, plan, StreamId(k)))
+            .map(|(k, inner)| FaultySource {
+                inner,
+                plan,
+                stream: StreamId(k),
+            })
             .collect()
     }
 }
@@ -235,18 +229,8 @@ impl<S: StreamSource> StreamSource for FaultySource<'_, S> {
         self.plan.is_out(self.stream, self.inner.now())
     }
 
-    fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
-        let now = self.inner.now();
-        if self.plan.is_out(self.stream, now) {
-            return ReadAttempt::Outage;
-        }
-        if self.plan.read_fails(self.stream, now, attempt) {
-            return ReadAttempt::Transient;
-        }
-        match self.inner.recent(n) {
-            Some(data) => ReadAttempt::Data(data),
-            None => ReadAttempt::Cold,
-        }
+    fn contact_fails(&self, attempt: u32) -> bool {
+        self.plan.read_fails(self.stream, self.inner.now(), attempt)
     }
 }
 
@@ -351,14 +335,24 @@ mod tests {
         assert_eq!(StreamSource::now(&wrapped[0]), streams[0].now());
         assert_eq!(wrapped[0].recent(8), streams[0].recent(8));
         assert!(wrapped[0].is_out());
-        assert_eq!(wrapped[0].try_recent(8, 0), ReadAttempt::Outage);
+        assert!(!wrapped[0].contact_fails(0), "an outage is not a transient");
 
         let live = FaultPlan::none();
         let wrapped = FaultySource::wrap(&streams, &live);
         assert!(!wrapped[0].is_out());
-        assert_eq!(
-            wrapped[0].try_recent(8, 0),
-            ReadAttempt::Data(streams[0].recent(8).unwrap())
+        assert!(!wrapped[0].contact_fails(0));
+
+        // Contacts fail exactly where the plan says, keyed on
+        // (stream, now, attempt).
+        let flaky = FaultPlan::new(FaultSpec {
+            transient_rate: 0.5,
+            ..FaultSpec::none()
+        });
+        let wrapped = FaultySource::wrap(&streams, &flaky);
+        let now = streams[0].now();
+        assert!(
+            (0..16).all(|a| wrapped[0].contact_fails(a) == flaky.read_fails(StreamId(0), now, a))
         );
+        assert_eq!(wrapped[0].recent(8), streams[0].recent(8));
     }
 }

@@ -124,10 +124,10 @@ proptest! {
             let expect = if all_true { Verdict::True } else { Verdict::False };
             prop_assert_eq!(out.verdict, expect);
             prop_assert!(!out.degraded, "no stale source was available");
-            prop_assert_eq!(out.value, all_true);
+            prop_assert_eq!(out.verdict == Verdict::True, all_true);
         } else {
             prop_assert_eq!(out.verdict, Verdict::Unknown);
-            prop_assert!(!out.value);
+            prop_assert!(!(out.verdict == Verdict::True));
         }
     }
 }

@@ -70,6 +70,7 @@ pub fn isolated_costs<S: std::borrow::Borrow<DnfSchedule>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{IndependentPlanner, WorkloadPlanner};
     use crate::workload::Workload;
     use paotr_core::leaf::Leaf;
     use paotr_core::plan::Engine;
@@ -90,7 +91,10 @@ mod tests {
     #[test]
     fn shared_prediction_discounts_overlapping_pulls() {
         let w = workload();
-        let schedules = w.default_schedules(&Engine::new()).unwrap();
+        let schedules = IndependentPlanner
+            .plan(&w, &Engine::new())
+            .unwrap()
+            .schedules;
         let iso = isolated_costs(&w, &schedules);
         // q0 pulls 4 items of stream 0 unconditionally: cost 8.
         assert!((iso[0] - 8.0).abs() < 1e-12);
@@ -119,7 +123,10 @@ mod tests {
     #[test]
     fn empty_coverage_model_matches_isolated_costs() {
         let w = workload();
-        let schedules = w.default_schedules(&Engine::new()).unwrap();
+        let schedules = IndependentPlanner
+            .plan(&w, &Engine::new())
+            .unwrap()
+            .schedules;
         let iso = isolated_costs(&w, &schedules);
         for (q, iso_q) in iso.iter().enumerate() {
             let solo = predict_shared(&w, &[q], &schedules);

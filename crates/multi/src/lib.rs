@@ -56,5 +56,5 @@ pub use planner::{
     SharedGreedyPlanner, WorkloadPlanner,
 };
 pub use workload::{
-    outage_catalog, InterferenceReport, StreamInterference, Workload, WorkloadQuery,
+    outage_catalog, plan_schedule, InterferenceReport, StreamInterference, Workload, WorkloadQuery,
 };

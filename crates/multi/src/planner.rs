@@ -41,7 +41,7 @@
 //!   is provably identical, so results match the always-replan loop
 //!   while skipping its redundant work.
 
-use crate::cost::{isolated_costs, predict_shared};
+use crate::cost::predict_shared;
 use crate::workload::{extract_schedule, Workload};
 use paotr_core::cost::arrange::{ArrangeTerm, DEFAULT_HORIZON};
 use paotr_core::cost::model::{CostModel, EvalScratch};
@@ -214,17 +214,25 @@ pub fn planner_names() -> Vec<&'static str> {
     vec!["independent", "shared-greedy", "batch-aware"]
 }
 
-/// Shared first phase of every planner: the per-query default plans,
-/// their schedules and their isolated costs. Plans and schedules are
+/// Shared first phase of every planner (and of the interference
+/// analysis): the per-query default plans, their schedules, their
+/// isolated costs and per-stream demand. Plans and schedules are
 /// `Arc`'d here once and shared into every [`JointPlan`] that keeps
 /// them, so "keep the default plan for query q" is free.
-struct Baseline {
+pub(crate) struct Baseline {
     plans: Vec<Arc<Plan>>,
-    schedules: Vec<Arc<DnfSchedule>>,
+    pub(crate) schedules: Vec<Arc<DnfSchedule>>,
     costs: Vec<f64>,
+    /// Expected items each query pulls per stream in isolation
+    /// (catalog-indexed; only touched entries are non-zero).
+    pub(crate) demand: Vec<Vec<f64>>,
 }
 
-fn baseline(workload: &Workload, engine: &Engine, threads: ThreadCount) -> Result<Baseline> {
+pub(crate) fn baseline(
+    workload: &Workload,
+    engine: &Engine,
+    threads: ThreadCount,
+) -> Result<Baseline> {
     // One batched call through the core facade: the catalog is
     // fingerprinted once. `Workload::new` has already validated the weights.
     let queries: Vec<paotr_core::plan::QueryRef<'_>> = workload
@@ -238,11 +246,22 @@ fn baseline(workload: &Workload, engine: &Engine, threads: ThreadCount) -> Resul
         .zip(workload.queries())
         .map(|(p, q)| extract_schedule(p, &q.tree, &q.name).map(Arc::new))
         .collect::<Result<_>>()?;
-    let costs = isolated_costs(workload, &schedules);
+    let mut scratch = EvalScratch::new();
+    let (costs, demand) = workload
+        .queries()
+        .iter()
+        .zip(&schedules)
+        .map(|(q, s)| {
+            let model = CostModel::new(&q.tree, workload.catalog());
+            let cost = model.expected_cost(s, &mut scratch);
+            (cost, model.items_vec(&scratch))
+        })
+        .unzip();
     Ok(Baseline {
         plans: plans.into_iter().map(Arc::new).collect(),
         schedules,
         costs,
+        demand,
     })
 }
 
@@ -464,16 +483,10 @@ impl WorkloadPlanner for SharedGreedyPlanner {
             })
             .collect();
 
-        // Independent per-stream demand of every query, for the benefit
-        // estimate (catalog-indexed; only touched entries are non-zero).
-        let mut scratch = EvalScratch::new();
-        let demand: Vec<Vec<f64>> = (0..n)
-            .map(|q| {
-                models[q].expected_cost(&base.schedules[q], &mut scratch);
-                models[q].items_vec(&scratch)
-            })
-            .collect();
+        // Independent per-stream demand, for the benefit estimate.
+        let demand = &base.demand;
 
+        let mut scratch = EvalScratch::new();
         let mut coverage = vec![0.0f64; catalog.len()];
         let mut remaining: Vec<usize> = (0..n).collect();
         let mut order = Vec::with_capacity(n);
@@ -602,17 +615,7 @@ impl WorkloadPlanner for BatchAwarePlanner {
         let base = baseline(workload, engine, ThreadCount::Fixed(1))?;
         let catalog = workload.catalog();
         let weights = workload.weights();
-        let mut scratch = EvalScratch::new();
-        let demand: Vec<Vec<f64>> = workload
-            .queries()
-            .iter()
-            .zip(&base.schedules)
-            .map(|(q, s)| {
-                let model = CostModel::new(&q.tree, catalog);
-                model.expected_cost(s, &mut scratch);
-                model.items_vec(&scratch)
-            })
-            .collect();
+        let demand = &base.demand;
 
         // Dominant stream per query: the stream with the largest
         // expected pull cost.

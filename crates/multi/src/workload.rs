@@ -1,12 +1,13 @@
 //! Workloads: sets of concurrent queries over one shared catalog, and
 //! the shared-stream interference analysis between them.
 
-use paotr_core::cost::{CostModel, EvalScratch};
+use crate::planner::baseline;
 use paotr_core::error::{Error, Result};
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_core::tree::DnfTree;
+use paotr_par::ThreadCount;
 use std::collections::BTreeSet;
 
 /// One query of a workload: a DNF tree plus serving metadata.
@@ -113,20 +114,10 @@ impl Workload {
     /// Shared-stream interference analysis: which streams are read by
     /// which queries, and how much pull traffic can be amortized.
     /// Expected item counts are computed under each query's default
-    /// plan (the `engine`'s per-class optimal/best planner).
+    /// plan (the `engine`'s per-class optimal/best planner), exactly
+    /// the independent demand the joint planners start from.
     pub fn interference(&self, engine: &Engine) -> Result<InterferenceReport> {
-        let schedules = self.default_schedules(engine)?;
-        let mut scratch = EvalScratch::new();
-        let per_query_items: Vec<Vec<f64>> = self
-            .queries
-            .iter()
-            .zip(&schedules)
-            .map(|(q, s)| {
-                let model = CostModel::new(&q.tree, &self.catalog);
-                model.expected_cost(s, &mut scratch);
-                model.items_vec(&scratch)
-            })
-            .collect();
+        let per_query_items = baseline(self, engine, ThreadCount::Fixed(1))?.demand;
 
         let stream_sets: Vec<BTreeSet<StreamId>> = self
             .queries
@@ -163,18 +154,19 @@ impl Workload {
             pairwise,
         })
     }
+}
 
-    /// Every query's default plan, converted to a [`DnfSchedule`] over
-    /// its own tree.
-    pub(crate) fn default_schedules(&self, engine: &Engine) -> Result<Vec<DnfSchedule>> {
-        self.queries
-            .iter()
-            .map(|q| {
-                let plan = engine.plan(&q.tree, &self.catalog)?;
-                extract_schedule(&plan, &q.tree, &q.name)
-            })
-            .collect()
-    }
+/// Plans one query tree through `engine` (its per-class default
+/// planner) and returns the leaf schedule — the serving layers' single
+/// path from a tree to the schedule they execute.
+pub fn plan_schedule(
+    engine: &Engine,
+    tree: &DnfTree,
+    catalog: &StreamCatalog,
+    query_name: &str,
+) -> Result<DnfSchedule> {
+    let plan = engine.plan(tree, catalog)?;
+    extract_schedule(&plan, tree, query_name)
 }
 
 /// Converts a per-query [`Plan`](paotr_core::plan::Plan) body into a

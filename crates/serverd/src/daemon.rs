@@ -364,22 +364,22 @@ impl Daemon {
         Ok(id)
     }
 
-    /// Removes a live session.
+    /// Removes a live session and releases its arrangements. A release
+    /// the store refuses is reported, once the session is gone, as a
+    /// typed error.
     pub fn unregister(&mut self, id: u64) -> Result<()> {
         self.registry.unregister(id)?;
-        if let Some(pairs) = self.acquired.remove(&id) {
-            let store = self
-                .arrangements
-                .as_mut()
-                .expect("acquisitions exist only with a store");
+        let mut released = Ok(());
+        if let (Some(pairs), Some(store)) = (self.acquired.remove(&id), self.arrangements.as_mut())
+        {
             for (k, w) in pairs {
-                store.release(k, w).expect("acquired pairs stay live");
+                released = released.and(store.release(k, w));
             }
         }
         self.pending.remove(&id);
         self.churn_since_replan += 1;
         self.telemetry.unregisters += 1;
-        Ok(())
+        released.map_err(|e| Error::Rejected(format!("unregister {id}: {e}")))
     }
 
     /// Forces a full joint re-plan of the live set.
@@ -1065,6 +1065,22 @@ mod tests {
         let stats = d.arrangements().unwrap().stats();
         assert!(stats.evictions > 0, "grace-expired arrangements evict");
         assert!(stats.arrangements < live_before);
+    }
+
+    #[test]
+    fn an_unbalanced_release_is_a_typed_error_not_a_panic() {
+        let mut d = arranged_daemon(None);
+        let a = d.register(Q3, 1.0).unwrap();
+        // Drop the session's reader behind its back: its own release
+        // then finds no reader left.
+        let pairs = d.acquired[&a].clone();
+        let store = d.arrangements.as_mut().unwrap();
+        for &(k, w) in &pairs {
+            store.release(k, w).unwrap();
+        }
+        assert!(matches!(d.unregister(a), Err(Error::Rejected(_))));
+        assert_eq!(d.registry().len(), 0, "the session is gone regardless");
+        assert!(d.unregister(a).is_err(), "and cannot be removed twice");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_core::tree::DnfTree;
 use paotr_exec::{DriftState, TickQuery};
-use paotr_multi::{planner_by_name, Workload, WorkloadQuery};
+use paotr_multi::{plan_schedule, planner_by_name, Workload, WorkloadQuery};
 use paotr_qlang as qlang;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -225,16 +225,17 @@ impl SessionRegistry {
             .ok_or_else(|| Error::Query("query is not DNF-shaped".into()))?;
         let probs: Vec<f64> = dnf.leaves().map(|(_, l)| l.prob.value()).collect();
         let tree = sim.skeleton(&probs);
-        let schedule = plan_schedule(engine, &tree, &self.catalog)?;
-
         let id = self.next_id;
+        let name = format!("c{id}");
+        let schedule = plan_schedule(engine, &tree, &self.catalog, &name)
+            .map_err(|e| Error::Plan(format!("planning failed: {e}")))?;
         self.next_id += 1;
         let drift = DriftState::new(&tree);
         self.sessions.insert(
             id,
             Session {
                 id,
-                name: format!("c{id}"),
+                name,
                 source: source.to_string(),
                 weight,
                 registered_tick: tick,
@@ -281,16 +282,17 @@ impl SessionRegistry {
             return Ok(());
         }
         let workload = self.workload()?;
-        let planner = planner_by_name(&self.planner).expect("validated in new");
+        let planner = planner_by_name(&self.planner)
+            .ok_or_else(|| Error::Plan(format!("unknown joint planner `{}`", self.planner)))?;
         let joint = planner
             .plan(&workload, engine)
             .map_err(|e| Error::Plan(format!("joint planning failed: {e}")))?;
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         self.order = joint.order.iter().map(|&i| ids[i]).collect();
         self.shared = joint.shared_execution;
-        for (i, id) in ids.iter().enumerate() {
-            let session = self.sessions.get_mut(id).expect("live id");
-            session.schedule = joint.schedules[i].clone();
+        // The workload lists sessions in id order, as `values_mut` does.
+        for (session, schedule) in self.sessions.values_mut().zip(joint.schedules) {
+            session.schedule = schedule;
         }
         Ok(())
     }
@@ -311,13 +313,13 @@ impl SessionRegistry {
     /// Adopts a re-calibrated probability vector for session `id` and
     /// re-plans that query alone through `engine`.
     pub(crate) fn recalibrate(&mut self, id: u64, probs: Vec<f64>, engine: &Engine) -> Result<()> {
-        let catalog = self.catalog.clone();
         let session = self
             .sessions
             .get_mut(&id)
             .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
         let tree = session.sim.skeleton(&probs);
-        let schedule = plan_schedule(engine, &tree, &catalog)?;
+        let schedule = plan_schedule(engine, &tree, &self.catalog, &session.name)
+            .map_err(|e| Error::Plan(format!("planning failed: {e}")))?;
         session.tree = tree;
         session.schedule = Arc::new(schedule);
         session.drift.reset_to(probs);
@@ -411,19 +413,6 @@ pub(crate) struct RestoredParts {
     pub sessions: Vec<Session>,
     pub order: Vec<u64>,
     pub next_id: u64,
-}
-
-/// Plans one tree through the engine and extracts its leaf schedule.
-fn plan_schedule(engine: &Engine, tree: &DnfTree, catalog: &StreamCatalog) -> Result<DnfSchedule> {
-    let plan = engine
-        .plan(tree, catalog)
-        .map_err(|e| Error::Plan(format!("planning failed: {e}")))?;
-    plan.body.to_dnf_schedule(tree).ok_or_else(|| {
-        Error::Plan(format!(
-            "planner `{}` produced a non-schedule plan",
-            plan.planner
-        ))
-    })
 }
 
 /// Validates that `order` (as `(term, leaf)` pairs) is a permutation of

@@ -14,12 +14,13 @@
 //! * `predicate` — windowed predicates (`AVG(A,5) < 70`, ...);
 //! * `query` — DNF queries over concrete predicates, and their abstract
 //!   scheduling skeletons;
-//! * `energy` — per-item energy model (plus a wake-up surcharge knob);
+//! * `energy` — the paper's linear per-item energy model;
 //! * `runtime` — the **unified tick-driven execution runtime**: the
-//!   [`StreamSource`] read interface, the pull-coalescing
-//!   [`Scheduler`] and the [`EnergyMeter`] — the single implementation
-//!   both execution paths (the single-query pipeline and the
-//!   multi-query tick driver in `paotr_exec`) run on;
+//!   [`StreamSource`] read interface (`is_out`/`contact_fails` price
+//!   the sensor contact, `recent` then reads the window once), the
+//!   pull-coalescing [`Scheduler`] and the [`EnergyMeter`] — the single
+//!   implementation both execution paths (the single-query pipeline
+//!   and the multi-query tick driver in `paotr_exec`) run on;
 //! * `trace` — execution traces and probability calibration ("inferred
 //!   from historical traces", as the paper assumes);
 //! * `simulate` — the calibrate–schedule–measure pipeline.
@@ -40,9 +41,7 @@ pub use energy::EnergyModel;
 pub use paotr_arrange::{ArrangeConfig, ArrangeStats, ArrangementStore};
 pub use predicate::{Comparator, Predicate, WindowOp};
 pub use query::{SimLeaf, SimQuery};
-pub use runtime::{
-    gaussian_streams, EnergyMeter, QueryOutcome, ReadAttempt, Scheduler, StreamSource, Verdict,
-};
+pub use runtime::{gaussian_streams, EnergyMeter, QueryOutcome, Scheduler, StreamSource, Verdict};
 pub use simulate::{run_pipeline, PipelineConfig, PipelineReport};
 pub use source::{SensorModel, SensorSource};
 pub use stream::SimStream;

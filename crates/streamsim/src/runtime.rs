@@ -6,8 +6,9 @@
 //! and the daemon — run on the three pieces of this module:
 //!
 //! * [`StreamSource`] — the read interface a stream must offer the
-//!   executor (`now` + `recent`), implemented by the sensor-backed
-//!   [`SimStream`] and by anything else that can serve windows;
+//!   executor (`now` + `recent`, plus `is_out`/`contact_fails` to price
+//!   a sensor contact), implemented by the sensor-backed [`SimStream`]
+//!   and by anything else that can serve windows;
 //! * [`Scheduler`] — the tick-driven pull scheduler: executes any set
 //!   of `(SimQuery, DnfSchedule)` pairs against **one shared
 //!   [`DeviceMemory`]**, coalescing per-stream pulls (a later leaf or
@@ -35,10 +36,12 @@ use paotr_core::stream::StreamId;
 use rand::Rng;
 use std::borrow::Borrow;
 
-/// The read interface the [`Scheduler`] needs from a stream: a clock
-/// and a window pull. Advancement (producing items) stays with the
-/// owner — the serving loop, the simulation pipeline — so data stays
-/// deterministic under one seed regardless of how it is executed.
+/// The read interface the [`Scheduler`] needs from a stream: a clock,
+/// a window read, and the two questions that price a sensor contact
+/// (is the stream out; does this attempt fail). Advancement (producing
+/// items) stays with the owner — the serving loop, the simulation
+/// pipeline — so data stays deterministic under one seed regardless of
+/// how it is executed.
 pub trait StreamSource {
     /// Timestamp of the most recent item (items are stamped 1, 2, ...;
     /// 0 means nothing has been produced yet).
@@ -54,22 +57,16 @@ pub trait StreamSource {
         false
     }
 
-    /// One *sensor contact* attempt for the last `n` items. Unlike
-    /// [`StreamSource::recent`] (a read of data already on the device),
-    /// this models going out to the radio and may fail: decorators such
-    /// as `paotr_faults::FaultySource` inject [`ReadAttempt::Transient`]
-    /// and [`ReadAttempt::Outage`] keyed on `(stream, now, attempt)` so
-    /// a replay under the same fault plan fails identically. The
-    /// default implementation never fails.
-    fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
+    /// Whether the `attempt`-th *sensor contact* for the current window
+    /// fails transiently: the radio was woken (and is billed) but no
+    /// data came back. Unlike [`StreamSource::recent`] this carries no
+    /// data — it only prices the read. Decorators such as
+    /// `paotr_faults::FaultySource` key it on `(stream, now, attempt)`
+    /// so a replay under the same fault plan fails identically. Plain
+    /// sources never fail.
+    fn contact_fails(&self, attempt: u32) -> bool {
         let _ = attempt;
-        if self.is_out() {
-            return ReadAttempt::Outage;
-        }
-        match self.recent(n) {
-            Some(data) => ReadAttempt::Data(data),
-            None => ReadAttempt::Cold,
-        }
+        false
     }
 }
 
@@ -81,22 +78,6 @@ impl StreamSource for SimStream {
     fn recent(&self, n: usize) -> Option<Vec<f64>> {
         SimStream::recent(self, n)
     }
-}
-
-/// Outcome of one sensor-contact attempt ([`StreamSource::try_recent`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReadAttempt {
-    /// The window, newest first.
-    Data(Vec<f64>),
-    /// The stream has not produced enough items yet (a programming
-    /// error in this workspace — streams are warmed before serving).
-    Cold,
-    /// A transient failure: the contact was made (and paid for) but no
-    /// data came back. Retrying with a higher `attempt` may succeed.
-    Transient,
-    /// A hard outage: the stream is unreachable; retries are pointless
-    /// and nothing is charged.
-    Outage,
 }
 
 /// Three-valued (Kleene) verdict of a query evaluation. Under fault
@@ -124,9 +105,6 @@ impl Verdict {
 /// Result of one query evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Truth value of the query (`verdict == True`; `Unknown` reads as
-    /// false here, so fault-free runs are unchanged).
-    pub value: bool,
     /// Three-valued verdict. Always determined on fault-free runs.
     pub verdict: Verdict,
     /// The verdict was only reached by substituting stale arrangement
@@ -139,7 +117,8 @@ pub struct QueryOutcome {
     pub stale_leaves: u32,
     /// Transient read failures retried during this evaluation.
     pub retries: u32,
-    /// Leaves given up on (outage, or retries exhausted).
+    /// Leaves given up on (outage, retries exhausted, or a stream too
+    /// cold for the window).
     pub failed_reads: u32,
     /// Energy spent on this evaluation (including priced retries).
     pub cost: f64,
@@ -157,7 +136,6 @@ pub struct EnergyMeter {
     total: f64,
     maintain_total: f64,
     retry_total: f64,
-    evaluations: u64,
     items: Vec<u64>,
     maintain_items: Vec<u64>,
 }
@@ -172,7 +150,6 @@ impl EnergyMeter {
             total: 0.0,
             maintain_total: 0.0,
             retry_total: 0.0,
-            evaluations: 0,
             items,
             maintain_items,
         }
@@ -219,9 +196,8 @@ impl EnergyMeter {
     }
 
     /// Prices an arrangement-maintenance fetch of `items` from stream
-    /// `k` — same per-item rates and wake-up surcharge as a pull, but
-    /// accounted separately so serving reports can split "paid to
-    /// maintain" from "paid to pull".
+    /// `k` — same per-item rates as a pull, but accounted separately so
+    /// serving reports can split "paid to maintain" from "paid to pull".
     pub(crate) fn charge_maintenance(&mut self, k: StreamId, items: u32) -> f64 {
         let cost = self.model.pull_cost(k, items);
         self.maintain_total += cost;
@@ -237,10 +213,6 @@ impl EnergyMeter {
         let cost = self.model.pull_cost(k, items);
         self.retry_total += cost;
         cost
-    }
-
-    fn count_evaluation(&mut self) {
-        self.evaluations += 1;
     }
 }
 
@@ -364,10 +336,11 @@ impl Scheduler {
     /// trace. Call [`Scheduler::begin_tick`] first to apply the memory
     /// policy.
     ///
-    /// Under fault injection (sources whose [`StreamSource::try_recent`]
-    /// can fail) evaluation is three-valued: an unreadable leaf becomes
-    /// `unknown` instead of aborting. Because the DNF is monotone, the
-    /// query still resolves whenever the *live* leaves determine it — a
+    /// Under fault injection (sources that go out, or whose
+    /// [`StreamSource::contact_fails`] fires) evaluation is
+    /// three-valued: an unreadable leaf becomes `unknown` instead of
+    /// aborting. Because the DNF is monotone, the query still resolves
+    /// whenever the *live* leaves determine it — a
     /// term completing all-true forces [`Verdict::True`], every term
     /// holding a live false leaf forces [`Verdict::False`] — and those
     /// determined verdicts are bit-for-bit what a fault-free run
@@ -378,9 +351,12 @@ impl Scheduler {
     /// rings, in which case the outcome is marked `degraded` and
     /// carries its worst-case staleness.
     ///
+    /// A stream too cold to provide a leaf's window makes that leaf
+    /// unreadable, exactly like an outage: `unknown`, counted in
+    /// `failed_reads`, nothing billed.
+    ///
     /// # Panics
-    /// Panics if a stream is too cold to provide a required window or
-    /// if the schedule shape does not match the query.
+    /// Panics if the schedule shape does not match the query.
     pub fn run_query<S: StreamSource>(
         &mut self,
         query: &SimQuery,
@@ -414,7 +390,6 @@ impl Scheduler {
         let mut stale_leaves = 0u32;
         let mut staleness = 0u64;
         let mut verdict = Verdict::Unknown;
-        let mut decided = false;
 
         for &r in schedule.order() {
             if term_failed[r.term] || remaining[r.term] == 0 {
@@ -425,55 +400,35 @@ impl Scheduler {
             let stream = &streams[k.0];
             let now = stream.now();
             let window = leaf.predicate.window;
+            // Price the read first: items on the device or covered by a
+            // current ring are free; the rest need a sensor contact,
+            // which an outage refuses and each failed attempt bills as
+            // a retry.
             let mut missing = self.memory.missing(k, now, window);
+            let store = self.arrangements.as_mut();
+            if missing > 0 && store.is_some_and(|s| s.covers(k, now, window)) {
+                missing = 0;
+            }
+            let mut live = missing == 0 || !stream.is_out();
+            let mut failed = 0u32;
+            while live && missing > 0 && stream.contact_fails(failed) {
+                failed += 1;
+                live = failed < self.max_attempts;
+            }
+            // Then read the live window once. A stream too cold to hold
+            // it leaves the leaf unreadable with nothing billed.
+            let data = live.then(|| stream.recent(window as usize)).flatten();
+            if live && data.is_none() {
+                failed = 0;
+            }
             let mut pull_cost = 0.0;
-            // `data` is the leaf's *live* window: from a current
-            // arrangement, a (possibly retried) sensor contact, or —
-            // when nothing is missing — the copy already on the device.
-            let data: Option<Vec<f64>> =
-                if missing > 0 {
-                    // A current arrangement substitutes for the paid pull:
-                    // the maintained items already sit on the device.
-                    let mut data = self
-                        .arrangements
-                        .as_mut()
-                        .and_then(|store| store.serve(k, now, window));
-                    if data.is_some() {
-                        missing = 0;
-                    } else {
-                        // Sensor contact required — the only point where
-                        // injected faults can bite.
-                        let mut attempt = 0u32;
-                        loop {
-                            match stream.try_recent(window as usize, attempt) {
-                                ReadAttempt::Data(d) => {
-                                    pull_cost += meter.charge(k, missing);
-                                    data = Some(d);
-                                    break;
-                                }
-                                ReadAttempt::Cold => {
-                                    panic!("stream {k} too cold for a {window}-item window")
-                                }
-                                ReadAttempt::Outage => break,
-                                ReadAttempt::Transient => {
-                                    // The failed contact still burnt a
-                                    // pull's worth of energy.
-                                    pull_cost += meter.charge_retry(k, missing);
-                                    retries += 1;
-                                    attempt += 1;
-                                    if attempt >= self.max_attempts {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    data
-                } else {
-                    Some(stream.recent(window as usize).unwrap_or_else(|| {
-                        panic!("stream {k} too cold for a {window}-item window")
-                    }))
-                };
+            for _ in 0..failed {
+                pull_cost += meter.charge_retry(k, missing);
+            }
+            retries += failed;
+            if data.is_some() && missing > 0 {
+                pull_cost += meter.charge(k, missing);
+            }
             cost += pull_cost;
             evaluated += 1;
             remaining[r.term] -= 1;
@@ -493,7 +448,6 @@ impl Scheduler {
                 if truth {
                     if remaining[r.term] == 0 && live_unknown[r.term] == 0 {
                         verdict = Verdict::True;
-                        decided = true;
                         break;
                     }
                 } else {
@@ -502,7 +456,6 @@ impl Scheduler {
                     alive -= 1;
                     if alive == 0 {
                         verdict = Verdict::False;
-                        decided = true;
                         break;
                     }
                 }
@@ -512,13 +465,11 @@ impl Scheduler {
                 // (drift estimation must only see live observations).
                 failed_reads += 1;
                 live_unknown[r.term] += 1;
-                let stale = if self.stale_fallback {
-                    self.arrangements
-                        .as_ref()
-                        .and_then(|store| store.serve_stale(k, now, window))
-                } else {
-                    None
-                };
+                let stale = self
+                    .arrangements
+                    .as_ref()
+                    .filter(|_| self.stale_fallback)
+                    .and_then(|store| store.serve_stale(k, now, window));
                 match stale {
                     Some((data, age)) => {
                         stale_leaves += 1;
@@ -533,25 +484,20 @@ impl Scheduler {
         }
 
         let mut degraded = false;
-        if !decided {
+        if verdict == Verdict::Unknown {
             // The live lattice ended undetermined (a live determination
             // would have broken out above). Try the degraded lattice:
             // same monotone-DNF rules with stale answers filled in.
-            let deg_true =
-                (0..n_terms).any(|t| !term_failed[t] && !deg_failed[t] && deg_unknown[t] == 0);
-            let deg_false = (0..n_terms).all(|t| term_failed[t] || deg_failed[t]);
-            if deg_true {
+            let open = |t: usize| !term_failed[t] && !deg_failed[t];
+            if (0..n_terms).any(|t| open(t) && deg_unknown[t] == 0) {
                 verdict = Verdict::True;
-                degraded = true;
-            } else if deg_false {
+            } else if !(0..n_terms).any(open) {
                 verdict = Verdict::False;
-                degraded = true;
             }
+            degraded = verdict.is_determined();
         }
 
-        meter.count_evaluation();
         QueryOutcome {
-            value: verdict == Verdict::True,
             verdict,
             degraded,
             staleness,
@@ -606,10 +552,7 @@ mod tests {
     }
 
     fn leaf(stream: usize, window: u32, thr: f64) -> SimLeaf {
-        SimLeaf {
-            stream: StreamId(stream),
-            predicate: Predicate::new(WindowOp::Avg, window, Comparator::Lt, thr),
-        }
+        cmp_leaf(stream, window, Comparator::Lt, thr)
     }
 
     fn meter(costs: &[f64]) -> EnergyMeter {
@@ -654,7 +597,7 @@ mod tests {
         let mut d = device(&[1.0, 1.0]);
         let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
         let out = evaluate(&mut d, &q, &s, &streams, None);
-        assert!(out.value);
+        assert_eq!(out.verdict, Verdict::True);
         assert_eq!(out.evaluated, 1);
         assert_eq!(out.cost, 5.0);
         assert_eq!(out.items_pulled, vec![5, 0]);
@@ -668,7 +611,7 @@ mod tests {
         let mut d = device(&[2.0]);
         let s = DnfSchedule::from_order_unchecked(q.leaf_refs());
         let out = evaluate(&mut d, &q, &s, &streams, None);
-        assert!(out.value);
+        assert_eq!(out.verdict, Verdict::True);
         assert_eq!(out.items_pulled, vec![8]);
         assert_eq!(out.cost, 16.0);
     }
@@ -686,7 +629,7 @@ mod tests {
         let out = evaluate(&mut d, &q, &s, &streams, None);
         // leaf (0,0): avg 50 > 100 false -> term 0 dead, (0,1) skipped.
         // leaf (1,0): true -> query true. Cost = 2 + 3.
-        assert!(out.value);
+        assert_eq!(out.verdict, Verdict::True);
         assert_eq!(out.evaluated, 2);
         assert_eq!(out.cost, 5.0);
     }
@@ -705,7 +648,6 @@ mod tests {
         let out2 = evaluate(&mut d, &q, &s, std::slice::from_ref(&stream), None);
         assert_eq!(out2.cost, 1.0);
         assert_eq!(d.1.total_cost(), 6.0);
-        assert_eq!(d.1.evaluations, 2);
     }
 
     #[test]
@@ -748,7 +690,6 @@ mod tests {
         assert_eq!(m.charge(StreamId(0), 0), 0.0);
         assert_eq!(m.total_cost(), 8.0);
         assert_eq!(m.items_pulled(), &[3, 2]);
-        assert_eq!(m.evaluations, 0);
         assert_eq!(m.model.len(), 2);
     }
 
@@ -802,7 +743,7 @@ mod tests {
             let a = arranged.run_query(&query, &schedule, &streams, &mut am, None);
             plain.begin_tick(std::slice::from_ref(&query), &streams);
             let p = plain.run_query(&query, &schedule, &streams, &mut pm, None);
-            assert_eq!(a.value, p.value, "tick {tick}: truth must not change");
+            assert_eq!(a.verdict, p.verdict, "tick {tick}: truth must not change");
             assert_eq!(a.cost, 0.0, "arranged evaluation pays no pull");
             assert_eq!(a.items_pulled, vec![0]);
             streams[0].advance_by(1, &mut rng);
@@ -863,17 +804,8 @@ mod tests {
             self.out
         }
 
-        fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
-            if self.out {
-                return ReadAttempt::Outage;
-            }
-            if attempt < self.fail_first {
-                return ReadAttempt::Transient;
-            }
-            match self.recent(n) {
-                Some(data) => ReadAttempt::Data(data),
-                None => ReadAttempt::Cold,
-            }
+        fn contact_fails(&self, attempt: u32) -> bool {
+            attempt < self.fail_first
         }
     }
 
@@ -891,7 +823,7 @@ mod tests {
         let mut m = meter(&[1.0]);
         let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
         assert_eq!(out.verdict, Verdict::True);
-        assert!(out.value && !out.degraded);
+        assert!(!out.degraded);
         assert_eq!(out.retries, 2);
         assert_eq!(out.failed_reads, 0);
         assert_eq!(out.cost, 12.0, "two failed 4-item contacts plus the pull");
@@ -914,7 +846,6 @@ mod tests {
         let mut m = meter(&[1.0]);
         let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
         assert_eq!(out.verdict, Verdict::Unknown);
-        assert!(!out.value);
         assert_eq!(out.retries, 3, "every allowed attempt was made and priced");
         assert_eq!(out.failed_reads, 1);
         assert_eq!(m.total_cost(), 12.0);
@@ -949,7 +880,23 @@ mod tests {
         let mut m = meter(&[1.0, 1.0]);
         let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
         assert_eq!(out.verdict, Verdict::Unknown);
-        assert!(!out.value && !out.degraded);
+        assert!(!out.degraded);
+    }
+
+    #[test]
+    fn a_stream_too_cold_for_its_window_leaves_the_leaf_unknown() {
+        // Two items produced, a four-item window asked for.
+        let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)]]).unwrap();
+        let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
+        let streams = vec![constant_stream(50.0, 2)];
+        let mut d = device(&[1.0]);
+        let out = evaluate(&mut d, &query, &schedule, &streams, None);
+        assert_eq!(out.verdict, Verdict::Unknown);
+        assert_eq!(out.failed_reads, 1);
+        assert_eq!(out.retries, 0);
+        assert_eq!(out.cost, 0.0);
+        assert_eq!(out.items_pulled, vec![0]);
+        assert_eq!(d.1.total_cost(), 0.0, "nothing is billed for a cold read");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::device::MemoryPolicy;
 use crate::energy::EnergyModel;
 use crate::query::SimQuery;
-use crate::runtime::{EnergyMeter, Scheduler};
+use crate::runtime::{EnergyMeter, Scheduler, Verdict};
 use crate::source::SensorSource;
 use crate::stream::SimStream;
 use crate::trace::{calibrated_skeleton, TraceLog};
@@ -77,10 +77,11 @@ pub struct PipelineReport {
 /// calibrated skeleton and the catalog and returns the schedule to use in
 /// the measurement phase.
 ///
+/// Streams are sized and warmed to the query's widest windows, so every
+/// leaf is readable from the first evaluation.
+///
 /// # Panics
-/// Panics if the streams cannot satisfy the query's windows (the stream
-/// `capacity` passed here must be at least each stream's largest window,
-/// which `run_pipeline` guarantees internally).
+/// Panics if `models` does not hold one sensor model per catalog stream.
 pub fn run_pipeline(
     query: &SimQuery,
     models: Vec<SensorSource>,
@@ -130,14 +131,10 @@ pub fn run_pipeline(
     let mut scheduler = Scheduler::new(catalog.len(), config.policy);
     let mut meter = EnergyMeter::new(energy);
     let mut truths = 0usize;
-    let mut items = vec![0u64; catalog.len()];
     for _ in 0..config.measure_evaluations {
         scheduler.begin_tick(&[query], &streams);
         let out = scheduler.run_query(query, &schedule, &streams, &mut meter, None);
-        truths += usize::from(out.value);
-        for (acc, &n) in items.iter_mut().zip(&out.items_pulled) {
-            *acc += u64::from(n);
-        }
+        truths += usize::from(out.verdict == Verdict::True);
         for s in &mut streams {
             s.advance_by(config.ticks_between, &mut rng);
         }
@@ -146,7 +143,7 @@ pub fn run_pipeline(
     PipelineReport {
         mean_cost: meter.total_cost() / config.measure_evaluations.max(1) as f64,
         truth_rate: truths as f64 / config.measure_evaluations.max(1) as f64,
-        items_pulled: items,
+        items_pulled: meter.items_pulled().to_vec(),
         skeleton,
         schedule,
         estimated_probs,
