@@ -26,7 +26,6 @@ fn serve_loop(queries: usize, arrange: bool) -> (ServeLoop, Engine) {
         ticks: 60,
         seed: 1,
         arrivals: ArrivalSpec::Periodic { every: 1 },
-        ticks_between: 1,
         drift: None,
         arrange: arrange.then(ArrangeConfig::default),
         faults: None,

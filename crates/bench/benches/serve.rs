@@ -21,7 +21,6 @@ fn serve_loop(drift: bool) -> (ServeLoop, Engine) {
         ticks: 100,
         seed: 1,
         arrivals: ArrivalSpec::Poisson { rate: 0.8 },
-        ticks_between: 1,
         drift: drift.then(DriftConfig::default),
         arrange: None,
         faults: None,

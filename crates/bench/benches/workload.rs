@@ -66,7 +66,6 @@ fn bench_execution(c: &mut Criterion) {
     let cfg = ServeConfig {
         ticks: 50,
         seed: 1,
-        ticks_between: 1,
         ..Default::default()
     };
     for name in ["independent", "shared-greedy"] {

@@ -55,6 +55,19 @@ fn corruptions() -> Vec<(&'static str, Edits, Rule)> {
             Rule::SessionLimitExceeded,
         ),
         (
+            "source that does not parse",
+            one(
+                r#""source":"MIN(accel, 5) < -0.5 @ 0.3""#,
+                r#""source":"MIN(accel, 5) <""#,
+            ),
+            Rule::SessionSourceInvalid,
+        ),
+        (
+            "source over a stream missing from the catalog",
+            one(r#""source":"MIN(accel, 5)"#, r#""source":"MIN(gyro, 5)"#),
+            Rule::UnresolvedStream,
+        ),
+        (
             "calibrated above 1",
             one(r#""calibrated":[0.5,0.8]"#, r#""calibrated":[1.5,0.8]"#),
             Rule::SessionStateInvalid,

@@ -10,11 +10,11 @@
 //! Exit status is non-zero when any violation is found, so the command
 //! doubles as a CI gate.
 
+use crate::flags::{costs, energy, planners, Flags, WorkloadSpec};
 use paotr_check::{check_snapshot_file, lint_query, verify_energy, verify_joint, CheckReport};
 use paotr_core::plan::Engine;
 use paotr_exec::EnergyBudget;
-use paotr_gen::workload::{workload_instance, WorkloadConfig};
-use paotr_multi::{default_planners, planner_by_name, Workload, WorkloadPlanner};
+use paotr_multi::WorkloadPlanner;
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
@@ -52,19 +52,17 @@ fn snapshot(args: &[String]) -> Result<(), String> {
 }
 
 fn query(args: &[String]) -> Result<(), String> {
-    let common = crate::parse_common(args)?;
-    if let Some((flag, _)) = common.rest.first() {
-        return Err(format!("unknown flag `{flag}`"));
-    }
+    let (query, flags) = Flags::after_query(args)?;
+    let costs = flags.read(costs)?;
     // A query argument naming a readable file is linted from the file;
     // anything else is treated as inline source.
-    let source = match std::fs::read_to_string(&common.query) {
+    let source = match std::fs::read_to_string(&query) {
         Ok(text) => text.trim_end().to_string(),
-        Err(_) => common.query.clone(),
+        Err(_) => query,
     };
     // Surface parse errors through the parser's own caret diagnostic.
     paotr_qlang::parse(&source).map_err(|e| format!("\n{}", e.render(&source)))?;
-    let report = lint_query(&source, &common.costs);
+    let report = lint_query(&source, &costs);
     for e in &report.errors {
         if let paotr_check::CheckError::Lint(l) = e {
             println!("{}\n", l.render(&source));
@@ -73,89 +71,37 @@ fn query(args: &[String]) -> Result<(), String> {
     finish(report)
 }
 
+pub(crate) struct WorkloadOptions {
+    spec: WorkloadSpec,
+    planners: Vec<Box<dyn WorkloadPlanner>>,
+    budget: Option<f64>,
+}
+
+pub(crate) fn workload_options(flags: &mut Flags) -> Result<WorkloadOptions, String> {
+    Ok(WorkloadOptions {
+        spec: WorkloadSpec::read(flags)?,
+        planners: planners(flags, "--all")?,
+        budget: energy(flags, "--budget")?,
+    })
+}
+
 fn workload(args: &[String]) -> Result<(), String> {
-    let mut queries = 16usize;
-    let mut overlap = 0.5f64;
-    let mut seed = 0usize;
-    let mut planner: Option<String> = None;
-    let mut all = false;
-    let mut budget: Option<f64> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        let take = |name: &str| -> Result<String, String> {
-            value
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag {
-            "--queries" => {
-                queries = take("--queries")?
-                    .parse()
-                    .map_err(|_| "--queries expects an integer".to_string())?;
-                i += 2;
-            }
-            "--overlap" => {
-                overlap = take("--overlap")?
-                    .parse()
-                    .map_err(|_| "--overlap expects a number in [0, 1]".to_string())?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--planner" => {
-                planner = Some(take("--planner")?);
-                i += 2;
-            }
-            "--all" => {
-                all = true;
-                i += 1;
-            }
-            "--budget" => {
-                budget = Some(
-                    take("--budget")?
-                        .parse()
-                        .map_err(|_| "--budget expects a number".to_string())?,
-                );
-                i += 2;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if queries == 0 {
-        return Err("--queries must be at least 1".into());
-    }
-
-    let config = WorkloadConfig::with_overlap(queries, overlap);
-    let (trees, catalog) = workload_instance(config, seed);
-    let workload = Workload::from_trees(trees, catalog).map_err(|e| e.to_string())?;
+    let opts = Flags::parse(args)?.read(workload_options)?;
+    let workload = opts.spec.build()?;
     let engine = Engine::new();
 
-    let planners: Vec<Box<dyn WorkloadPlanner>> = if all {
-        default_planners()
-    } else {
-        let name = planner.as_deref().unwrap_or("shared-greedy");
-        vec![planner_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown workload planner `{name}` (expected one of: {})",
-                paotr_multi::planner_names().join(", ")
-            )
-        })?]
-    };
-
+    let WorkloadSpec {
+        queries,
+        overlap,
+        seed,
+    } = opts.spec;
     let mut combined = CheckReport::new(format!(
         "workload (queries={queries}, overlap={overlap}, seed={seed})"
     ));
-    for p in planners {
+    for p in opts.planners {
         let joint = p.plan(&workload, &engine).map_err(|e| e.to_string())?;
         let mut report = verify_joint(&joint, &workload);
-        if let Some(j) = budget {
+        if let Some(j) = opts.budget {
             report.merge(verify_energy(
                 &joint,
                 &workload,

@@ -7,108 +7,55 @@
 //! file exists) and writes it back on clean shutdown, so restarts
 //! continue tick-for-tick where the previous process stopped.
 
+use crate::flags::{arrange, energy, faults, Flags};
 use paotr_serverd::{Config, Daemon, TcpOptions};
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-pub fn run(args: &[String]) -> Result<(), String> {
-    let mut config = Config::default();
-    let mut listen: Option<String> = None;
-    let mut snapshot: Option<String> = None;
-    let mut tcp = TcpOptions::default();
+pub(crate) struct Options {
+    config: Config,
+    listen: Option<String>,
+    snapshot: Option<String>,
+    tcp: TcpOptions,
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        let take = |name: &str| -> Result<String, String> {
-            value
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag {
-            "--seed" => {
-                config.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--planner" => {
-                config.planner = take("--planner")?;
-                i += 2;
-            }
-            "--budget" => {
-                let b: f64 = take("--budget")?
-                    .parse()
-                    .map_err(|_| "--budget expects a number".to_string())?;
-                if !(b.is_finite() && b >= 0.0) {
-                    return Err("--budget expects a finite energy value >= 0".into());
-                }
-                config.budget = Some(b);
-                i += 2;
-            }
-            "--shed" => {
-                config.defer = false;
-                i += 1;
-            }
-            "--replan-after" => {
-                config.replan_after = take("--replan-after")?
-                    .parse()
-                    .map_err(|_| "--replan-after expects an integer (0 = never)".to_string())?;
-                i += 2;
-            }
-            "--max-sessions" => {
-                config.max_sessions = take("--max-sessions")?
-                    .parse()
-                    .map_err(|_| "--max-sessions expects an integer >= 1".to_string())?;
-                i += 2;
-            }
-            "--max-window" => {
-                config.max_window = take("--max-window")?
-                    .parse()
-                    .map_err(|_| "--max-window expects an integer >= 1".to_string())?;
-                i += 2;
-            }
-            "--arrange" => {
-                config.arrange.get_or_insert_with(Default::default);
-                i += 1;
-            }
-            "--arrange-grace" => {
-                let grace = take("--arrange-grace")?
-                    .parse()
-                    .map_err(|_| "--arrange-grace expects an integer".to_string())?;
-                config.arrange.get_or_insert_with(Default::default).grace = grace;
-                i += 2;
-            }
-            "--listen" => {
-                listen = Some(take("--listen")?);
-                i += 2;
-            }
-            "--snapshot" => {
-                snapshot = Some(take("--snapshot")?);
-                i += 2;
-            }
-            "--idle-timeout" => {
-                let ms: u64 = take("--idle-timeout")?
-                    .parse()
-                    .map_err(|_| "--idle-timeout expects milliseconds".to_string())?;
-                tcp.idle_timeout = Some(Duration::from_millis(ms));
-                i += 2;
-            }
-            other => match crate::serve_cmd::parse_fault_flag(other, value, &mut config.faults)? {
-                Some(used) => i += used,
-                None => return Err(format!("unknown daemon flag `{other}`")),
-            },
-        }
-    }
-    if config.max_sessions == 0 {
-        return Err("--max-sessions expects an integer >= 1".into());
-    }
-    if config.max_window == 0 {
-        return Err("--max-window expects an integer >= 1".into());
-    }
+pub(crate) fn options(flags: &mut Flags) -> Result<Options, String> {
+    let d = Config::default();
+    let config = Config {
+        seed: flags.or("--seed", d.seed, "an integer")?,
+        planner: flags
+            .text("--planner", "a planner name")?
+            .unwrap_or(d.planner),
+        budget: energy(flags, "--budget")?,
+        defer: !flags.switch("--shed")?,
+        replan_after: flags.or("--replan-after", d.replan_after, "an integer (0 = never)")?,
+        max_sessions: flags.count("--max-sessions")?.unwrap_or(d.max_sessions),
+        max_window: flags.count("--max-window")?.unwrap_or(d.max_window),
+        arrange: arrange(flags)?,
+        faults: faults(flags)?,
+        ..d
+    };
+    let idle_timeout = flags.get("--idle-timeout", "milliseconds")?;
+    Ok(Options {
+        config,
+        listen: flags.text("--listen", "an address")?,
+        snapshot: flags.text("--snapshot", "a path")?,
+        tcp: TcpOptions {
+            idle_timeout: idle_timeout.map(Duration::from_millis),
+            ..TcpOptions::default()
+        },
+    })
+}
+
+pub fn run(flags: Flags) -> Result<(), String> {
+    let Options {
+        config,
+        listen,
+        snapshot,
+        tcp,
+    } = flags.read(options)?;
 
     // Restore from the snapshot when one exists; the snapshot's embedded
     // config wins so the restored run replays the original stream data.
@@ -163,13 +110,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     #[test]
     fn rejects_bad_flags() {
-        assert!(super::run(&["--bogus".into()]).is_err());
-        assert!(super::run(&["--budget".into(), "-1".into()]).is_err());
-        assert!(super::run(&["--max-sessions".into(), "0".into()]).is_err());
-        assert!(super::run(&["--replan-after".into()]).is_err());
-        assert!(super::run(&["--fault-rate".into(), "2".into()]).is_err());
-        assert!(super::run(&["--outage-streams".into(), "-1".into()]).is_err());
-        assert!(super::run(&["--retries".into(), "0".into()]).is_err());
-        assert!(super::run(&["--idle-timeout".into(), "soon".into()]).is_err());
+        for bad in [
+            "--bogus",
+            "--budget -1",
+            "--max-sessions 0",
+            "--replan-after",
+            "--fault-rate 2",
+            "--outage-streams -1",
+            "--retries 0",
+            "--idle-timeout soon",
+        ] {
+            let args: Vec<String> = bad.split_whitespace().map(str::to_string).collect();
+            let flags = crate::flags::Flags::parse(&args).unwrap();
+            assert!(super::run(flags).is_err(), "{bad}");
+        }
     }
 }

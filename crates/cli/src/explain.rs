@@ -5,16 +5,15 @@
 //! family), per-AND `C`, `p`, `C/p` (AND-ordered family, static), and
 //! per-stream `R(S)` (the Lim et al. stream-ordered metric).
 
-use crate::{compile, parse_common};
+use crate::compile;
+use crate::flags::{costs, Flags};
 use paotr_core::algo::heuristics::stream_ordered;
 use paotr_core::cost::and_eval;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let common = parse_common(args)?;
-    if let Some((flag, _)) = common.rest.first() {
-        return Err(format!("unknown flag `{flag}`"));
-    }
-    let (_, compiled) = compile(&common)?;
+    let (query, flags) = Flags::after_query(args)?;
+    let costs = flags.read(costs)?;
+    let (_, compiled) = compile(&query, &costs)?;
     let dnf = compiled
         .tree
         .as_dnf()

@@ -3,15 +3,37 @@
 //! All planning is routed through [`paotr_core::plan::Engine`]: the
 //! default planner per query class, `--heuristic NAME` for any registry
 //! planner, `--all` for the paper's heuristic set, `--optimal` for the
-//! exhaustive baseline.
+//! exhaustive baseline. General (non-DNF) trees take the engine's
+//! default planner and ignore the planner flags.
 
-use crate::{compile, parse_common, plan_by_name};
+use crate::flags::{costs, Flags};
+use crate::{compile, plan_by_name};
 use paotr_core::plan::{Engine, Plan, QueryRef};
 use paotr_core::tree::display;
+use std::collections::HashMap;
+
+pub(crate) struct Options {
+    costs: HashMap<String, f64>,
+    planner: Option<String>,
+    all: bool,
+    optimal: bool,
+    seed: u64,
+}
+
+pub(crate) fn options(flags: &mut Flags) -> Result<Options, String> {
+    Ok(Options {
+        costs: costs(flags)?,
+        planner: flags.text_of(&["--heuristic", "--planner"], "a planner name")?,
+        all: flags.switch("--all")?,
+        optimal: flags.switch("--optimal")?,
+        seed: flags.or("--seed", 42, "an integer")?,
+    })
+}
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let common = parse_common(args)?;
-    let (_, compiled) = compile(&common)?;
+    let (query, flags) = Flags::after_query(args)?;
+    let opts = flags.read(options)?;
+    let (_, compiled) = compile(&query, &opts.costs)?;
     let engine = Engine::new();
 
     let print_one = |plan: &Plan| {
@@ -43,40 +65,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
     };
 
     println!("{}", display::render_dnf_named(&dnf, &compiled.catalog));
-    let mut which_all = false;
-    let mut which_optimal = false;
-    let mut planner_name: Option<String> = None;
-    let mut seed = 42u64;
-    for (flag, value) in &common.rest {
-        match flag.as_str() {
-            "--all" => which_all = true,
-            "--optimal" => which_optimal = true,
-            "--heuristic" | "--planner" => {
-                planner_name = Some(value.clone().ok_or("--heuristic expects a name")?);
-            }
-            "--seed" => {
-                seed = value
-                    .as_deref()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed expects an integer")?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-
     let query = QueryRef::from(&dnf);
-    if which_all {
+    if opts.all {
         // Iterate the registry's paper-set view, not a hard-coded list.
         for planner in engine.registry().paper_set() {
-            let plan = plan_by_name(&engine, planner.name(), seed, query, &compiled.catalog)?;
+            let plan = plan_by_name(&engine, planner.name(), opts.seed, query, &compiled.catalog)?;
             print_one(&plan);
         }
     } else {
-        let name = planner_name.unwrap_or_else(|| "and-inc-cp-dyn".to_string());
-        let plan = plan_by_name(&engine, &name, seed, query, &compiled.catalog)?;
+        let name = opts.planner.as_deref().unwrap_or("and-inc-cp-dyn");
+        let plan = plan_by_name(&engine, name, opts.seed, query, &compiled.catalog)?;
         print_one(&plan);
     }
-    if which_optimal || which_all {
+    if opts.optimal || opts.all {
         match engine.plan_with("exhaustive", query, &compiled.catalog) {
             Ok(plan) => {
                 println!(

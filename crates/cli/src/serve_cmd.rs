@@ -2,202 +2,91 @@
 //! serving runtime: arrival processes, admission control and drift
 //! re-planning, with a live summary rendered through `paotr_stats`.
 
+use crate::flags::{arrange, energy, faults, planner_lineup, Flags, WorkloadSpec};
 use paotr_core::plan::Engine;
 use paotr_exec::{
-    AcceptAll, AdmissionPolicy, ArrivalSpec, DriftConfig, EnergyBudget, FaultSpec, ServeConfig,
-    ServeLoop, ServeReport,
+    AcceptAll, AdmissionPolicy, ArrivalSpec, DriftConfig, EnergyBudget, ServeConfig, ServeLoop,
+    ServeReport,
 };
-use paotr_gen::workload::{workload_instance, WorkloadConfig};
-use paotr_multi::{planner_by_name, planner_names, Workload};
+use paotr_multi::WorkloadPlanner;
 
-pub fn run(args: &[String]) -> Result<(), String> {
-    // `--daemon` switches to the long-running protocol daemon; every
-    // other flag then belongs to `daemon_cmd`.
-    if args.iter().any(|a| a == "--daemon") {
-        let rest: Vec<String> = args.iter().filter(|a| *a != "--daemon").cloned().collect();
-        return crate::daemon_cmd::run(&rest);
-    }
-    let mut queries = 16usize;
-    let mut overlap = 0.5f64;
-    let mut seed = 0u64;
-    let mut ticks = 400usize;
-    let mut arrivals = "poisson".to_string();
-    let mut rate = 0.5f64;
-    let mut every = 1u64;
-    let mut budget: Option<f64> = None;
-    let mut defer = false;
-    let mut drift = true;
-    let mut drift_tolerance = 0.15f64;
-    let mut planner: Option<String> = None;
-    let mut compare_all = false;
-    let mut check_budget: Option<f64> = None;
-    let mut arrange = false;
-    let mut arrange_grace = paotr_exec::ArrangeConfig::default().grace;
-    let mut faults: Option<FaultSpec> = None;
+pub(crate) struct Options {
+    spec: WorkloadSpec,
+    config: ServeConfig,
+    budget: Option<f64>,
+    defer: bool,
+    planners: Vec<Box<dyn WorkloadPlanner>>,
+    check_budget: Option<f64>,
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        let take = |name: &str| -> Result<String, String> {
-            value
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
-        let parse_num = |name: &str, out: &mut f64| -> Result<(), String> {
-            *out = take(name)?
-                .parse()
-                .map_err(|_| format!("{name} expects a number"))?;
-            Ok(())
-        };
-        match flag {
-            "--queries" => {
-                queries = take("--queries")?
-                    .parse()
-                    .map_err(|_| "--queries expects an integer".to_string())?;
-                i += 2;
-            }
-            "--overlap" => {
-                parse_num("--overlap", &mut overlap)?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--ticks" => {
-                ticks = take("--ticks")?
-                    .parse()
-                    .map_err(|_| "--ticks expects an integer".to_string())?;
-                i += 2;
-            }
-            "--arrivals" => {
-                arrivals = take("--arrivals")?;
-                i += 2;
-            }
-            "--rate" => {
-                parse_num("--rate", &mut rate)?;
-                i += 2;
-            }
-            "--every" => {
-                every = take("--every")?
-                    .parse()
-                    .map_err(|_| "--every expects an integer >= 1".to_string())?;
-                i += 2;
-            }
-            "--budget" => {
-                let mut b = 0.0;
-                parse_num("--budget", &mut b)?;
-                budget = Some(b);
-                i += 2;
-            }
-            "--defer" => {
-                defer = true;
-                i += 1;
-            }
-            "--no-drift" => {
-                drift = false;
-                i += 1;
-            }
-            "--drift-tolerance" => {
-                parse_num("--drift-tolerance", &mut drift_tolerance)?;
-                i += 2;
-            }
-            "--planner" => {
-                planner = Some(take("--planner")?);
-                i += 2;
-            }
-            "--compare" => {
-                compare_all = true;
-                i += 1;
-            }
-            "--check-budget" => {
-                let mut b = 0.0;
-                parse_num("--check-budget", &mut b)?;
-                check_budget = Some(b);
-                i += 2;
-            }
-            "--arrange" => {
-                arrange = true;
-                i += 1;
-            }
-            "--arrange-grace" => {
-                arrange_grace = take("--arrange-grace")?
-                    .parse()
-                    .map_err(|_| "--arrange-grace expects an integer".to_string())?;
-                i += 2;
-            }
-            other => match parse_fault_flag(other, value, &mut faults)? {
-                Some(used) => i += used,
-                None => return Err(format!("unknown flag `{other}`")),
-            },
-        }
-    }
-    if queries == 0 {
-        return Err("--queries must be at least 1".into());
-    }
-    if ticks == 0 {
-        return Err("--ticks must be at least 1".into());
-    }
-    let arrivals = match arrivals.as_str() {
-        "poisson" => {
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err("--rate expects a finite number > 0".into());
-            }
-            ArrivalSpec::Poisson { rate }
-        }
-        "periodic" => {
-            if every == 0 {
-                return Err("--every expects an integer >= 1".into());
-            }
-            ArrivalSpec::Periodic { every }
-        }
+pub(crate) fn options(flags: &mut Flags) -> Result<Options, String> {
+    let spec = WorkloadSpec::read(flags)?;
+    let ticks = flags.count("--ticks")?.unwrap_or(400);
+    let arrivals = flags.text("--arrivals", "poisson|periodic")?;
+    let rate: f64 = flags.or("--rate", 0.5, "a number")?;
+    let every = flags.or("--every", 1, "an integer >= 1")?;
+    let arrivals = match arrivals.as_deref().unwrap_or("poisson") {
+        "poisson" if rate.is_finite() && rate > 0.0 => ArrivalSpec::Poisson { rate },
+        "poisson" => return Err("--rate expects a finite number > 0".into()),
+        "periodic" if every > 0 => ArrivalSpec::Periodic { every },
+        "periodic" => return Err("--every expects an integer >= 1".into()),
         other => {
             return Err(format!(
                 "--arrivals expects poisson|periodic, got `{other}`"
             ))
         }
     };
-    if let Some(b) = budget {
-        if !(b.is_finite() && b >= 0.0) {
-            return Err("--budget expects a finite energy value >= 0".into());
-        }
-    }
-    if let Some(b) = check_budget {
-        if !(b.is_finite() && b >= 0.0) {
-            return Err("--check-budget expects a finite energy value >= 0".into());
-        }
-    }
-    let config = WorkloadConfig::with_overlap(queries, overlap);
-    let (trees, catalog) = workload_instance(config, seed as usize);
-    let workload = Workload::from_trees(trees, catalog).map_err(|e| e.to_string())?;
-    let engine = Engine::new();
-
-    let serve_config = ServeConfig {
+    let budget = energy(flags, "--budget")?;
+    let defer = flags.switch("--defer")?;
+    let drift = !flags.switch("--no-drift")?;
+    let tolerance = flags.or("--drift-tolerance", 0.15, "a number")?;
+    let config = ServeConfig {
         ticks,
-        seed,
+        seed: spec.seed,
         arrivals,
-        ticks_between: 1,
         drift: drift.then_some(DriftConfig {
-            tolerance: drift_tolerance,
+            tolerance,
             ..Default::default()
         }),
-        arrange: arrange.then_some(paotr_exec::ArrangeConfig {
-            grace: arrange_grace,
-        }),
-        faults,
+        arrange: arrange(flags)?,
+        faults: faults(flags)?,
         record_verdicts: false,
     };
+    Ok(Options {
+        spec,
+        config,
+        budget,
+        defer,
+        planners: planner_lineup(flags)?,
+        check_budget: energy(flags, "--check-budget")?,
+    })
+}
+
+pub fn run(args: &[String]) -> Result<(), String> {
+    // `--daemon` switches to the long-running protocol daemon, which
+    // reads its own options.
+    let mut flags = Flags::parse(args)?;
+    if flags.switch("--daemon")? {
+        return crate::daemon_cmd::run(flags);
+    }
+    let Options {
+        spec,
+        config,
+        budget,
+        defer,
+        planners,
+        check_budget,
+    } = flags.read(options)?;
+    let workload = spec.build()?;
+    let engine = Engine::new();
 
     println!(
         "serving            : {} queries, {} streams, {} ticks, {} arrivals ({})",
         workload.len(),
         workload.catalog().len(),
-        ticks,
-        arrivals.name(),
-        match arrivals {
+        config.ticks,
+        config.arrivals.name(),
+        match config.arrivals {
             ArrivalSpec::Poisson { rate } => format!("rate {rate}/tick"),
             ArrivalSpec::Periodic { every } => format!("every {every} ticks"),
         }
@@ -212,13 +101,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     );
     println!(
         "drift re-planning  : {}",
-        if drift {
-            format!("tolerance {drift_tolerance}")
-        } else {
-            "off".into()
+        match config.drift {
+            Some(d) => format!("tolerance {}", d.tolerance),
+            None => "off".into(),
         }
     );
-    if let Some(f) = &faults {
+    if let Some(f) = &config.faults {
         println!(
             "fault injection    : seed {}, transient rate {}, outages {:.0}% of streams \
              ({} down / {} up ticks), {} attempts, stale serving {}",
@@ -233,36 +121,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     println!();
 
-    let chosen: Vec<String> = if compare_all {
-        planner_names().iter().map(|s| s.to_string()).collect()
-    } else {
-        let name = planner.as_deref().unwrap_or("shared-greedy");
-        if planner_by_name(name).is_none() {
-            return Err(format!(
-                "unknown workload planner `{name}` (expected one of: {})",
-                planner_names().join(", ")
-            ));
-        }
-        if name == "independent" {
-            vec![name.to_string()]
-        } else {
-            vec!["independent".to_string(), name.to_string()]
-        }
-    };
-
     let mut reports: Vec<ServeReport> = Vec::new();
-    for name in &chosen {
-        let joint = planner_by_name(name)
-            .expect("validated above")
+    for planner in &planners {
+        let name = planner.name();
+        let joint = planner
             .plan(&workload, &engine)
             .map_err(|e| e.to_string())?;
-        let serve = ServeLoop::new(&workload, &joint, serve_config);
+        let serve = ServeLoop::new(&workload, &joint, config);
         let mut policy: Box<dyn AdmissionPolicy> = match (budget, defer) {
             (None, _) => Box::new(AcceptAll),
             (Some(b), false) => Box::new(EnergyBudget::shedding(b)),
             (Some(b), true) => Box::new(EnergyBudget::deferring(b)),
         };
-        let quarter = (ticks / 4).max(1);
+        let quarter = (config.ticks / 4).max(1);
         // Track the hottest tick so a budget violation names the
         // offending tick, not just the worst energy.
         let mut worst_tick = 0u64;
@@ -303,7 +174,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     println!();
     print!("{}", ServeReport::summary_table(&reports).to_markdown());
-    if arrange {
+    if config.arrange.is_some() {
         println!();
         for r in &reports {
             println!(
@@ -319,7 +190,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if faults.is_some() {
+    if config.faults.is_some() {
         println!();
         for r in &reports {
             let det = r.determined() as f64 / (r.evals.max(1)) as f64;
@@ -355,147 +226,47 @@ pub fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies one fault-injection flag, shared by `serve` and
-/// `serve --daemon`, to `faults`. Returns how many arguments the flag
-/// consumed, or `None` when `flag` is not a fault flag.
-pub(crate) fn parse_fault_flag(
-    flag: &str,
-    value: Option<&String>,
-    faults: &mut Option<FaultSpec>,
-) -> Result<Option<usize>, String> {
-    fn parse<T: std::str::FromStr>(
-        flag: &str,
-        value: Option<&String>,
-        what: &str,
-    ) -> Result<T, String> {
-        value
-            .ok_or_else(|| format!("{flag} expects a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} expects {what}"))
-    }
-    let share = |what: &str| {
-        let x: f64 = parse(flag, value, "a number")?;
-        if x.is_finite() && (0.0..=1.0).contains(&x) {
-            Ok(x)
-        } else {
-            Err(format!("{flag} expects {what}"))
-        }
-    };
-    let mut spec = faults.unwrap_or_default();
-    let used = match flag {
-        "--faults" => 1,
-        "--no-stale" => {
-            spec.stale_serve = false;
-            1
-        }
-        "--fault-seed" => {
-            spec.seed = parse(flag, value, "an integer")?;
-            2
-        }
-        "--fault-rate" => {
-            spec.transient_rate = share("a probability in [0, 1]")?;
-            2
-        }
-        "--outage-streams" => {
-            spec.outage_streams = share("a share in [0, 1]")?;
-            2
-        }
-        "--outage-len" => {
-            spec.outage_len = parse(flag, value, "an integer")?;
-            2
-        }
-        "--outage-gap" => {
-            spec.outage_gap = parse(flag, value, "an integer")?;
-            2
-        }
-        "--retries" => {
-            spec.max_attempts = parse(flag, value, "an integer >= 1")
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "--retries expects an integer >= 1".to_string())?;
-            2
-        }
-        _ => return Ok(None),
-    };
-    *faults = Some(spec);
-    Ok(Some(used))
-}
-
 #[cfg(test)]
 mod tests {
+    fn run(args: &str) -> Result<(), String> {
+        let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        super::run(&args)
+    }
+
     #[test]
     fn serves_poisson_with_budget_end_to_end() {
-        super::run(&[
-            "--queries".into(),
-            "6".into(),
-            "--ticks".into(),
-            "40".into(),
-            "--arrivals".into(),
-            "poisson".into(),
-            "--rate".into(),
-            "0.6".into(),
-            "--budget".into(),
-            "30".into(),
-            "--compare".into(),
-        ])
-        .unwrap();
+        run("--queries 6 --ticks 40 --arrivals poisson --rate 0.6 --budget 30 --compare").unwrap();
     }
 
     #[test]
     fn serves_periodic_accept_all() {
-        super::run(&[
-            "--queries".into(),
-            "4".into(),
-            "--ticks".into(),
-            "20".into(),
-            "--arrivals".into(),
-            "periodic".into(),
-            "--every".into(),
-            "2".into(),
-            "--no-drift".into(),
-        ])
-        .unwrap();
+        run("--queries 4 --ticks 20 --arrivals periodic --every 2 --no-drift").unwrap();
     }
 
     #[test]
     fn serves_under_fault_injection_with_budget() {
-        super::run(&[
-            "--queries".into(),
-            "6".into(),
-            "--ticks".into(),
-            "40".into(),
-            "--arrivals".into(),
-            "periodic".into(),
-            "--budget".into(),
-            "60".into(),
-            "--faults".into(),
-            "--fault-seed".into(),
-            "42".into(),
-            "--outage-streams".into(),
-            "0.5".into(),
-            "--retries".into(),
-            "2".into(),
-        ])
+        run(
+            "--queries 6 --ticks 40 --arrivals periodic --budget 60 --faults --fault-seed 42 \
+             --outage-streams 0.5 --retries 2",
+        )
         .unwrap();
     }
 
     #[test]
     fn rejects_bad_flags() {
-        assert!(super::run(&["--bogus".into()]).is_err());
-        assert!(super::run(&["--arrivals".into(), "nope".into()]).is_err());
-        assert!(super::run(&["--planner".into(), "nope".into()]).is_err());
-        assert!(super::run(&["--queries".into(), "0".into()]).is_err());
-        assert!(super::run(&["--rate".into(), "0".into()]).is_err());
-        assert!(super::run(&["--fault-rate".into(), "1.5".into()]).is_err());
-        assert!(super::run(&["--outage-streams".into(), "-0.1".into()]).is_err());
-        assert!(super::run(&["--retries".into(), "0".into()]).is_err());
-        assert!(super::run(&[
-            "--arrivals".into(),
-            "periodic".into(),
-            "--every".into(),
-            "0".into()
-        ])
-        .is_err());
-        assert!(super::run(&["--budget".into(), "-1".into()]).is_err());
+        for bad in [
+            "--bogus",
+            "--arrivals nope",
+            "--planner nope",
+            "--queries 0",
+            "--rate 0",
+            "--fault-rate 1.5",
+            "--outage-streams -0.1",
+            "--retries 0",
+            "--arrivals periodic --every 0",
+            "--budget -1",
+        ] {
+            assert!(run(bad).is_err(), "{bad}");
+        }
     }
 }

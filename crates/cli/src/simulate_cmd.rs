@@ -6,36 +6,37 @@
 //! leaf probabilities from a warm-up trace, schedules with the paper's
 //! best heuristic, and reports measured energy.
 
-use crate::{compile, parse_common};
+use crate::compile;
+use crate::flags::{costs, Flags};
 use paotr_core::plan::Engine;
 use paotr_qlang::Expr;
+use std::collections::HashMap;
 use stream_sim::{run_pipeline, MemoryPolicy, PipelineConfig, SensorModel, SensorSource};
 
-pub fn run(args: &[String]) -> Result<(), String> {
-    let common = parse_common(args)?;
-    let mut evals = 1000usize;
-    let mut policy = MemoryPolicy::ClearEachQuery;
-    let mut seed = 1u64;
-    for (flag, value) in &common.rest {
-        match flag.as_str() {
-            "--evals" => {
-                evals = value
-                    .as_deref()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--evals expects an integer")?;
-            }
-            "--retain" => policy = MemoryPolicy::Retain,
-            "--seed" => {
-                seed = value
-                    .as_deref()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed expects an integer")?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
+pub(crate) struct Options {
+    costs: HashMap<String, f64>,
+    evals: usize,
+    policy: MemoryPolicy,
+    seed: u64,
+}
 
-    let (expr, compiled) = compile(&common)?;
+pub(crate) fn options(flags: &mut Flags) -> Result<Options, String> {
+    Ok(Options {
+        costs: costs(flags)?,
+        evals: flags.or("--evals", 1000, "an integer")?,
+        policy: if flags.switch("--retain")? {
+            MemoryPolicy::Retain
+        } else {
+            MemoryPolicy::ClearEachQuery
+        },
+        seed: flags.or("--seed", 1, "an integer")?,
+    })
+}
+
+pub fn run(args: &[String]) -> Result<(), String> {
+    let (query, flags) = Flags::after_query(args)?;
+    let opts = flags.read(options)?;
+    let (expr, compiled) = compile(&query, &opts.costs)?;
     let query = paotr_qlang::to_sim_query(&expr, &compiled)
         .ok_or("simulate supports DNF-shaped queries")?;
 
@@ -61,11 +62,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .collect();
 
     let config = PipelineConfig {
-        warmup_evaluations: (evals / 5).max(50),
-        measure_evaluations: evals,
+        warmup_evaluations: (opts.evals / 5).max(50),
+        measure_evaluations: opts.evals,
         ticks_between: 1,
-        policy,
-        seed,
+        policy: opts.policy,
+        seed: opts.seed,
     };
     // The engine picks the class default: Greiner on read-once queries,
     // the paper's best heuristic on shared ones. Calibration re-plans

@@ -1,7 +1,9 @@
 //! Unit tests for CLI argument handling.
 
-use crate::{parse_common, plan_by_name};
+use crate::flags::{costs, Flags};
+use crate::plan_by_name;
 use paotr_core::plan::Engine;
+use std::collections::HashMap;
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -10,35 +12,156 @@ fn args(list: &[&str]) -> Vec<String> {
 #[test]
 fn parses_query_and_costs() {
     let a = args(&["A < 1 AND B < 2", "--costs", "A=2,B=0.5"]);
-    let c = parse_common(&a).unwrap();
-    assert_eq!(c.query, "A < 1 AND B < 2");
-    assert_eq!(c.costs["A"], 2.0);
-    assert_eq!(c.costs["B"], 0.5);
-    assert!(c.rest.is_empty());
+    let (query, flags) = Flags::after_query(&a).unwrap();
+    assert_eq!(query, "A < 1 AND B < 2");
+    let c = flags.read(costs).unwrap();
+    assert_eq!(c["A"], 2.0);
+    assert_eq!(c["B"], 0.5);
+    assert_eq!(c.len(), 2);
 }
 
 #[test]
 fn collects_unknown_flags_for_subcommands() {
-    let a = args(&["A < 1", "--heuristic", "leaf-inc-c", "--all"]);
-    let c = parse_common(&a).unwrap();
-    assert_eq!(c.rest.len(), 2);
-    assert_eq!(
-        c.rest[0],
-        ("--heuristic".to_string(), Some("leaf-inc-c".to_string()))
-    );
-    assert_eq!(c.rest[1], ("--all".to_string(), None));
+    let a = args(&["--heuristic", "leaf-inc-c", "--all", "--bogus"]);
+    let read = |flags: &mut Flags| {
+        let name = flags.text("--heuristic", "a planner name")?;
+        Ok((name, flags.switch("--all")?))
+    };
+    let (name, all) = read(&mut Flags::parse(&a).unwrap()).unwrap();
+    assert_eq!(name.as_deref(), Some("leaf-inc-c"));
+    assert!(all);
+    // the first flag nothing asked for is the error
+    let err = Flags::parse(&a).unwrap().read(read).unwrap_err();
+    assert_eq!(err, "unknown flag `--bogus`");
 }
 
 #[test]
 fn rejects_missing_query() {
-    assert!(parse_common(&args(&[])).is_err());
-    assert!(parse_common(&args(&["--costs", "A=1"])).is_err());
+    assert!(Flags::after_query(&args(&[])).is_err());
+    assert!(Flags::after_query(&args(&["--costs", "A=1"])).is_err());
+    // a bare token is neither a flag nor a flag's value
+    assert!(Flags::after_query(&args(&["A < 1", "--costs", "A=1", "B"])).is_err());
 }
 
 #[test]
 fn rejects_malformed_costs() {
-    assert!(parse_common(&args(&["A < 1", "--costs", "A"])).is_err());
-    assert!(parse_common(&args(&["A < 1", "--costs", "A=x"])).is_err());
+    for bad in [&["--costs", "A"][..], &["--costs", "A=x"], &["--costs"]] {
+        assert!(Flags::parse(&args(bad)).unwrap().read(costs).is_err());
+    }
+}
+
+#[test]
+fn the_last_occurrence_wins_and_errors_name_the_flag() {
+    let a = args(&[
+        "--seed", "1", "--seed", "2", "--budget", "-1", "--ticks", "x",
+    ]);
+    let mut flags = Flags::parse(&a).unwrap();
+    assert_eq!(flags.get::<u64>("--seed", "an integer"), Ok(Some(2)));
+    // a value starting with a single `-` is still the flag's value
+    assert_eq!(flags.text("--budget", "a number"), Ok(Some("-1".into())));
+    assert_eq!(
+        flags.get::<usize>("--ticks", "an integer"),
+        Err("--ticks expects an integer".into())
+    );
+    assert_eq!(flags.or("--every", 7u64, "an integer"), Ok(7));
+    let mut flags = Flags::parse(&args(&["--planner", "--all"])).unwrap();
+    assert_eq!(
+        flags.text("--planner", "a planner name"),
+        Err("--planner expects a planner name".into())
+    );
+}
+
+/// A switch followed by a bare token used to swallow it silently.
+#[test]
+fn switches_given_a_value_are_refused() {
+    let err =
+        crate::simulate_cmd::run(&args(&["A < 1", "--retain", "5", "--evals", "10"])).unwrap_err();
+    assert!(err.contains("--retain"), "{err}");
+    assert!(crate::schedule_cmd::run(&args(&["A < 1", "--all", "x"])).is_err());
+    assert!(crate::schedule_cmd::run(&args(&["A < 1", "--optimal", "x"])).is_err());
+}
+
+/// The general-tree branch of `schedule` used to return before any
+/// flag was checked.
+#[test]
+fn schedule_checks_flags_on_general_trees() {
+    let query = "(A < 1 OR B < 2) AND C < 3";
+    assert!(crate::schedule_cmd::run(&args(&[query, "--bogus"])).is_err());
+    assert!(crate::schedule_cmd::run(&args(&[query, "--seed", "x"])).is_err());
+    crate::schedule_cmd::run(&args(&[query, "--costs", "A=2"])).unwrap();
+}
+
+/// `check workload --budget NaN` used to print `OK (0 violations)`.
+#[test]
+fn budgets_must_be_finite_and_non_negative_everywhere() {
+    for bad in ["NaN", "inf", "-1"] {
+        let check = args(&["workload", "--queries", "2", "--budget", bad]);
+        assert!(crate::check_cmd::run(&check).is_err(), "check {bad}");
+        for flag in ["--budget", "--check-budget"] {
+            let serve = args(&["--queries", "2", "--ticks", "2", flag, bad]);
+            assert!(crate::serve_cmd::run(&serve).is_err(), "serve {flag} {bad}");
+        }
+        let daemon = args(&["--daemon", "--budget", bad]);
+        assert!(crate::serve_cmd::run(&daemon).is_err(), "daemon {bad}");
+    }
+}
+
+/// The flag names in the `--help` usage entry that starts with
+/// `usage`.
+fn help_flags(usage: &str) -> Vec<String> {
+    let entry: Vec<String> = crate::help()
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .skip_while(|l| !l.starts_with(usage))
+        .enumerate()
+        .take_while(|(i, l)| *i == 0 || l.starts_with('['))
+        .map(|(_, l)| l)
+        .collect();
+    assert!(!entry.is_empty(), "no help entry `{usage}`");
+    entry
+        .join(" ")
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.starts_with("--") && *w != "--daemon")
+        .map(str::to_string)
+        .collect()
+}
+
+/// The flag names `options` asks [`Flags`] for.
+fn asked<T>(options: fn(&mut Flags) -> Result<T, String>) -> Vec<String> {
+    let mut flags = Flags::parse(&[]).unwrap();
+    assert!(options(&mut flags).is_ok(), "defaults must be valid");
+    flags.asked.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn help_lists_exactly_the_flags_each_subcommand_reads() {
+    let entries: [(&str, Vec<String>); 8] = [
+        ("paotr schedule", asked(crate::schedule_cmd::options)),
+        ("paotr explain", asked(costs)),
+        ("paotr simulate", asked(crate::simulate_cmd::options)),
+        ("paotr workload", asked(crate::workload_cmd::options)),
+        ("paotr serve [", asked(crate::serve_cmd::options)),
+        ("paotr serve --daemon", asked(crate::daemon_cmd::options)),
+        ("paotr check query", asked(costs)),
+        (
+            "paotr check workload",
+            asked(crate::check_cmd::workload_options),
+        ),
+    ];
+    for (usage, mut read) in entries {
+        let mut listed = help_flags(usage);
+        for names in [&mut read, &mut listed] {
+            names.sort();
+            names.dedup();
+        }
+        assert_eq!(read, listed, "`{usage}`: flags read vs. flags in --help");
+    }
+}
+
+#[test]
+fn compile_reports_parse_errors_with_rendering() {
+    let err = crate::compile("A <", &HashMap::new()).unwrap_err();
+    assert!(err.contains('^'), "rendered caret expected: {err}");
 }
 
 #[test]
@@ -80,14 +203,6 @@ fn seed_flag_reaches_the_random_heuristic() {
         .map(|s| plan_by_name(&engine, "leaf-random", s, &dnf, &query.catalog).unwrap())
         .any(|p| p != a);
     assert!(c, "some seed must permute four leaves differently");
-}
-
-#[test]
-fn compile_reports_parse_errors_with_rendering() {
-    let a = args(&["A <"]);
-    let c = parse_common(&a).unwrap();
-    let err = crate::compile(&c).unwrap_err();
-    assert!(err.contains('^'), "rendered caret expected: {err}");
 }
 
 #[test]

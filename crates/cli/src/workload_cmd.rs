@@ -6,89 +6,52 @@
 //! validates predictions against the energy measured by serving every
 //! query every tick through `paotr_exec`'s serve loop.
 
+use crate::flags::{planner_lineup, Flags, WorkloadSpec};
 use paotr_core::plan::Engine;
 use paotr_exec::{compare, ServeConfig};
-use paotr_gen::workload::{workload_instance, WorkloadConfig};
-use paotr_multi::{
-    default_planners, planner_by_name, SharedGreedyPlanner, Workload, WorkloadPlanner,
-};
+use paotr_multi::{SharedGreedyPlanner, WorkloadPlanner};
 
-pub fn run(args: &[String]) -> Result<(), String> {
-    let mut queries = 16usize;
-    let mut overlap = 0.5f64;
-    let mut seed = 0usize;
-    let mut evals = 300usize;
-    let mut planner: Option<String> = None;
-    let mut compare_all = false;
-    let mut simulate = true;
-    let mut threads: Option<usize> = None;
+pub(crate) struct Options {
+    spec: WorkloadSpec,
+    evals: usize,
+    planners: Vec<Box<dyn WorkloadPlanner>>,
+    simulate: bool,
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        let take = |name: &str| -> Result<String, String> {
-            value
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag {
-            "--queries" => {
-                queries = take("--queries")?
-                    .parse()
-                    .map_err(|_| "--queries expects an integer".to_string())?;
-                i += 2;
+pub(crate) fn options(flags: &mut Flags) -> Result<Options, String> {
+    let spec = WorkloadSpec::read(flags)?;
+    let evals = flags.or("--evals", 300, "an integer")?;
+    let mut planners = planner_lineup(flags)?;
+    let simulate = !flags.switch("--no-sim")?;
+    // `--threads` pins shared-greedy's per-round fan-out (planning
+    // results are identical at any thread count; this is a wall-clock
+    // knob).
+    if let Some(t) = flags.count("--threads")? {
+        for p in &mut planners {
+            if p.name() == "shared-greedy" {
+                *p = Box::new(SharedGreedyPlanner {
+                    threads: paotr_par::ThreadCount::Fixed(t),
+                });
             }
-            "--overlap" => {
-                overlap = take("--overlap")?
-                    .parse()
-                    .map_err(|_| "--overlap expects a number in [0, 1]".to_string())?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-                i += 2;
-            }
-            "--evals" => {
-                evals = take("--evals")?
-                    .parse()
-                    .map_err(|_| "--evals expects an integer".to_string())?;
-                i += 2;
-            }
-            "--planner" => {
-                planner = Some(take("--planner")?);
-                i += 2;
-            }
-            "--compare" => {
-                compare_all = true;
-                i += 1;
-            }
-            "--no-sim" => {
-                simulate = false;
-                i += 1;
-            }
-            "--threads" => {
-                let t: usize = take("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects an integer >= 1".to_string())?;
-                if t == 0 {
-                    return Err("--threads expects an integer >= 1".into());
-                }
-                threads = Some(t);
-                i += 2;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if queries == 0 {
-        return Err("--queries must be at least 1".into());
-    }
+    Ok(Options {
+        spec,
+        evals,
+        planners,
+        simulate,
+    })
+}
 
-    let config = WorkloadConfig::with_overlap(queries, overlap);
-    let (trees, catalog) = workload_instance(config, seed);
-    let workload = Workload::from_trees(trees, catalog).map_err(|e| e.to_string())?;
+pub fn run(args: &[String]) -> Result<(), String> {
+    let Options {
+        spec,
+        evals,
+        planners,
+        simulate,
+    } = Flags::parse(args)?.read(options)?;
+    let seed = spec.seed;
+    let workload = spec.build()?;
     let engine = Engine::new();
 
     let interference = workload.interference(&engine).map_err(|e| e.to_string())?;
@@ -109,44 +72,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     );
     println!();
 
-    // `--threads` pins shared-greedy's per-round fan-out (planning
-    // results are identical at any thread count; this is a wall-clock
-    // knob).
-    let with_threads = |mut planners: Vec<Box<dyn WorkloadPlanner>>| {
-        if let Some(t) = threads {
-            for p in &mut planners {
-                if p.name() == "shared-greedy" {
-                    *p = Box::new(SharedGreedyPlanner {
-                        threads: paotr_par::ThreadCount::Fixed(t),
-                    });
-                }
-            }
-        }
-        planners
-    };
-
-    let planners = with_threads(if compare_all {
-        default_planners()
-    } else {
-        let name = planner.as_deref().unwrap_or("shared-greedy");
-        let chosen = planner_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown workload planner `{name}` (expected one of: {})",
-                paotr_multi::planner_names().join(", ")
-            )
-        })?;
-        if name == "independent" {
-            vec![chosen]
-        } else {
-            // keep the baseline so sharing ratio / sim speedup are defined
-            vec![planner_by_name("independent").expect("built-in"), chosen]
-        }
-    });
-
     let sim = simulate.then_some(ServeConfig {
         ticks: evals,
-        seed: seed as u64,
-        ticks_between: 1,
+        seed,
         ..Default::default()
     });
     let outcomes = compare(&workload, &engine, &planners, sim).map_err(|e| e.to_string())?;
@@ -197,51 +125,36 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    fn run(args: &str) -> Result<(), String> {
+        let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        super::run(&args)
+    }
+
     #[test]
     fn runs_compare_end_to_end() {
-        super::run(&[
-            "--queries".into(),
-            "6".into(),
-            "--overlap".into(),
-            "0.6".into(),
-            "--evals".into(),
-            "40".into(),
-            "--compare".into(),
-        ])
-        .unwrap();
+        run("--queries 6 --overlap 0.6 --evals 40 --compare").unwrap();
     }
 
     #[test]
     fn runs_single_planner_without_simulation() {
-        super::run(&[
-            "--queries".into(),
-            "4".into(),
-            "--planner".into(),
-            "batch-aware".into(),
-            "--no-sim".into(),
-        ])
-        .unwrap();
+        run("--queries 4 --planner batch-aware --no-sim").unwrap();
     }
 
     #[test]
     fn rejects_unknown_flags_and_planners() {
-        assert!(super::run(&["--bogus".into()]).is_err());
-        assert!(super::run(&["--planner".into(), "nope".into()]).is_err());
-        assert!(super::run(&["--queries".into(), "0".into()]).is_err());
-        assert!(super::run(&["--threads".into(), "zero".into()]).is_err());
-        assert!(super::run(&["--threads".into(), "0".into()]).is_err());
+        for bad in [
+            "--bogus",
+            "--planner nope",
+            "--queries 0",
+            "--threads zero",
+            "--threads 0",
+        ] {
+            assert!(run(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn threads_flag_pins_the_shared_greedy_pool() {
-        super::run(&[
-            "--queries".into(),
-            "5".into(),
-            "--threads".into(),
-            "2".into(),
-            "--no-sim".into(),
-            "--compare".into(),
-        ])
-        .unwrap();
+        run("--queries 5 --threads 2 --no-sim --compare").unwrap();
     }
 }

@@ -198,3 +198,114 @@ fn invalid_snapshots_are_refused_without_a_panic_or_a_rewrite() {
         assert_eq!(after, bytes, "{name}: the snapshot file was rewritten");
     }
 }
+
+/// `serve --arrange-grace N` without `--arrange` used to serve with
+/// arrangements off, while the daemon turned them on.
+#[test]
+fn arrange_grace_alone_turns_arrangements_on() {
+    let out = Command::new(BIN)
+        .args([
+            "serve",
+            "--queries",
+            "4",
+            "--ticks",
+            "10",
+            "--arrivals",
+            "periodic",
+            "--planner",
+            "independent",
+            "--arrange-grace",
+            "3",
+        ])
+        .output()
+        .expect("run serve");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("arrangements ["), "{stdout}");
+}
+
+/// The benchmark's launch path: the daemon takes every flag the load
+/// generator emits, applies each one to its config, and prints the
+/// listening address as its first stderr line (the load generator
+/// reads the port from it).
+#[test]
+fn daemon_applies_every_launch_flag_and_announces_its_address_first() {
+    use paotr_serverd::json::{parse, Json};
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+
+    let mut child = Command::new(BIN)
+        .args([
+            "serve",
+            "--daemon",
+            "--seed",
+            "7",
+            "--planner",
+            "batch-aware",
+        ])
+        .args(["--replan-after", "5", "--max-sessions", "32"])
+        .args(["--max-window", "48", "--budget", "250.5", "--shed"])
+        .args(["--arrange-grace", "3", "--fault-seed", "9"])
+        .args(["--fault-rate", "0.02", "--outage-streams", "0.25"])
+        .args(["--outage-len", "6", "--outage-gap", "40", "--retries", "2"])
+        .args(["--no-stale", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut first = String::new();
+    stderr.read_line(&mut first).unwrap();
+    let Some(addr) = first.trim_end().strip_prefix("daemon listening on ") else {
+        child.kill().ok();
+        panic!("first stderr line must announce the address: {first:?}");
+    };
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        parse(reply.trim_end()).expect("a JSON reply")
+    };
+    let reply = ask(r#"{"cmd":"snapshot"}"#);
+    ask(r#"{"cmd":"shutdown"}"#);
+    assert!(child.wait().expect("daemon exit").success());
+
+    let config = reply
+        .get("snapshot")
+        .and_then(|s| s.get("config"))
+        .unwrap_or_else(|| panic!("no inline config: {}", reply.to_string_compact()));
+    let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_f64);
+    assert_eq!(config.get("seed").and_then(Json::as_u64), Some(7));
+    assert_eq!(
+        config.get("planner").and_then(Json::as_str),
+        Some("batch-aware")
+    );
+    assert_eq!(num(config, "budget"), Some(250.5));
+    assert_eq!(config.get("defer").and_then(Json::as_bool), Some(false));
+    assert_eq!(config.get("replan_after").and_then(Json::as_u64), Some(5));
+    assert_eq!(config.get("max_sessions").and_then(Json::as_u64), Some(32));
+    assert_eq!(config.get("max_window").and_then(Json::as_u64), Some(48));
+    let arrange = config
+        .get("arrange")
+        .expect("--arrange-grace turns arrangements on");
+    assert_eq!(arrange.get("grace").and_then(Json::as_u64), Some(3));
+    let faults = config.get("faults").expect("fault flags turn faults on");
+    assert_eq!(faults.get("seed").and_then(Json::as_u64), Some(9));
+    assert_eq!(num(faults, "transient_rate"), Some(0.02));
+    assert_eq!(num(faults, "outage_streams"), Some(0.25));
+    assert_eq!(faults.get("outage_len").and_then(Json::as_u64), Some(6));
+    assert_eq!(faults.get("outage_gap").and_then(Json::as_u64), Some(40));
+    assert_eq!(faults.get("max_attempts").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        faults.get("stale_serve").and_then(Json::as_bool),
+        Some(false)
+    );
+}

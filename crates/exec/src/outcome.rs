@@ -169,7 +169,6 @@ mod tests {
             Some(ServeConfig {
                 ticks: 120,
                 seed: 5,
-                ticks_between: 1,
                 ..Default::default()
             }),
         )
@@ -204,7 +203,6 @@ mod tests {
             Some(ServeConfig {
                 ticks: 60,
                 seed: 9,
-                ticks_between: 1,
                 ..Default::default()
             }),
         )

@@ -65,8 +65,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Arrival process applied to every query.
     pub arrivals: ArrivalSpec,
-    /// Sensor ticks between consecutive serve ticks.
-    pub ticks_between: usize,
     /// Drift-triggered re-planning; `None` disables it.
     pub drift: Option<DriftConfig>,
     /// Maintain the joint plan's materialization set as persistent
@@ -89,7 +87,6 @@ impl Default for ServeConfig {
             ticks: 400,
             seed: 0,
             arrivals: ArrivalSpec::Periodic { every: 1 },
-            ticks_between: 1,
             drift: None,
             arrange: None,
             faults: None,
@@ -551,8 +548,9 @@ impl ServeLoop {
             }
             on_tick(&stats);
 
+            // Every stream advances one sensor tick per serve tick.
             for s in &mut streams {
-                s.advance_by(self.config.ticks_between.max(1), &mut rng);
+                s.advance_by(1, &mut rng);
             }
         }
 

@@ -139,8 +139,6 @@ mod tests {
             ServeConfig {
                 ticks: 4000,
                 seed: 11,
-                // decorrelate consecutive windows
-                ticks_between: 4,
                 ..Default::default()
             },
         );
@@ -166,7 +164,6 @@ mod tests {
         let cfg = ServeConfig {
             ticks: 300,
             seed: 3,
-            ticks_between: 1,
             ..Default::default()
         };
         let indep = serve(&w, &IndependentPlanner.plan(&w, &engine).unwrap(), cfg);

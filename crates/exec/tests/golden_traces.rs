@@ -69,7 +69,6 @@ fn seed_scenario_traces_match_pre_refactor() {
     let cfg = ServeConfig {
         ticks: 300,
         seed: 3,
-        ticks_between: 1,
         ..Default::default()
     };
 
@@ -128,7 +127,6 @@ fn bench_shape_traces_match_pre_refactor() {
         let cfg = ServeConfig {
             ticks: 50,
             seed: 1,
-            ticks_between: 1,
             ..Default::default()
         };
         check(
@@ -155,7 +153,6 @@ fn bench4_per_query_traces_match_pre_refactor() {
     let cfg = ServeConfig {
         ticks: 50,
         seed: 1,
-        ticks_between: 1,
         ..Default::default()
     };
     check(

@@ -31,7 +31,6 @@ fn run() -> ServeReport {
         ticks: 150,
         seed: 11,
         arrivals: ArrivalSpec::Poisson { rate: 0.8 },
-        ticks_between: 1,
         drift: Some(DriftConfig {
             tolerance: 0.12,
             min_samples: 20,

@@ -41,7 +41,6 @@ fn shared_greedy_simulated_energy_beats_independent_on_16_query_workload() {
     let cfg = ServeConfig {
         ticks: 250,
         seed: 42,
-        ticks_between: 1,
         ..Default::default()
     };
     let serve = |joint: &JointPlan| {
@@ -74,7 +73,6 @@ fn compare_table_reports_sharing_ratio_and_speedup_for_every_planner() {
         Some(ServeConfig {
             ticks: 120,
             seed: 7,
-            ticks_between: 1,
             ..Default::default()
         }),
     )

@@ -73,7 +73,6 @@ pub fn run(opts: &Options) -> Vec<Row> {
                     Some(ServeConfig {
                         ticks: 120,
                         seed: opts.seed ^ index as u64,
-                        ticks_between: 1,
                         ..Default::default()
                     }),
                 )

@@ -20,7 +20,7 @@ use crate::{Error, Result};
 use paotr_core::leaf::LeafRef;
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
-use paotr_core::stream::StreamCatalog;
+use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_core::tree::DnfTree;
 use paotr_exec::{DriftState, TickQuery};
 use paotr_multi::{plan_schedule, planner_by_name, Workload, WorkloadQuery};
@@ -34,6 +34,48 @@ use stream_sim::{SimLeaf, SimQuery};
 /// the ceiling keeps one configuration value from wedging or aborting
 /// the daemon at its first tick.
 pub const MAX_WINDOW: u32 = 65_536;
+
+/// The one path from a query source to a session's query, shared by
+/// `register` and snapshot restore: parse, compile, lower to an
+/// executable query, and remap each of its streams to the id
+/// `resolve(name, cost)` returns. Also returns each leaf's `@`
+/// annotation (default 0.5) in term-major order. A source that cannot
+/// become a session's query is reported through `invalid`.
+pub(crate) fn session_query<E>(
+    source: &str,
+    invalid: impl Fn(String) -> E,
+    mut resolve: impl FnMut(&str, f64) -> std::result::Result<StreamId, E>,
+) -> std::result::Result<(SimQuery, Vec<f64>), E> {
+    let not_dnf = || invalid("query is not in DNF shape (OR of ANDs of predicates)".into());
+    let expr = qlang::parse(source)
+        .map_err(|e| invalid(format!("{} (at offset {})", e.message, e.offset)))?;
+    let compiled =
+        qlang::compile(&expr, &std::collections::HashMap::new()).map_err(|e| invalid(e.message))?;
+    let dnf = compiled.tree.as_dnf().ok_or_else(not_dnf)?;
+    let local = qlang::to_sim_query(&expr, &compiled).ok_or_else(not_dnf)?;
+    let map = (0..compiled.catalog.len())
+        .map(|k| {
+            let local = StreamId(k);
+            resolve(&compiled.catalog.name(local), compiled.catalog.cost(local))
+        })
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let sim = SimQuery::new(
+        local
+            .terms()
+            .iter()
+            .map(|term| {
+                term.iter()
+                    .map(|l| SimLeaf {
+                        stream: map[l.stream.0],
+                        predicate: l.predicate,
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
+    .map_err(|e| invalid(format!("invalid query: {e}")))?;
+    Ok((sim, dnf.leaves().map(|(_, l)| l.prob.value()).collect()))
+}
 
 /// One live registered query.
 #[derive(Debug, Clone)]
@@ -167,15 +209,21 @@ impl SessionRegistry {
                 "weight {weight} must be a finite value > 0"
             )));
         }
-        let expr = qlang::parse(source)
-            .map_err(|e| Error::Query(format!("{} (at offset {})", e.message, e.offset)))?;
-        let compiled = qlang::compile(&expr, &std::collections::HashMap::new())
-            .map_err(|e| Error::Query(e.message))?;
-        let local_sim = qlang::to_sim_query(&expr, &compiled).ok_or_else(|| {
-            Error::Query("query is not in DNF shape (OR of ANDs of predicates)".into())
+        // Unknown streams get the next free ids but join the union
+        // catalog (first registration fixes a stream's cost) only once
+        // the query passes the window limit, so a refused query leaves
+        // the catalog as it was.
+        let base = self.catalog.len();
+        let mut fresh: Vec<(String, f64)> = Vec::new();
+        let catalog = &self.catalog;
+        let (sim, priors) = session_query(source, Error::Query, |name, cost| {
+            Ok(catalog.find(name).unwrap_or_else(|| {
+                fresh.push((name.to_string(), cost));
+                StreamId(base + fresh.len() - 1)
+            }))
         })?;
-        let widest = local_sim
-            .max_windows(compiled.catalog.len())
+        let widest = sim
+            .max_windows(base + fresh.len())
             .into_iter()
             .max()
             .unwrap_or(0);
@@ -185,46 +233,13 @@ impl SessionRegistry {
                 self.max_window
             )));
         }
-
-        // Merge the query's streams into the union catalog (by name;
-        // first registration fixes a stream's cost) and remap.
-        let mut map = Vec::with_capacity(compiled.catalog.len());
-        for k in 0..compiled.catalog.len() {
-            let local = paotr_core::stream::StreamId(k);
-            let name = compiled.catalog.name(local);
-            let global = match self.catalog.find(&name) {
-                Some(id) => id,
-                None => self
-                    .catalog
-                    .add_named(&name, compiled.catalog.cost(local))
-                    .map_err(|e| Error::Rejected(format!("catalog: {e}")))?,
-            };
-            map.push(global);
+        for (name, cost) in fresh {
+            self.catalog
+                .add_named(&name, cost)
+                .map_err(|e| Error::Rejected(format!("catalog: {e}")))?;
         }
-        let sim = SimQuery::new(
-            local_sim
-                .terms()
-                .iter()
-                .map(|term| {
-                    term.iter()
-                        .map(|l| SimLeaf {
-                            stream: map[l.stream.0],
-                            predicate: l.predicate,
-                        })
-                        .collect()
-                })
-                .collect(),
-        )
-        .map_err(|e| Error::Query(format!("invalid query: {e}")))?;
 
-        // Calibrated probabilities come from the source's `@`
-        // annotations (default 0.5), in flat term-major order.
-        let dnf = compiled
-            .tree
-            .as_dnf()
-            .ok_or_else(|| Error::Query("query is not DNF-shaped".into()))?;
-        let probs: Vec<f64> = dnf.leaves().map(|(_, l)| l.prob.value()).collect();
-        let tree = sim.skeleton(&probs);
+        let tree = sim.skeleton(&priors);
         let id = self.next_id;
         let name = format!("c{id}");
         let schedule = plan_schedule(engine, &tree, &self.catalog, &name)

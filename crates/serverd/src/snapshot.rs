@@ -22,14 +22,13 @@
 
 use crate::daemon::{session_acquisitions, Config};
 use crate::json::{parse, Json, JsonError};
-use crate::registry::{schedule_from_pairs, Session, SessionRegistry};
+use crate::registry::{schedule_from_pairs, session_query, Session, SessionRegistry};
 use crate::telemetry::Telemetry;
 use crate::Result;
 use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_exec::DriftState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use stream_sim::{SimLeaf, SimQuery};
 
 /// Current snapshot format version. Version 2 added the optional
 /// `arrangements` section (and arrangement telemetry); daemons without
@@ -812,37 +811,13 @@ fn restore_session(
     let state = |field: &str, detail: String| {
         SnapshotViolation::new(Rule::SessionStateInvalid, at(field), detail)
     };
-    let expr = paotr_qlang::parse(&snap.source)
-        .map_err(|e| source(format!("unparseable source: {}", e.message)))?;
-    let compiled = paotr_qlang::compile(&expr, &std::collections::HashMap::new())
-        .map_err(|e| source(e.message))?;
-    let local_sim = paotr_qlang::to_sim_query(&expr, &compiled)
-        .ok_or_else(|| source("source is not DNF-shaped".into()))?;
-    let map = (0..compiled.catalog.len())
-        .map(|k| {
-            let name = compiled.catalog.name(StreamId(k));
-            catalog.find(&name).ok_or_else(|| {
-                let path = format!("sessions[id={}]", snap.id);
-                let detail = format!("stream `{name}` missing from catalog");
-                SnapshotViolation::new(Rule::UnresolvedStream, path, detail)
-            })
+    let (sim, _) = session_query(&snap.source, source, |name, _| {
+        catalog.find(name).ok_or_else(|| {
+            let path = format!("sessions[id={}]", snap.id);
+            let detail = format!("stream `{name}` missing from catalog");
+            SnapshotViolation::new(Rule::UnresolvedStream, path, detail)
         })
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    let sim = SimQuery::new(
-        local_sim
-            .terms()
-            .iter()
-            .map(|term| {
-                term.iter()
-                    .map(|l| SimLeaf {
-                        stream: map[l.stream.0],
-                        predicate: l.predicate,
-                    })
-                    .collect()
-            })
-            .collect(),
-    )
-    .map_err(|e| source(e.to_string()))?;
+    })?;
 
     // One probability in [0, 1] per leaf.
     if snap.calibrated.len() != sim.num_leaves() {
