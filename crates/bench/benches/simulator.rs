@@ -8,8 +8,8 @@ use paotr_core::prelude::*;
 use rand::prelude::*;
 use std::hint::black_box;
 use stream_sim::{
-    Comparator, EnergyMeter, EnergyModel, MemoryPolicy, PipelineConfig, Predicate, Scheduler,
-    SensorModel, SensorSource, SimLeaf, SimQuery, SimStream, WindowOp,
+    Comparator, EnergyMeter, EnergyModel, FaultPlan, FaultySource, MemoryPolicy, PipelineConfig,
+    Predicate, Scheduler, SensorModel, SensorSource, SimLeaf, SimQuery, SimStream, WindowOp,
 };
 
 fn query() -> (SimQuery, StreamCatalog) {
@@ -86,10 +86,12 @@ fn bench_engine_evaluation(c: &mut Criterion) {
     let schedule = DnfSchedule::from_order_unchecked(q.leaf_refs());
     let mut scheduler = Scheduler::new(cat.len(), MemoryPolicy::ClearEachQuery);
     let mut meter = EnergyMeter::new(EnergyModel::from_catalog(&cat));
+    let none = FaultPlan::none();
+    let src = FaultySource::wrap(&streams, &none);
     c.bench_function("engine_evaluate", |b| {
         b.iter(|| {
-            scheduler.begin_tick(&[&q], &streams);
-            black_box(scheduler.run_query(&q, &schedule, &streams, &mut meter, None))
+            scheduler.begin_tick(&[&q], &src);
+            black_box(scheduler.run_query(&q, &schedule, &src, &mut meter, None))
         })
     });
 }

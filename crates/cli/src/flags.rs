@@ -161,6 +161,16 @@ pub(crate) fn costs(flags: &mut Flags) -> Result<HashMap<String, f64>, String> {
     Ok(costs)
 }
 
+/// A share flag such as `--overlap F`: a number in [0, 1] (NaN is
+/// refused), `default` when absent.
+fn share(flags: &mut Flags, name: &'static str, default: f64) -> Result<f64, String> {
+    const WHAT: &str = "a share in [0, 1]";
+    match flags.or(name, default, WHAT)? {
+        x if (0.0..=1.0).contains(&x) => Ok(x),
+        _ => Err(format!("{name} expects {WHAT}")),
+    }
+}
+
 /// `--queries N --overlap F --seed S`: the generated workload.
 pub(crate) struct WorkloadSpec {
     pub queries: usize,
@@ -172,7 +182,7 @@ impl WorkloadSpec {
     pub fn read(flags: &mut Flags) -> Result<WorkloadSpec, String> {
         Ok(WorkloadSpec {
             queries: flags.count("--queries")?.unwrap_or(16),
-            overlap: flags.or("--overlap", 0.5, "a number in [0, 1]")?,
+            overlap: share(flags, "--overlap", 0.5)?,
             seed: flags.or("--seed", 0, "an integer")?,
         })
     }
@@ -235,13 +245,6 @@ pub(crate) fn arrange(flags: &mut Flags) -> Result<Option<ArrangeConfig>, String
 /// The fault-injection flags; any one of them turns faults on, with
 /// [`FaultSpec::default`] for the rest.
 pub(crate) fn faults(flags: &mut Flags) -> Result<Option<FaultSpec>, String> {
-    fn share(flags: &mut Flags, name: &'static str, default: f64) -> Result<f64, String> {
-        const WHAT: &str = "a share in [0, 1]";
-        match flags.or(name, default, WHAT)? {
-            x if x.is_finite() && (0.0..=1.0).contains(&x) => Ok(x),
-            _ => Err(format!("{name} expects {WHAT}")),
-        }
-    }
     let first = flags.asked.len();
     flags.switch("--faults")?;
     let d = FaultSpec::default();

@@ -106,6 +106,44 @@ fn budgets_must_be_finite_and_non_negative_everywhere() {
     }
 }
 
+/// `--overlap NaN` used to build a workload with zero cold streams,
+/// and `-3` one with 156 streams at 0% overlap.
+#[test]
+fn overlap_must_be_a_share_everywhere() {
+    let commands = |overlap: &str| {
+        [
+            (
+                "workload",
+                args(&["--queries", "2", "--no-sim", "--overlap", overlap]),
+            ),
+            (
+                "serve",
+                args(&["--queries", "2", "--ticks", "2", "--overlap", overlap]),
+            ),
+            (
+                "check",
+                args(&["workload", "--queries", "2", "--overlap", overlap]),
+            ),
+        ]
+    };
+    let run = |name: &str, a: &[String]| match name {
+        "workload" => crate::workload_cmd::run(a),
+        "serve" => crate::serve_cmd::run(a),
+        _ => crate::check_cmd::run(a),
+    };
+    for bad in ["NaN", "-3", "1.5"] {
+        for (name, a) in commands(bad) {
+            let expect = Err("--overlap expects a share in [0, 1]".to_string());
+            assert_eq!(run(name, &a), expect, "{name} --overlap {bad}");
+        }
+    }
+    for good in ["0", "1"] {
+        for (name, a) in commands(good) {
+            assert_eq!(run(name, &a), Ok(()), "{name} --overlap {good}");
+        }
+    }
+}
+
 /// The flag names in the `--help` usage entry that starts with
 /// `usage`.
 fn help_flags(usage: &str) -> Vec<String> {

@@ -72,7 +72,6 @@ pub(crate) mod tick;
 pub use admission::{AcceptAll, Admission, AdmissionCtx, AdmissionPolicy, EnergyBudget};
 pub use arrivals::ArrivalSpec;
 pub use outcome::{compare, QueryReport, WorkloadOutcome};
-pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use serve::{DriftConfig, DriftState, ServeConfig, ServeLoop, ServeReport, VerdictRecord};
-pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, Verdict};
+pub use stream_sim::{ArrangeConfig, ArrangeStats, ArrangementStore, FaultSpec, Verdict};
 pub use tick::{run_tick, Tick, TickCounters, TickQuery, TickStats};

@@ -21,15 +21,14 @@ use paotr_core::error::Result;
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
-use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_multi::{outage_catalog, plan_schedule, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Deref;
 use std::sync::Arc;
 use stream_sim::{
-    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord,
-    MemoryPolicy, Scheduler, SimQuery, TraceLog, Verdict,
+    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, FaultPlan,
+    FaultSpec, LeafRecord, MemoryPolicy, Scheduler, SimQuery, TraceLog, Verdict,
 };
 
 /// Cost multiplier applied to dead streams during outage re-planning:

@@ -5,16 +5,18 @@
 //! the admitted queries in joint-plan order, counts their Kleene
 //! verdicts, folds each evaluation's trace into the query's drift
 //! estimator, and settles the shed/defer and energy bookkeeping. Every
-//! read goes through [`FaultySource`] decorators; under the empty fault
-//! plan they are pass-throughs, so faulted and fault-free serving share
-//! this one path, which is what makes determined verdicts bit-for-bit
-//! comparable.
+//! read goes through one [`FaultySource`] view of the tick's streams
+//! under its [`FaultPlan`]; under the empty plan nothing ever fails, so
+//! faulted and fault-free serving share this one path, which is what
+//! makes determined verdicts bit-for-bit comparable.
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::serve::{DriftConfig, DriftState};
 use paotr_core::schedule::DnfSchedule;
-use paotr_faults::{FaultPlan, FaultySource};
-use stream_sim::{EnergyMeter, QueryOutcome, Scheduler, SimQuery, SimStream, TraceLog, Verdict};
+use stream_sim::{
+    EnergyMeter, FaultPlan, FaultySource, QueryOutcome, Scheduler, SimQuery, SimStream, TraceLog,
+    Verdict,
+};
 
 /// The counters every serving layer keeps, updated by [`run_tick`].
 /// The daemon's `Telemetry` and the serve loop's `ServeReport` both
@@ -164,8 +166,8 @@ pub fn run_tick(
     let energy_before = t.meter.total_cost();
     let maintain_before = t.meter.maintain_cost_total();
     let retry_before = t.meter.retry_cost_total();
-    let sources = FaultySource::wrap(t.streams, t.faults);
-    t.scheduler.maintain_tick(&sources, t.meter);
+    let src = FaultySource::wrap(t.streams, t.faults);
+    t.scheduler.maintain_tick(&src, t.meter);
 
     // Execute the admitted set in the joint plan's order so the planned
     // cross-query sharing materializes.
@@ -183,19 +185,19 @@ pub fn run_tick(
         .collect();
     if t.shared {
         let sims: Vec<&SimQuery> = run.iter().map(|&q| queries[q].sim).collect();
-        t.scheduler.begin_tick(&sims, &sources);
+        t.scheduler.begin_tick(&sims, &src);
     }
     let mut drifted = Vec::new();
     for &q in &run {
         let query = &mut queries[q];
         if !t.shared {
             t.scheduler
-                .begin_tick(std::slice::from_ref(query.sim), &sources);
+                .begin_tick(std::slice::from_ref(query.sim), &src);
         }
         let trace = t.drift.is_some().then_some(&mut *t.trace);
         let out = t
             .scheduler
-            .run_query(query.sim, query.schedule, &sources, t.meter, trace);
+            .run_query(query.sim, query.schedule, &src, t.meter, trace);
         counters.evals += 1;
         counters.truths += u64::from(out.verdict == Verdict::True);
         counters.retries += u64::from(out.retries);
@@ -347,8 +349,10 @@ mod tests {
         s: &DnfSchedule,
         streams: &[SimStream],
     ) -> QueryOutcome {
-        scheduler.begin_tick(std::slice::from_ref(&q), streams);
-        scheduler.run_query(q, s, streams, meter, None)
+        let none = FaultPlan::none();
+        let src = FaultySource::wrap(streams, &none);
+        scheduler.begin_tick(std::slice::from_ref(&q), &src);
+        scheduler.run_query(q, s, &src, meter, None)
     }
 
     fn clearing(n_streams: usize) -> Scheduler {

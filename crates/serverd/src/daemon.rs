@@ -30,7 +30,6 @@ use paotr_core::stream::StreamId;
 use paotr_exec::{
     run_tick, AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget, Tick,
 };
-use paotr_faults::{FaultPlan, FaultSpec};
 use paotr_gen::seeds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,8 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use stream_sim::{
-    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy, Scheduler,
-    SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
+    ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, FaultPlan, FaultSpec, MemoryPolicy,
+    Scheduler, SensorModel, SensorSource, SimQuery, SimStream, TraceLog, Verdict,
 };
 
 /// Domain separation for per-stream RNG seeds.

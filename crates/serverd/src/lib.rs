@@ -55,11 +55,11 @@ pub mod snapshot;
 pub(crate) mod telemetry;
 
 pub use daemon::{Config, Daemon, TcpOptions};
-pub use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 pub use registry::{Session, SessionRegistry, MAX_WINDOW};
 pub use snapshot::{
     ArrangeEntrySnap, ArrangeSnap, Rule, Snapshot, SnapshotError, SnapshotViolation,
 };
+pub use stream_sim::{FaultPlan, FaultSpec, FaultySource};
 pub use telemetry::Telemetry;
 
 use std::fmt;

@@ -4,9 +4,8 @@
 //! tick. This is what licenses the strict rules, the arrangement
 //! `maintained_to` bound and `telemetry.ticks == tick` among them.
 
-use paotr_faults::FaultSpec;
 use paotr_gen::{churn_script, ChurnConfig, ChurnEvent};
-use paotr_serverd::{Config, Daemon};
+use paotr_serverd::{Config, Daemon, FaultSpec};
 use stream_sim::ArrangeConfig;
 
 const TICKS: u64 = 120;

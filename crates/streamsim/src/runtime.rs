@@ -3,17 +3,16 @@
 //! Both execution paths of the workspace — the single-query
 //! calibrate–schedule–measure pipeline in [`crate::simulate`], and the
 //! multi-query tick driver `paotr_exec::run_tick` behind the serve loop
-//! and the daemon — run on the three pieces of this module:
+//! and the daemon — run on the two pieces of this module:
 //!
-//! * [`StreamSource`] — the read interface a stream must offer the
-//!   executor (`now` + `recent`, plus `is_out`/`contact_fails` to price
-//!   a sensor contact), implemented by the sensor-backed [`SimStream`]
-//!   and by anything else that can serve windows;
 //! * [`Scheduler`] — the tick-driven pull scheduler: executes any set
 //!   of `(SimQuery, DnfSchedule)` pairs against **one shared
 //!   [`DeviceMemory`]**, coalescing per-stream pulls (a later leaf or
 //!   query only pays for items missing from memory) and applying the
-//!   [`MemoryPolicy`] per tick or per query;
+//!   [`MemoryPolicy`] per tick or per query. It reads the concrete
+//!   [`SimStream`]s through a [`FaultySource`] view, whose
+//!   [`FaultPlan`](crate::FaultPlan) prices each sensor contact (is
+//!   the stream out; does this attempt fail);
 //! * [`EnergyMeter`] — the single energy/trace accounting
 //!   implementation: per-leaf pull pricing through an [`EnergyModel`],
 //!   lifetime totals, and per-stream item counters.
@@ -26,6 +25,7 @@
 
 use crate::device::{DeviceMemory, MemoryPolicy};
 use crate::energy::EnergyModel;
+use crate::faults::FaultySource;
 use crate::query::SimQuery;
 use crate::source::{SensorModel, SensorSource};
 use crate::stream::SimStream;
@@ -35,50 +35,6 @@ use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamId;
 use rand::Rng;
 use std::borrow::Borrow;
-
-/// The read interface the [`Scheduler`] needs from a stream: a clock,
-/// a window read, and the two questions that price a sensor contact
-/// (is the stream out; does this attempt fail). Advancement (producing
-/// items) stays with the owner — the serving loop, the simulation
-/// pipeline — so data stays deterministic under one seed regardless of
-/// how it is executed.
-pub trait StreamSource {
-    /// Timestamp of the most recent item (items are stamped 1, 2, ...;
-    /// 0 means nothing has been produced yet).
-    fn now(&self) -> u64;
-
-    /// The last `n` items, newest first; `None` while fewer exist.
-    fn recent(&self, n: usize) -> Option<Vec<f64>>;
-
-    /// Whether the stream is in a hard outage right now. A source in
-    /// outage cannot be contacted at all: pulls fail without charge and
-    /// arrangement maintenance skips it. Plain sources are never out.
-    fn is_out(&self) -> bool {
-        false
-    }
-
-    /// Whether the `attempt`-th *sensor contact* for the current window
-    /// fails transiently: the radio was woken (and is billed) but no
-    /// data came back. Unlike [`StreamSource::recent`] this carries no
-    /// data — it only prices the read. Decorators such as
-    /// `paotr_faults::FaultySource` key it on `(stream, now, attempt)`
-    /// so a replay under the same fault plan fails identically. Plain
-    /// sources never fail.
-    fn contact_fails(&self, attempt: u32) -> bool {
-        let _ = attempt;
-        false
-    }
-}
-
-impl StreamSource for SimStream {
-    fn now(&self) -> u64 {
-        SimStream::now(self)
-    }
-
-    fn recent(&self, n: usize) -> Option<Vec<f64>> {
-        SimStream::recent(self, n)
-    }
-}
 
 /// Three-valued (Kleene) verdict of a query evaluation. Under fault
 /// injection some leaves may be unreadable; a query still resolves to
@@ -282,21 +238,21 @@ impl Scheduler {
     /// arrangement needs — charged to the meter's maintenance
     /// accounts. Call once per tick, before executing queries; a no-op
     /// without a store.
-    pub fn maintain_tick<S: StreamSource>(&mut self, streams: &[S], meter: &mut EnergyMeter) {
+    pub fn maintain_tick(&mut self, src: &FaultySource<'_>, meter: &mut EnergyMeter) {
         let Some(store) = self.arrangements.as_mut() else {
             return;
         };
         store.begin_tick();
-        for (i, stream) in streams.iter().enumerate() {
+        for (i, stream) in src.streams.iter().enumerate() {
             // An out stream cannot be contacted: its arrangements fall
             // behind and catch up (capped at the ring width) once the
             // outage lifts. Their stale contents stay servable through
             // `serve_stale` in the meantime.
-            if stream.is_out() {
+            let (k, now) = (StreamId(i), stream.now());
+            if src.plan.is_out(k, now) {
                 continue;
             }
-            let k = StreamId(i);
-            let fetched = store.maintain(k, stream.now(), |n| stream.recent(n));
+            let fetched = store.maintain(k, now, |n| stream.recent(n));
             if fetched > 0 {
                 meter.charge_maintenance(k, fetched);
             }
@@ -306,11 +262,8 @@ impl Scheduler {
     /// Applies the memory policy for the evaluation of `queries` at the
     /// current tick: clear everything, or ([`MemoryPolicy::Retain`])
     /// prune items older than the set's per-stream relevance horizon.
-    pub fn begin_tick<Q: Borrow<SimQuery>, S: StreamSource>(
-        &mut self,
-        queries: &[Q],
-        streams: &[S],
-    ) {
+    pub fn begin_tick<Q: Borrow<SimQuery>>(&mut self, queries: &[Q], src: &FaultySource<'_>) {
+        let streams = src.streams;
         if self.policy != MemoryPolicy::Retain {
             self.memory.clear();
             return;
@@ -336,12 +289,12 @@ impl Scheduler {
     /// trace. Call [`Scheduler::begin_tick`] first to apply the memory
     /// policy.
     ///
-    /// Under fault injection (sources that go out, or whose
-    /// [`StreamSource::contact_fails`] fires) evaluation is
-    /// three-valued: an unreadable leaf becomes `unknown` instead of
-    /// aborting. Because the DNF is monotone, the query still resolves
-    /// whenever the *live* leaves determine it — a
-    /// term completing all-true forces [`Verdict::True`], every term
+    /// Under fault injection (streams the view's
+    /// [`FaultPlan`](crate::FaultPlan) holds out, or contacts it fails)
+    /// evaluation is three-valued: an unreadable leaf becomes `unknown`
+    /// instead of aborting. Because the DNF is monotone, the query still
+    /// resolves whenever the *live* leaves determine it — a term
+    /// completing all-true forces [`Verdict::True`], every term
     /// holding a live false leaf forces [`Verdict::False`] — and those
     /// determined verdicts are bit-for-bit what a fault-free run
     /// produces, since live reads see identical data. Early exits only
@@ -357,11 +310,11 @@ impl Scheduler {
     ///
     /// # Panics
     /// Panics if the schedule shape does not match the query.
-    pub fn run_query<S: StreamSource>(
+    pub fn run_query(
         &mut self,
         query: &SimQuery,
         schedule: &DnfSchedule,
-        streams: &[S],
+        src: &FaultySource<'_>,
         meter: &mut EnergyMeter,
         mut trace: Option<&mut TraceLog>,
     ) -> QueryOutcome {
@@ -382,7 +335,7 @@ impl Scheduler {
         let mut deg_failed = vec![false; n_terms];
         let mut deg_unknown = vec![0usize; n_terms];
         let mut alive = n_terms;
-        let mut items_pulled = vec![0u32; streams.len()];
+        let mut items_pulled = vec![0u32; src.streams.len()];
         let mut cost = 0.0;
         let mut evaluated = 0;
         let mut retries = 0u32;
@@ -397,7 +350,7 @@ impl Scheduler {
             }
             let leaf = query.leaf(r);
             let k = leaf.stream;
-            let stream = &streams[k.0];
+            let stream = &src.streams[k.0];
             let now = stream.now();
             let window = leaf.predicate.window;
             // Price the read first: items on the device or covered by a
@@ -409,9 +362,9 @@ impl Scheduler {
             if missing > 0 && store.is_some_and(|s| s.covers(k, now, window)) {
                 missing = 0;
             }
-            let mut live = missing == 0 || !stream.is_out();
+            let mut live = missing == 0 || !src.plan.is_out(k, now);
             let mut failed = 0u32;
-            while live && missing > 0 && stream.contact_fails(failed) {
+            while live && missing > 0 && src.plan.read_fails(k, now, failed) {
                 failed += 1;
                 live = failed < self.max_attempts;
             }
@@ -539,6 +492,7 @@ pub fn gaussian_streams<R: Rng + ?Sized>(horizons: &[u32], rng: &mut R) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, FaultSpec};
     use crate::predicate::{Comparator, Predicate, WindowOp};
     use crate::query::SimLeaf;
     use paotr_core::stream::StreamCatalog;
@@ -581,8 +535,26 @@ mod tests {
         streams: &[SimStream],
         trace: Option<&mut TraceLog>,
     ) -> QueryOutcome {
-        sched.begin_tick(std::slice::from_ref(&q), streams);
-        sched.run_query(q, s, streams, m, trace)
+        let none = FaultPlan::none();
+        let src = FaultySource::wrap(streams, &none);
+        sched.begin_tick(std::slice::from_ref(&q), &src);
+        sched.run_query(q, s, &src, m, trace)
+    }
+
+    /// A plan under which exactly the first `n` contacts with stream 0
+    /// at stream time `now` fail: the first seed, in order, whose
+    /// transient draws say so.
+    fn failing_first(n: u32, now: u64) -> FaultPlan {
+        (0..)
+            .map(|seed| {
+                FaultPlan::new(FaultSpec {
+                    seed,
+                    transient_rate: 0.5,
+                    ..FaultSpec::none()
+                })
+            })
+            .find(|p| (0..=n).all(|a| p.read_fails(StreamId(0), now, a) == (a < n)))
+            .expect("some seed fails exactly the first n contacts")
     }
 
     #[test]
@@ -737,12 +709,14 @@ mod tests {
         let mut am = meter(&[1.0]);
         let mut pm = meter(&[1.0]);
 
+        let none = FaultPlan::none();
         for tick in 0..5 {
-            arranged.maintain_tick(&streams, &mut am);
-            arranged.begin_tick(std::slice::from_ref(&query), &streams);
-            let a = arranged.run_query(&query, &schedule, &streams, &mut am, None);
-            plain.begin_tick(std::slice::from_ref(&query), &streams);
-            let p = plain.run_query(&query, &schedule, &streams, &mut pm, None);
+            let src = FaultySource::wrap(&streams, &none);
+            arranged.maintain_tick(&src, &mut am);
+            arranged.begin_tick(std::slice::from_ref(&query), &src);
+            let a = arranged.run_query(&query, &schedule, &src, &mut am, None);
+            plain.begin_tick(std::slice::from_ref(&query), &src);
+            let p = plain.run_query(&query, &schedule, &src, &mut pm, None);
             assert_eq!(a.verdict, p.verdict, "tick {tick}: truth must not change");
             assert_eq!(a.cost, 0.0, "arranged evaluation pays no pull");
             assert_eq!(a.items_pulled, vec![0]);
@@ -776,52 +750,26 @@ mod tests {
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         sched.attach_arrangements(store);
         let mut m = meter(&[1.0]);
-        sched.maintain_tick(&streams, &mut m);
-        sched.begin_tick(std::slice::from_ref(&query), &streams);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let none = FaultPlan::none();
+        let src = FaultySource::wrap(&streams, &none);
+        sched.maintain_tick(&src, &mut m);
+        sched.begin_tick(std::slice::from_ref(&query), &src);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.items_pulled, vec![8], "4-item ring cannot serve 8");
         assert_eq!(m.items_maintained(), &[4]);
-    }
-
-    /// A source whose first `fail_first` contacts per read fail
-    /// transiently, or which is in permanent outage.
-    struct Flaky {
-        inner: SimStream,
-        fail_first: u32,
-        out: bool,
-    }
-
-    impl StreamSource for Flaky {
-        fn now(&self) -> u64 {
-            self.inner.now()
-        }
-
-        fn recent(&self, n: usize) -> Option<Vec<f64>> {
-            self.inner.recent(n)
-        }
-
-        fn is_out(&self) -> bool {
-            self.out
-        }
-
-        fn contact_fails(&self, attempt: u32) -> bool {
-            attempt < self.fail_first
-        }
     }
 
     #[test]
     fn retries_are_priced_and_the_verdict_stays_determined() {
         let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
-        let streams = vec![Flaky {
-            inner: constant_stream(50.0, 20),
-            fail_first: 2,
-            out: false,
-        }];
+        let streams = vec![constant_stream(50.0, 20)];
+        let plan = failing_first(2, streams[0].now());
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         sched.set_fault_policy(3, false);
         let mut m = meter(&[1.0]);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let src = FaultySource::wrap(&streams, &plan);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.verdict, Verdict::True);
         assert!(!out.degraded);
         assert_eq!(out.retries, 2);
@@ -836,15 +784,13 @@ mod tests {
     fn exhausted_retries_leave_the_leaf_unknown() {
         let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
-        let streams = vec![Flaky {
-            inner: constant_stream(50.0, 20),
-            fail_first: 10,
-            out: false,
-        }];
+        let streams = vec![constant_stream(50.0, 20)];
+        let plan = failing_first(3, streams[0].now());
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         sched.set_fault_policy(3, false);
         let mut m = meter(&[1.0]);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let src = FaultySource::wrap(&streams, &plan);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.verdict, Verdict::Unknown);
         assert_eq!(out.retries, 3, "every allowed attempt was made and priced");
         assert_eq!(out.failed_reads, 1);
@@ -857,17 +803,14 @@ mod tests {
         // (A) OR (B): A is out; B alone determines the query.
         let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)], vec![leaf(1, 4, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
-        let mk = |v: f64, out: bool| Flaky {
-            inner: constant_stream(v, 20),
-            fail_first: 0,
-            out,
-        };
+        let a_out = FaultPlan::with_forced_outages(FaultSpec::none(), vec![0]);
 
         // B true -> live True despite A's outage.
-        let streams = vec![mk(50.0, true), mk(50.0, false)];
+        let streams = vec![constant_stream(50.0, 20), constant_stream(50.0, 20)];
         let mut sched = Scheduler::new(2, MemoryPolicy::ClearEachQuery);
         let mut m = meter(&[1.0, 1.0]);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let src = FaultySource::wrap(&streams, &a_out);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.verdict, Verdict::True);
         assert!(!out.degraded);
         assert_eq!(out.failed_reads, 1);
@@ -875,10 +818,11 @@ mod tests {
         assert_eq!(out.items_pulled, vec![0, 4]);
 
         // B false -> A's outage leaves the verdict open.
-        let streams = vec![mk(50.0, true), mk(90.0, false)];
+        let streams = vec![constant_stream(50.0, 20), constant_stream(90.0, 20)];
         let mut sched = Scheduler::new(2, MemoryPolicy::ClearEachQuery);
         let mut m = meter(&[1.0, 1.0]);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let src = FaultySource::wrap(&streams, &a_out);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.verdict, Verdict::Unknown);
         assert!(!out.degraded);
     }
@@ -906,8 +850,7 @@ mod tests {
         let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
         let mut rng = StdRng::seed_from_u64(0);
-        let mut inner = SimStream::new(SensorSource::new(SensorModel::Constant(50.0)), 64);
-        inner.advance_by(10, &mut rng);
+        let mut streams = [constant_stream(50.0, 10)];
 
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 4));
@@ -918,19 +861,14 @@ mod tests {
 
         // Maintain while healthy, then the stream advances and dies:
         // the ring is one tick behind and the only source of data.
-        let healthy = [Flaky {
-            inner,
-            fail_first: 0,
-            out: false,
-        }];
-        sched.maintain_tick(&healthy, &mut m);
-        let [mut flaky] = healthy;
-        flaky.inner.advance_by(1, &mut rng);
-        flaky.out = true;
-        let streams = [flaky];
-        sched.maintain_tick(&streams, &mut m); // skipped: stream is out
-        sched.begin_tick(std::slice::from_ref(&query), &streams);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
+        let none = FaultPlan::none();
+        sched.maintain_tick(&FaultySource::wrap(&streams, &none), &mut m);
+        streams[0].advance_by(1, &mut rng);
+        let dead = FaultPlan::with_forced_outages(FaultSpec::none(), vec![0]);
+        let src = FaultySource::wrap(&streams, &dead);
+        sched.maintain_tick(&src, &mut m); // skipped: stream is out
+        sched.begin_tick(std::slice::from_ref(&query), &src);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
         assert_eq!(out.verdict, Verdict::True, "stale constant window is < 70");
         assert!(out.degraded, "stale answers carry no live guarantee");
         assert_eq!(out.staleness, 1);

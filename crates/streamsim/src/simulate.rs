@@ -18,6 +18,7 @@
 
 use crate::device::MemoryPolicy;
 use crate::energy::EnergyModel;
+use crate::faults::{FaultPlan, FaultySource};
 use crate::query::SimQuery;
 use crate::runtime::{EnergyMeter, Scheduler, Verdict};
 use crate::source::SensorSource;
@@ -106,6 +107,7 @@ pub fn run_pipeline(
     }
 
     let energy = EnergyModel::from_catalog(catalog);
+    let none = FaultPlan::none();
     let mut scheduler = Scheduler::new(catalog.len(), config.policy);
     let mut meter = EnergyMeter::new(energy.clone());
 
@@ -113,8 +115,9 @@ pub fn run_pipeline(
     let naive = DnfSchedule::from_order_unchecked(query.leaf_refs());
     let mut log = TraceLog::default();
     for _ in 0..config.warmup_evaluations {
-        scheduler.begin_tick(&[query], &streams);
-        scheduler.run_query(query, &naive, &streams, &mut meter, Some(&mut log));
+        let src = FaultySource::wrap(&streams, &none);
+        scheduler.begin_tick(&[query], &src);
+        scheduler.run_query(query, &naive, &src, &mut meter, Some(&mut log));
         for s in &mut streams {
             s.advance_by(config.ticks_between, &mut rng);
         }
@@ -132,8 +135,9 @@ pub fn run_pipeline(
     let mut meter = EnergyMeter::new(energy);
     let mut truths = 0usize;
     for _ in 0..config.measure_evaluations {
-        scheduler.begin_tick(&[query], &streams);
-        let out = scheduler.run_query(query, &schedule, &streams, &mut meter, None);
+        let src = FaultySource::wrap(&streams, &none);
+        scheduler.begin_tick(&[query], &src);
+        let out = scheduler.run_query(query, &schedule, &src, &mut meter, None);
         truths += usize::from(out.verdict == Verdict::True);
         for s in &mut streams {
             s.advance_by(config.ticks_between, &mut rng);

@@ -1,5 +1,5 @@
 //! Property tests for three-valued (Kleene) evaluation under injected
-//! stream outages.
+//! stream outages and transient read failures.
 //!
 //! The oracle is the textbook characterisation of Kleene logic on a
 //! monotone DNF: a query with unknown leaves is determined iff the
@@ -8,12 +8,11 @@
 
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::{StreamCatalog, StreamId};
-use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
 use proptest::prelude::*;
 use rand::prelude::*;
 use stream_sim::{
-    gaussian_streams, Comparator, EnergyMeter, EnergyModel, MemoryPolicy, Predicate, Scheduler,
-    SimLeaf, SimQuery, Verdict, WindowOp,
+    gaussian_streams, Comparator, EnergyMeter, EnergyModel, FaultPlan, FaultSpec, FaultySource,
+    MemoryPolicy, Predicate, Scheduler, SimLeaf, SimQuery, Verdict, WindowOp,
 };
 
 const N_STREAMS: usize = 5;
@@ -75,18 +74,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let streams = gaussian_streams(&[MAX_WINDOW; N_STREAMS], &mut rng);
 
-        let mut plain = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
-        let mut pm = meter();
-        let base = plain.run_query(&query, &schedule, &streams, &mut pm, None);
-
         let none = FaultPlan::none();
         let wrapped = FaultySource::wrap(&streams, &none);
+        let mut plain = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
+        let mut pm = meter();
+        let base = plain.run_query(&query, &schedule, &wrapped, &mut pm, None);
+
         let mut kleene = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
         kleene.set_fault_policy(3, true);
         let mut km = meter();
         let out = kleene.run_query(&query, &schedule, &wrapped, &mut km, None);
 
-        prop_assert_eq!(&out, &base, "fault-free decorated run must be identical");
+        prop_assert_eq!(&out, &base, "a fault policy without faults changes nothing");
         prop_assert!(out.verdict.is_determined());
         prop_assert!(!out.degraded && out.retries == 0 && out.failed_reads == 0);
         prop_assert_eq!(km.total_cost(), pm.total_cost());
@@ -129,5 +128,50 @@ proptest! {
             prop_assert_eq!(out.verdict, Verdict::Unknown);
             prop_assert!(!(out.verdict == Verdict::True));
         }
+    }
+
+    /// Under transient failures alone (no outages, no stale rings), a
+    /// read either succeeds within its attempts or leaves its leaf
+    /// unknown: every determined verdict is the fault-free one and is
+    /// never degraded, retries are billed exactly when they happen,
+    /// and no leaf retries past its attempt budget.
+    #[test]
+    fn transient_faults_never_flip_a_determined_verdict(
+        seed in 0u64..10_000,
+        fault_seed in 0u64..1_000_000,
+        transient_rate in 0.0f64..=0.9,
+        max_attempts in 1u32..=4,
+        terms in prop::collection::vec(
+            prop::collection::vec((0usize..N_STREAMS, 1u32..=MAX_WINDOW, -2.0f64..2.0), 1..4),
+            1..4,
+        ),
+    ) {
+        let query = build_query(&terms);
+        let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let streams = gaussian_streams(&[MAX_WINDOW; N_STREAMS], &mut rng);
+
+        let none = FaultPlan::none();
+        let mut plain = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
+        let mut pm = meter();
+        let base = plain.run_query(&query, &schedule, &FaultySource::wrap(&streams, &none), &mut pm, None);
+
+        let plan = FaultPlan::new(FaultSpec {
+            seed: fault_seed,
+            transient_rate,
+            max_attempts,
+            ..FaultSpec::none()
+        });
+        let mut sched = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
+        sched.set_fault_policy(max_attempts, true);
+        let mut m = meter();
+        let out = sched.run_query(&query, &schedule, &FaultySource::wrap(&streams, &plan), &mut m, None);
+
+        if out.verdict.is_determined() {
+            prop_assert_eq!(out.verdict, base.verdict);
+        }
+        prop_assert!(!out.degraded, "no stale source was available");
+        prop_assert_eq!(m.retry_cost_total() == 0.0, out.retries == 0);
+        prop_assert!(out.retries as usize <= max_attempts as usize * out.evaluated);
     }
 }

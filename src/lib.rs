@@ -4,7 +4,6 @@
 pub use paotr_arrange as arrange;
 pub use paotr_core as core;
 pub use paotr_exec as exec;
-pub use paotr_faults as faults;
 pub use paotr_gen as gen;
 pub use paotr_multi as multi;
 pub use paotr_par as par;

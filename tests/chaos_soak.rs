@@ -9,10 +9,9 @@
 //! job); the full chaos soak runs behind `--ignored`:
 //! `cargo test --test chaos_soak -- --ignored full_chaos_soak`.
 
-use paotr::faults::FaultSpec;
 use paotr::gen::{churn_script, ChurnConfig, ChurnEvent};
 use paotr::serverd::{Config, Daemon};
-use stream_sim::{ArrangeConfig, Verdict};
+use stream_sim::{ArrangeConfig, FaultSpec, Verdict};
 
 const BUDGET: f64 = 10.0;
 const MAX_SESSIONS: usize = 24;
