@@ -100,14 +100,16 @@ impl Default for FaultSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    /// Streams held in permanent outage: sorted, no duplicates.
     forced_out: Vec<usize>,
 }
 
 impl FaultPlan {
     /// The schedule of `spec`.
     pub fn new(spec: FaultSpec) -> FaultPlan {
-        FaultPlan::with_forced_outages(spec, Vec::new())
+        FaultPlan {
+            spec,
+            forced_out: Vec::new(),
+        }
     }
 
     /// The empty schedule: nothing ever fails.
@@ -117,10 +119,7 @@ impl FaultPlan {
 
     /// A schedule that additionally holds `streams` in permanent
     /// outage — the deterministic "kill exactly these" knob tests use.
-    /// Order and repeats in `streams` do not matter.
-    pub fn with_forced_outages(spec: FaultSpec, mut streams: Vec<usize>) -> FaultPlan {
-        streams.sort_unstable();
-        streams.dedup();
+    pub fn with_forced_outages(spec: FaultSpec, streams: Vec<usize>) -> FaultPlan {
         FaultPlan {
             spec,
             forced_out: streams,
@@ -158,7 +157,7 @@ impl FaultPlan {
     /// stream in outage cannot be contacted at all: pulls fail without
     /// charge and arrangement maintenance skips it.
     pub(crate) fn is_out(&self, k: StreamId, now: u64) -> bool {
-        if self.forced_out.binary_search(&k.0).is_ok() {
+        if self.forced_out.contains(&k.0) {
             return true;
         }
         match self.cycle(k.0) {

@@ -149,23 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_outages_are_a_sorted_set() {
-        let spec = FaultSpec {
-            seed: 4,
-            ..FaultSpec::default()
-        };
-        let messy = FaultPlan::with_forced_outages(spec, vec![9, 2, 5, 2, 9, 9]);
-        let sorted = FaultPlan::with_forced_outages(spec, vec![2, 5, 9]);
-        assert_eq!(messy, sorted);
-        for now in 0..100 {
-            assert_eq!(
-                messy.outage_signature(12, now),
-                sorted.outage_signature(12, now)
-            );
-        }
-    }
-
-    #[test]
     fn faulty_source_gates_contacts_not_local_reads() {
         let mut rng = StdRng::seed_from_u64(11);
         let streams = gaussian_streams(&[8], &mut rng);

@@ -154,7 +154,8 @@ proptest! {
         let none = FaultPlan::none();
         let mut plain = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
         let mut pm = meter();
-        let base = plain.run_query(&query, &schedule, &FaultySource::wrap(&streams, &none), &mut pm, None);
+        let base_src = FaultySource::wrap(&streams, &none);
+        let base = plain.run_query(&query, &schedule, &base_src, &mut pm, None);
 
         let plan = FaultPlan::new(FaultSpec {
             seed: fault_seed,
@@ -165,7 +166,8 @@ proptest! {
         let mut sched = Scheduler::new(N_STREAMS, MemoryPolicy::ClearEachQuery);
         sched.set_fault_policy(max_attempts, true);
         let mut m = meter();
-        let out = sched.run_query(&query, &schedule, &FaultySource::wrap(&streams, &plan), &mut m, None);
+        let src = FaultySource::wrap(&streams, &plan);
+        let out = sched.run_query(&query, &schedule, &src, &mut m, None);
 
         if out.verdict.is_determined() {
             prop_assert_eq!(out.verdict, base.verdict);
