@@ -14,10 +14,10 @@
 //!   crate root also carries `#![forbid(unsafe_code)]`.
 //! * **serve-panic** — `panic!`, `unreachable!`, `todo!` or
 //!   `unimplemented!` in the non-test code of the serving crates
-//!   (`streamsim`, `arrange`, `exec`, `serverd`). A cold
-//!   stream used to abort the tick runtime through such a `panic!`;
-//!   serving paths return typed errors or degrade (an unreadable leaf
-//!   is Kleene-unknown) instead.
+//!   (`streamsim`, `exec`, `serverd`). A cold stream used to abort
+//!   the tick runtime through such a `panic!`; serving paths return
+//!   typed errors or degrade (an unreadable leaf is Kleene-unknown)
+//!   instead.
 //!
 //! Any line can opt out with an inline `// lint:allow(<rule>)` on the
 //! same line or the line directly above; the escape hatch is meant to
@@ -37,7 +37,7 @@ const BIN_CRATES: [&str; 3] = ["crates/cli", "crates/experiments", "crates/bench
 
 /// Crates (under `crates/`) whose `src/` serves requests:
 /// `serve-panic` applies there.
-const SERVING_CRATES: [&str; 4] = ["streamsim", "arrange", "exec", "serverd"];
+const SERVING_CRATES: [&str; 3] = ["streamsim", "exec", "serverd"];
 
 /// The panicking macros `serve-panic` rejects.
 const PANIC_MACROS: [&str; 4] = ["panic!", "unreachable!", "todo!", "unimplemented!"];

@@ -6,7 +6,7 @@ use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_paotr");
 
-fn run_daemon(extra: &[&str], script: &str) -> std::process::Output {
+fn run_daemon(extra: &[&str], script: impl AsRef<[u8]>) -> std::process::Output {
     let mut child = Command::new(BIN)
         .args(["serve", "--daemon", "--seed", "3"])
         .args(extra)
@@ -19,7 +19,7 @@ fn run_daemon(extra: &[&str], script: &str) -> std::process::Output {
         .stdin
         .take()
         .unwrap()
-        .write_all(script.as_bytes())
+        .write_all(script.as_ref())
         .unwrap();
     child.wait_with_output().expect("daemon exit")
 }
@@ -98,6 +98,34 @@ fn malformed_requests_get_error_responses_but_do_not_kill_the_daemon() {
     assert!(lines[0].starts_with("{\"ok\":false"));
     assert!(lines[1].starts_with("{\"ok\":false"));
     assert!(lines[2].starts_with("{\"ok\":true"));
+}
+
+/// A line that is not UTF-8 gets an error reply on stdio, as on TCP;
+/// the daemon keeps serving and still saves its snapshot at shutdown.
+#[test]
+fn non_utf8_line_gets_an_error_reply_and_the_session_survives() {
+    let path = std::env::temp_dir().join("paotr_daemon_cli_non_utf8.snap");
+    let path = path.to_str().unwrap();
+    std::fs::remove_file(path).ok();
+    let out = run_daemon(
+        &["--snapshot", path],
+        b"{\"cmd\":\"register\",\"query\":\"AVG(A,4) < 0.5\"}\n\xff\xfe\n\
+          {\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n",
+    );
+    let saved = std::fs::metadata(path).is_ok();
+    std::fs::remove_file(path).ok();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 4, "one response per line: {stdout}");
+    assert!(lines[1].starts_with("{\"ok\":false"), "{}", lines[1]);
+    assert!(lines[2].starts_with("{\"ok\":true"), "{}", lines[2]);
+    assert!(lines[2].contains("\"sessions\":1"), "{}", lines[2]);
+    assert!(saved, "shutdown must save the snapshot");
 }
 
 /// The hard budget-violation check exits non-zero and prints the

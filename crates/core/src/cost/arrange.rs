@@ -1,6 +1,6 @@
 //! The arrangement term: maintain-vs-repull crossover.
 //!
-//! A maintained arrangement (see the `paotr-arrange` crate) turns a
+//! A maintained arrangement (see `stream_sim::ArrangementStore`) turns a
 //! stream's recurring window pulls into incremental maintenance: after
 //! a one-time fill of `window` items, each serving tick fetches only
 //! the `delta` items produced since the last tick, and *every* reader

@@ -89,8 +89,8 @@ pub struct JointPlan {
 }
 
 /// One stream a joint plan recommends maintaining as a persistent
-/// arrangement (see the `paotr-arrange` crate), with the crossover term
-/// that justified it.
+/// arrangement (see `stream_sim::ArrangementStore`), with the crossover
+/// term that justified it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Materialization {
     /// The stream to maintain.

@@ -14,9 +14,10 @@
 //! every stream owns a dedicated RNG seeded from the daemon seed and
 //! the stream index, is warmed by [`Config::max_window`] items at
 //! creation, and advances by exactly one item per tick. A restored
-//! daemon replays each stream to its snapshot tick, so serving after a
-//! restart continues on the same data the uninterrupted run would have
-//! seen.
+//! daemon replays each stream to its snapshot tick, and the arrangement
+//! store refills each ring when the replay reaches the ring's
+//! `maintained_to`, so serving after a restart continues on the same
+//! data and the same rings the uninterrupted run would have seen.
 
 use crate::json::Json;
 use crate::proto::{error_response, ok_response, parse_command, Command};
@@ -228,9 +229,6 @@ pub struct Daemon {
     /// The persistent arrangement store (present iff `config.arrange`).
     /// Lives here between ticks; `run_ticks` lends it to its scheduler.
     arrangements: Option<ArrangementStore>,
-    /// `(stream, window)` pairs each live session holds a reader
-    /// refcount on, released when the session unregisters.
-    acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
     /// The derived fault schedule (the empty pass-through plan when
     /// `config.faults` is off). Never persisted: it is a pure function
     /// of the config.
@@ -244,9 +242,11 @@ pub struct Daemon {
 /// The arrangements one session's reads should go through: each stream
 /// the query touches at the session's widest window there, whenever
 /// maintaining beats re-pulling even for this single reader (the store
-/// coalesces further readers for free). `streams` is the catalog size.
-pub(crate) fn session_acquisitions(sim: &SimQuery, streams: usize) -> Vec<(StreamId, u32)> {
-    sim.max_windows(streams)
+/// coalesces further readers for free). A pure function of the query,
+/// so a session holds the same pairs from `register` to `unregister`.
+pub(crate) fn session_acquisitions(sim: &SimQuery) -> Vec<(StreamId, u32)> {
+    let streams = sim.terms().iter().flatten().map(|l| l.stream.0 + 1).max();
+    sim.max_windows(streams.unwrap_or(0))
         .iter()
         .enumerate()
         .filter(|&(_, &w)| {
@@ -283,7 +283,6 @@ impl Daemon {
             stream_rngs: Vec::new(),
             trace: TraceLog::default(),
             arrangements,
-            acquired: BTreeMap::new(),
             faults,
             last_verdicts: Vec::new(),
         })
@@ -350,12 +349,8 @@ impl Daemon {
         if let (Some(store), Some(session)) =
             (self.arrangements.as_mut(), self.registry.session(id))
         {
-            let pairs = session_acquisitions(&session.sim, self.registry.catalog().len());
-            for &(k, w) in &pairs {
+            for (k, w) in session_acquisitions(&session.sim) {
                 store.acquire(k, w);
-            }
-            if !pairs.is_empty() {
-                self.acquired.insert(id, pairs);
             }
         }
         self.churn_since_replan += 1;
@@ -367,11 +362,14 @@ impl Daemon {
     /// the store refuses is reported, once the session is gone, as a
     /// typed error.
     pub fn unregister(&mut self, id: u64) -> Result<()> {
+        let held = match (&self.arrangements, self.registry.session(id)) {
+            (Some(_), Some(session)) => session_acquisitions(&session.sim),
+            _ => Vec::new(),
+        };
         self.registry.unregister(id)?;
         let mut released = Ok(());
-        if let (Some(pairs), Some(store)) = (self.acquired.remove(&id), self.arrangements.as_mut())
-        {
-            for (k, w) in pairs {
+        if let Some(store) = self.arrangements.as_mut() {
+            for (k, w) in held {
                 released = released.and(store.release(k, w));
             }
         }
@@ -498,6 +496,9 @@ impl Daemon {
 
     /// Creates (and warms) streams for catalog entries that do not have
     /// one yet. Stream `k`'s data depends only on `(seed, k, tick)`.
+    /// The warm-up replays the stream through the arrangement store,
+    /// which refills each restored ring of the stream when the replay
+    /// reaches the ring's `maintained_to`.
     fn ensure_streams(&mut self) {
         while self.streams.len() < self.registry.catalog().len() {
             let k = self.streams.len() as u64;
@@ -510,10 +511,11 @@ impl Daemon {
                 }),
                 self.config.max_window as usize,
             );
-            stream.advance_by(
-                self.config.max_window as usize + self.tick as usize,
-                &mut rng,
-            );
+            let items = self.config.max_window as usize + self.tick as usize;
+            match self.arrangements.as_mut() {
+                Some(store) => store.replay(StreamId(k as usize), &mut stream, items, &mut rng),
+                None => stream.advance_by(items, &mut rng),
+            }
             self.streams.push(stream);
             self.stream_rngs.push(rng);
         }
@@ -592,15 +594,12 @@ impl Daemon {
     /// Restores a daemon from a snapshot that passes
     /// [`Snapshot::validate`]: sessions are recompiled from their
     /// sources against the persisted catalog, calibration and schedules
-    /// are adopted verbatim, arrangement refcounts are re-acquired, and
-    /// every stream is replayed to the snapshot tick. Counters continue
-    /// exactly from their persisted values.
+    /// are adopted verbatim, arrangement shells and refcounts are
+    /// restored, and every stream is replayed to the snapshot tick,
+    /// refilling each ring on the way. Counters continue exactly from
+    /// their persisted values.
     pub fn from_snapshot(snap: &Snapshot) -> Result<Daemon> {
-        let Restored {
-            registry,
-            pending,
-            acquired,
-        } = snap.restore()?;
+        let Restored { registry, pending } = snap.restore()?;
         let mut arrangements = snap.config.arrange.map(ArrangementStore::new);
         if let (Some(store), Some(asnap)) = (arrangements.as_mut(), &snap.arrangements) {
             for e in &asnap.entries {
@@ -636,50 +635,11 @@ impl Daemon {
             stream_rngs: Vec::new(),
             trace: TraceLog::default(),
             arrangements,
-            acquired,
             faults,
             last_verdicts: Vec::new(),
         };
         daemon.ensure_streams();
-        daemon.refill_arrangements()?;
         Ok(daemon)
-    }
-
-    /// Refills restored arrangement rings from the replayed streams.
-    /// Counter-free, and tolerant of history the stream buffers have
-    /// already trimmed: a short ring self-heals on its first
-    /// maintenance (the catch-up absorb restores it to a full window
-    /// before any read can be served), so replay after a restore stays
-    /// tick-for-tick identical to the uninterrupted run.
-    fn refill_arrangements(&mut self) -> Result<()> {
-        let Some(store) = self.arrangements.as_mut() else {
-            return Ok(());
-        };
-        let shells: Vec<(StreamId, u32, u64)> = store
-            .iter()
-            .filter(|a| a.maintained_to() > 0)
-            .map(|a| (a.stream(), a.window(), a.maintained_to()))
-            .collect();
-        for (k, window, maintained_to) in shells {
-            let stream = self
-                .streams
-                .get(k.0)
-                .ok_or_else(|| invalid_arrangement(format!("stream {k} has no replayed data")))?;
-            // Drop items produced after the persisted maintenance
-            // point; what remains (newest first) ends at maintained_to.
-            let newer = stream.now().saturating_sub(maintained_to) as usize;
-            if newer >= stream.len() {
-                continue;
-            }
-            let take = (stream.len() - newer).min(window as usize);
-            let newest = stream
-                .recent(stream.len())
-                .ok_or_else(|| invalid_arrangement(format!("stream {k} lost its buffer")))?;
-            store
-                .refill(k, window, &newest[newer..newer + take])
-                .map_err(invalid_arrangement)?;
-        }
-        Ok(())
     }
 
     /// Saves a snapshot to `path`.
@@ -778,17 +738,23 @@ impl Daemon {
     }
 
     /// Serves the line protocol until EOF or a `shutdown` command.
-    /// Returns true when shutdown was requested (vs. plain EOF).
+    /// Returns true when shutdown was requested (vs. plain EOF). Lines
+    /// are framed as on TCP: invalid UTF-8 gets an error reply, not an
+    /// exit.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
-        reader: R,
+        mut reader: R,
         writer: &mut W,
     ) -> std::io::Result<bool> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            if reader.read_until(b'\n', &mut raw)? == 0 {
+                return Ok(false);
             }
+            let Some(line) = frame_line(&raw) else {
+                continue;
+            };
             let (resp, stop) = self.handle_line(&line);
             writeln!(writer, "{resp}")?;
             writer.flush()?;
@@ -796,7 +762,6 @@ impl Daemon {
                 return Ok(true);
             }
         }
-        Ok(false)
     }
 
     /// Serves concurrent connections from `listener`, one thread per
@@ -863,6 +828,17 @@ impl Default for TcpOptions {
     }
 }
 
+/// One protocol line from raw bytes, as both serve loops frame it:
+/// decoded lossily (invalid UTF-8 cannot parse as a command, so it
+/// earns an error reply rather than a disconnect), with the line end
+/// and a trailing `\r` stripped; `None` for a blank line.
+fn frame_line(raw: &[u8]) -> Option<std::borrow::Cow<'_, str>> {
+    let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+    let line = String::from_utf8_lossy(raw);
+    (!line.trim().is_empty()).then_some(line)
+}
+
 /// One worker's connection loop: timeout-aware reads, line framing
 /// over a persistent buffer, error replies for malformed input, idle
 /// eviction, and a partial final line processed at EOF.
@@ -885,8 +861,7 @@ fn serve_connection(
                 // EOF: a trailing line without a newline still gets
                 // served (the reply goes out before the socket closes).
                 if !buf.is_empty() {
-                    let line = String::from_utf8_lossy(&buf).into_owned();
-                    handle_connection_line(daemon, &mut writer, &line, stop, addr)?;
+                    handle_connection_line(daemon, &mut writer, &buf, stop, addr)?;
                 }
                 return Ok(());
             }
@@ -910,29 +885,26 @@ fn serve_connection(
         buf.extend_from_slice(&chunk[..n]);
         while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
             let raw: Vec<u8> = buf.drain(..=nl).collect();
-            // Invalid UTF-8 is replied to as a parse error, never a
-            // disconnect: the lossy text cannot parse as a command.
-            let line = String::from_utf8_lossy(&raw[..nl]).into_owned();
-            if handle_connection_line(daemon, &mut writer, &line, stop, addr)? {
+            if handle_connection_line(daemon, &mut writer, &raw, stop, addr)? {
                 return Ok(());
             }
         }
     }
 }
 
-/// Handles one framed line; returns whether shutdown was requested.
+/// Frames and handles one raw line; returns whether shutdown was
+/// requested.
 fn handle_connection_line(
     daemon: &Arc<Mutex<Daemon>>,
     writer: &mut std::net::TcpStream,
-    line: &str,
+    raw: &[u8],
     stop: &Arc<AtomicBool>,
     addr: std::net::SocketAddr,
 ) -> std::io::Result<bool> {
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    if line.trim().is_empty() {
+    let Some(line) = frame_line(raw) else {
         return Ok(false);
-    }
-    let (resp, shutdown) = daemon.lock().expect("daemon lock").handle_line(line);
+    };
+    let (resp, shutdown) = daemon.lock().expect("daemon lock").handle_line(&line);
     writeln!(writer, "{resp}")?;
     writer.flush()?;
     if shutdown {
@@ -1072,9 +1044,9 @@ mod tests {
         let a = d.register(Q3, 1.0).unwrap();
         // Drop the session's reader behind its back: its own release
         // then finds no reader left.
-        let pairs = d.acquired[&a].clone();
+        let pairs = session_acquisitions(&d.registry().session(a).unwrap().sim);
         let store = d.arrangements.as_mut().unwrap();
-        for &(k, w) in &pairs {
+        for (k, w) in pairs {
             store.release(k, w).unwrap();
         }
         assert!(matches!(d.unregister(a), Err(Error::Rejected(_))));

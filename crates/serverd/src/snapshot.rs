@@ -7,7 +7,9 @@
 //! *not* persisted — stream `k`'s items are a pure function of
 //! `(seed, k, tick)`, so a restore replays each stream to the snapshot
 //! tick and serving continues on the data the uninterrupted run would
-//! have produced.
+//! have produced. Arrangement rings are not persisted either: each is
+//! refilled from its stream when the replay reaches the ring's
+//! `maintained_to`.
 //!
 //! The format is versioned single-line JSON. Rendering is
 //! deterministic: parsing a rendered snapshot and rendering it again
@@ -25,7 +27,7 @@ use crate::json::{parse, Json, JsonError};
 use crate::registry::{schedule_from_pairs, session_query, Session, SessionRegistry};
 use crate::telemetry::Telemetry;
 use crate::Result;
-use paotr_core::stream::{StreamCatalog, StreamId};
+use paotr_core::stream::StreamCatalog;
 use paotr_exec::DriftState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -188,13 +190,12 @@ impl std::fmt::Display for SnapshotViolation {
 }
 
 /// What [`Snapshot::check`] builds on its way through the rules: the
-/// violations, plus the catalog, compiled sessions and arrangement
-/// acquisitions a restore adopts when there are none.
+/// violations, plus the catalog and compiled sessions a restore adopts
+/// when there are none.
 struct Checked {
     violations: Vec<SnapshotViolation>,
     catalog: StreamCatalog,
     sessions: Vec<Session>,
-    acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
 }
 
 /// The restored state of a valid snapshot.
@@ -202,8 +203,6 @@ pub(crate) struct Restored {
     pub registry: SessionRegistry,
     /// Pending request per session: the tick it first arrived.
     pub pending: BTreeMap<u64, u64>,
-    /// The `(stream, window)` pairs each session holds a reader on.
-    pub acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
 }
 
 /// One persisted session.
@@ -231,7 +230,8 @@ pub struct SessionSnap {
 
 /// One persisted arrangement shell. Ring contents are *not* persisted:
 /// stream data is a pure function of `(seed, k, tick)`, so a restore
-/// refills each ring from the replayed streams.
+/// refills each ring from its stream when the stream's replay reaches
+/// `maintained_to` (`ArrangementStore::replay`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrangeEntrySnap {
     /// Arranged stream index.
@@ -540,7 +540,6 @@ impl Snapshot {
         }
 
         let mut sessions = Vec::with_capacity(self.sessions.len());
-        let mut acquired = BTreeMap::new();
         let mut holds: BTreeMap<(usize, u32), u32> = BTreeMap::new();
         for snap in &self.sessions {
             if !(snap.weight.is_finite() && snap.weight > 0.0) {
@@ -565,12 +564,8 @@ impl Snapshot {
                 flag(WindowLimitExceeded, path, detail);
             }
             if cfg.arrange.is_some() {
-                let pairs = session_acquisitions(&session.sim, catalog.len());
-                for &(k, w) in &pairs {
+                for (k, w) in session_acquisitions(&session.sim) {
                     *holds.entry((k.0, w)).or_default() += 1;
-                }
-                if !pairs.is_empty() {
-                    acquired.insert(snap.id, pairs);
                 }
             }
             sessions.push(session);
@@ -642,13 +637,12 @@ impl Snapshot {
             violations: out,
             catalog,
             sessions,
-            acquired,
         }
     }
 
-    /// Rebuilds the session registry, pending requests and arrangement
-    /// acquisitions of a snapshot that passes [`Snapshot::validate`];
-    /// any violation is a [`SnapshotError::Invalid`] naming them all.
+    /// Rebuilds the session registry and pending requests of a snapshot
+    /// that passes [`Snapshot::validate`]; any violation is a
+    /// [`SnapshotError::Invalid`] naming them all.
     pub(crate) fn restore(&self) -> Result<Restored> {
         let checked = self.check();
         if !checked.violations.is_empty() {
@@ -670,11 +664,7 @@ impl Snapshot {
             .iter()
             .filter_map(|s| Some((s.id, s.pending_since?)))
             .collect();
-        Ok(Restored {
-            registry,
-            pending,
-            acquired: checked.acquired,
-        })
+        Ok(Restored { registry, pending })
     }
 }
 

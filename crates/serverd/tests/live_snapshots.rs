@@ -1,8 +1,10 @@
 //! Every snapshot a live daemon writes passes `Snapshot::validate` and
-//! restores. Seeded churn scripts drive daemons with arrangements,
-//! budget and faults each on and off; a snapshot is taken after every
-//! tick. This is what licenses the strict rules, the arrangement
-//! `maintained_to` bound and `telemetry.ticks == tick` among them.
+//! restores, and the restored daemon serves its next tick exactly as
+//! the live one does. Seeded churn scripts drive daemons with
+//! arrangements, budget and faults each on and off; a snapshot is taken
+//! before every tick. This is what licenses the strict rules, the
+//! arrangement `maintained_to` bound and `telemetry.ticks == tick`
+//! among them.
 
 use paotr_gen::{churn_script, ChurnConfig, ChurnEvent};
 use paotr_serverd::{Config, Daemon, FaultSpec};
@@ -34,17 +36,32 @@ fn config(seed: u64) -> Config {
     }
 }
 
-fn assert_snapshot_is_valid(daemon: &Daemon, seed: u64) {
+/// Snapshots `daemon`, checks the snapshot validates and restores, then
+/// steps the live daemon and its restored copy one tick each: both must
+/// serve the same verdicts at the same energy, bit for bit.
+fn restore_and_step(daemon: &mut Daemon, seed: u64) {
+    let tick = daemon.tick();
     let snap = daemon.snapshot();
     let violations = snap.validate();
     assert!(
         violations.is_empty(),
-        "seed {seed} tick {}: {violations:?}",
-        daemon.tick()
+        "seed {seed} tick {tick}: {violations:?}"
     );
-    let restored = Daemon::from_snapshot(&snap)
-        .unwrap_or_else(|e| panic!("seed {seed} tick {}: {e}", daemon.tick()));
+    let mut restored =
+        Daemon::from_snapshot(&snap).unwrap_or_else(|e| panic!("seed {seed} tick {tick}: {e}"));
     assert_eq!(restored.snapshot(), snap, "seed {seed}: restore round trip");
+    let live = daemon.run_ticks(1).unwrap().energies;
+    let replayed = restored.run_ticks(1).unwrap().energies;
+    assert_eq!(
+        restored.last_verdicts(),
+        daemon.last_verdicts(),
+        "seed {seed} tick {tick}: restored verdicts"
+    );
+    assert_eq!(
+        replayed[0].to_bits(),
+        live[0].to_bits(),
+        "seed {seed} tick {tick}: restored tick energy"
+    );
 }
 
 #[test]
@@ -71,14 +88,10 @@ fn every_live_snapshot_validates_clean_and_restores() {
                 }
                 Some(ChurnEvent::Tick { n }) => {
                     for _ in 0..n {
-                        daemon.run_ticks(1).unwrap();
-                        assert_snapshot_is_valid(&daemon, seed);
+                        restore_and_step(&mut daemon, seed);
                     }
                 }
-                None => {
-                    daemon.run_ticks(1).unwrap();
-                    assert_snapshot_is_valid(&daemon, seed);
-                }
+                None => restore_and_step(&mut daemon, seed),
             }
         }
         assert!(daemon.telemetry().registers > 0, "seed {seed}: no churn");

@@ -1,9 +1,9 @@
-//! # paotr-arrange — persistent shared stream arrangements
+//! Persistent shared stream arrangements.
 //!
 //! Every execution path used to re-pull stream windows from scratch on
 //! each tick: device memory is wiped between ticks, so a recurring
 //! query pays its full window every time even though only one new item
-//! exists per tick. This crate provides the alternative the shared
+//! exists per tick. This module provides the alternative the shared
 //!-arrangements literature argues for: **maintained state** shared by
 //! all readers of a stream.
 //!
@@ -30,15 +30,18 @@
 //!   read back only by [`serve_stale`](ArrangementStore::serve_stale)
 //!   (degraded serving while a stream is out).
 //!
-//! The store is deliberately independent of any stream trait: callers
-//! hand it newest-first item slices (the `recent(n)` shape every stream
-//! source already serves), so the crate depends only on `paotr-core`
-//! and slots under the scheduler the serving loop and the daemon share. Whether maintaining beats re-pulling for a given stream is
+//! The store reads the [`SimStream`] it maintains directly: a
+//! maintenance copies the newest items from the stream's buffer into
+//! the rings, and a restore refills each ring as the stream's
+//! [`replay`](ArrangementStore::replay) passes the ring's
+//! `maintained_to`. Both halves of the ring↔stream time alignment live
+//! here. Whether maintaining beats re-pulling for a given stream is
 //! decided by the planner through `paotr_core::cost::arrange` — the
 //! store only executes the decision.
-#![forbid(unsafe_code)]
 
+use crate::stream::SimStream;
 use paotr_core::stream::StreamId;
+use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Store-level knobs.
@@ -111,29 +114,36 @@ impl Arrangement {
     /// this arrangement current: the production gap, capped at the
     /// window (a long-stale ring is simply rebuilt from the newest
     /// `window` items).
-    pub(crate) fn need(&self, now: u64) -> u32 {
+    fn need(&self, now: u64) -> u32 {
         let gap = now.saturating_sub(self.maintained_to);
         gap.min(u64::from(self.window)) as u32
     }
 
-    /// Absorbs `data` (newest first, covering at least [`need`]) at
-    /// stream time `now`: appends the missing items, evicts expired
-    /// ones. No-op when the gap exceeds the data provided (a stale
-    /// free-rider waits for its own fetch).
-    ///
-    /// [`need`]: Arrangement::need
-    fn absorb(&mut self, now: u64, data: &[f64]) {
-        let take = self.need(now) as usize;
-        if take == 0 || take > data.len() {
+    /// Absorbs the items `stream` produced since the last maintenance,
+    /// given a fetch of `fetched` newest items at the stream's current
+    /// time: appends the missing items, evicts expired ones. No-op when
+    /// the gap exceeds the fetch (a stale free-rider waits for its own
+    /// fetch).
+    fn absorb(&mut self, stream: &SimStream, fetched: u32) {
+        let now = stream.now();
+        let take = self.need(now);
+        if take == 0 || take > fetched {
             return;
         }
+        let take = take as usize;
         while self.ring.len() + take > self.window as usize {
             self.ring.pop_front();
         }
-        for v in data[..take].iter().rev() {
-            self.ring.push_back(*v);
-        }
+        self.ring.extend(stream.tail(take));
         self.maintained_to = now;
+    }
+
+    /// Replaces the ring with the stream's newest `window` items (fewer
+    /// when the stream holds fewer): what maintenance left in the ring
+    /// when the stream's clock stood where it stands now.
+    fn refill(&mut self, stream: &SimStream) {
+        self.ring.clear();
+        self.ring.extend(stream.tail(self.window as usize));
     }
 
     /// True when the ring holds a full `window`-item read.
@@ -173,12 +183,6 @@ pub struct ArrangementStore {
     evictions: u64,
 }
 
-impl Default for ArrangementStore {
-    fn default() -> ArrangementStore {
-        ArrangementStore::new(ArrangeConfig::default())
-    }
-}
-
 impl ArrangementStore {
     /// An empty store under `config`.
     pub fn new(config: ArrangeConfig) -> ArrangementStore {
@@ -191,16 +195,6 @@ impl ArrangementStore {
             maintained_items: 0,
             evictions: 0,
         }
-    }
-
-    /// Live arrangements.
-    pub fn len(&self) -> usize {
-        self.arrangements.len()
-    }
-
-    /// True when no arrangement is live.
-    pub fn is_empty(&self) -> bool {
-        self.arrangements.is_empty()
     }
 
     /// Maintenance ticks seen.
@@ -243,8 +237,8 @@ impl ArrangementStore {
     }
 
     /// Drops a reader from the `(stream, window)` arrangement. The last
-    /// release starts the grace period; the arrangement is evicted by
-    /// [`begin_tick`](ArrangementStore::begin_tick) once it expires.
+    /// release starts the grace period; the arrangement is evicted at
+    /// the first scheduler tick after it expires.
     pub fn release(&mut self, stream: StreamId, window: u32) -> Result<(), String> {
         let arr = self
             .arrangements
@@ -266,7 +260,7 @@ impl ArrangementStore {
     /// grace period expired. Call once per serving tick, before
     /// [`maintain`](ArrangementStore::maintain). Returns the number
     /// evicted.
-    pub fn begin_tick(&mut self) -> usize {
+    pub(crate) fn begin_tick(&mut self) -> usize {
         self.clock += 1;
         let grace = self.config.grace;
         let clock = self.clock;
@@ -292,33 +286,20 @@ impl ArrangementStore {
             .unwrap_or(0)
     }
 
-    /// Maintains every arrangement of stream `k` at stream time `now`
-    /// with one fetch: `fetch(n)` returns the newest `n` items (newest
-    /// first), exactly the `recent` shape of every stream source.
-    /// Returns the items fetched — the physical cost of this
-    /// maintenance, to be priced by the caller's energy meter.
-    /// Arrangements whose need exceeds the fetch (stale free-riders)
-    /// are skipped and catch up on a later fetch of their own.
-    pub fn maintain(
-        &mut self,
-        k: StreamId,
-        now: u64,
-        fetch: impl FnOnce(usize) -> Option<Vec<f64>>,
-    ) -> u32 {
-        let need = self.maintenance_need(k, now);
-        if need == 0 {
+    /// Maintains every arrangement of stream `k` with one fetch of the
+    /// stream's newest items, read straight from its buffer. Returns
+    /// the items fetched — the physical cost of this maintenance, to be
+    /// priced by the caller's energy meter; 0 when nothing is due or
+    /// the stream holds too few items. Arrangements whose need exceeds
+    /// the fetch (stale free-riders) are skipped and catch up on a
+    /// later fetch of their own.
+    pub(crate) fn maintain(&mut self, k: StreamId, stream: &SimStream) -> u32 {
+        let need = self.maintenance_need(k, stream.now());
+        if need == 0 || stream.len() < need as usize {
             return 0;
         }
-        let Some(data) = fetch(need as usize) else {
-            return 0;
-        };
-        assert!(
-            data.len() >= need as usize,
-            "fetch returned {} items, maintenance needs {need}",
-            data.len()
-        );
         for a in self.stream_range_mut(k) {
-            a.absorb(now, &data);
+            a.absorb(stream, need);
         }
         self.maintained_items += u64::from(need);
         need
@@ -328,7 +309,7 @@ impl ArrangementStore {
     /// `now` covers a `window`-item read of stream `k`: it holds exactly
     /// the stream's newest items, so the read costs no pull. `false`
     /// sends the caller to a priced pull.
-    pub fn covers(&mut self, k: StreamId, now: u64, window: u32) -> bool {
+    pub(crate) fn covers(&mut self, k: StreamId, now: u64, window: u32) -> bool {
         let hit = self
             .stream_range(k)
             .any(|a| a.holds(window) && a.maintained_to == now);
@@ -346,7 +327,12 @@ impl ArrangementStore {
     /// and full enough. Counter-free: stale serves are accounted by the
     /// caller (they carry no bit-for-bit guarantee, so they must not
     /// inflate the hit statistics replay tests compare).
-    pub fn serve_stale(&self, k: StreamId, now: u64, window: u32) -> Option<(Vec<f64>, u64)> {
+    pub(crate) fn serve_stale(
+        &self,
+        k: StreamId,
+        now: u64,
+        window: u32,
+    ) -> Option<(Vec<f64>, u64)> {
         let a = self
             .stream_range(k)
             .filter(|a| a.holds(window))
@@ -355,9 +341,8 @@ impl ArrangementStore {
         Some((data, now.saturating_sub(a.maintained_to)))
     }
 
-    /// Restores a persisted arrangement shell (ring contents are
-    /// re-derived from replayed streams via
-    /// [`refill`](ArrangementStore::refill)).
+    /// Restores a persisted arrangement shell; its ring is refilled by
+    /// [`replay`](ArrangementStore::replay).
     pub fn restore_arrangement(
         &mut self,
         stream: StreamId,
@@ -384,21 +369,31 @@ impl ArrangementStore {
         Ok(())
     }
 
-    /// Refills the `(stream, window)` arrangement's ring with `data` —
-    /// the newest items up to and including its persisted
-    /// `maintained_to`, newest first, possibly fewer than a full window
-    /// when history has been trimmed. Counter-free: a restore must not
-    /// re-charge maintenance the snapshotted run already paid.
-    pub fn refill(&mut self, stream: StreamId, window: u32, data: &[f64]) -> Result<(), String> {
-        let arr = self
-            .arrangements
-            .get_mut(&(stream.0, window))
-            .ok_or_else(|| format!("no arrangement for stream {stream} window {window}"))?;
-        arr.ring.clear();
-        for v in data.iter().take(window as usize).rev() {
-            arr.ring.push_back(*v);
+    /// Produces `n` items on stream `k` (the replay a restore runs),
+    /// refilling each ring of `k` from the stream's buffer when the
+    /// stream's clock reaches the ring's `maintained_to`. Every ring
+    /// therefore comes back holding what maintenance left in it, also
+    /// one that lags behind an outage. Rings maintained outside the
+    /// replayed span, or never, are left alone. Counter-free: a restore
+    /// must not re-charge maintenance the snapshotted run already paid.
+    pub fn replay<R: Rng + ?Sized>(
+        &mut self,
+        k: StreamId,
+        stream: &mut SimStream,
+        n: usize,
+        rng: &mut R,
+    ) {
+        let (start, end) = (stream.now(), stream.now() + n as u64);
+        let mut rings: Vec<&mut Arrangement> = self
+            .stream_range_mut(k)
+            .filter(|a| a.maintained_to > start && a.maintained_to <= end)
+            .collect();
+        rings.sort_by_key(|a| a.maintained_to);
+        for a in rings {
+            stream.advance_by((a.maintained_to - stream.now()) as usize, rng);
+            a.refill(stream);
         }
-        Ok(())
+        stream.advance_by((end - stream.now()) as usize, rng);
     }
 
     /// Restores persisted counters (snapshot restore).
@@ -427,178 +422,5 @@ impl ArrangementStore {
         self.arrangements
             .range_mut((k.0, 0)..=(k.0, u32::MAX))
             .map(|(_, a)| a)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const A: StreamId = StreamId(0);
-    const B: StreamId = StreamId(1);
-
-    /// Stream `k` as a pure function of time: item at timestamp t is
-    /// `t as f64`, so data checks read literally.
-    fn fetch_at(now: u64) -> impl FnOnce(usize) -> Option<Vec<f64>> {
-        move |n| Some((0..n as u64).map(|i| (now - i) as f64).collect())
-    }
-
-    fn store() -> ArrangementStore {
-        ArrangementStore::new(ArrangeConfig { grace: 2 })
-    }
-
-    /// A current read of the ring: `covers` counts the hit, and the
-    /// contents come back through `serve_stale` at age 0.
-    fn serve(s: &mut ArrangementStore, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
-        if !s.covers(k, now, window) {
-            return None;
-        }
-        let (data, age) = s
-            .serve_stale(k, now, window)
-            .expect("a covering ring is servable");
-        assert_eq!(age, 0, "a covering ring is current");
-        Some(data)
-    }
-
-    #[test]
-    fn cold_fill_then_incremental_maintenance() {
-        let mut s = store();
-        s.acquire(A, 4);
-        assert_eq!(
-            s.maintenance_need(A, 10),
-            4,
-            "cold ring needs a full window"
-        );
-        assert_eq!(s.maintain(A, 10, fetch_at(10)), 4);
-        assert_eq!(s.maintenance_need(A, 10), 0, "current ring needs nothing");
-        assert_eq!(s.maintain(A, 11, fetch_at(11)), 1, "one new item per tick");
-        assert_eq!(serve(&mut s, A, 11, 4), Some(vec![11.0, 10.0, 9.0, 8.0]));
-        assert_eq!(s.stats().maintained_items, 5);
-        assert_eq!(s.stats().hit_items, 4);
-    }
-
-    #[test]
-    fn serve_misses_stale_or_uncovered_reads() {
-        let mut s = store();
-        s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
-        assert_eq!(serve(&mut s, A, 11, 4), None, "stale by one tick");
-        assert_eq!(serve(&mut s, A, 10, 5), None, "window wider than the spec");
-        assert_eq!(serve(&mut s, B, 10, 1), None, "unknown stream");
-        assert_eq!(
-            serve(&mut s, A, 10, 3),
-            Some(vec![10.0, 9.0, 8.0]),
-            "narrower is fine"
-        );
-        assert_eq!(s.stats().hits, 1);
-    }
-
-    #[test]
-    fn one_fetch_maintains_every_arrangement_of_the_stream() {
-        let mut s = store();
-        s.acquire(A, 3);
-        s.acquire(A, 6);
-        assert_eq!(s.maintenance_need(A, 20), 6, "widest need wins");
-        assert_eq!(s.maintain(A, 20, fetch_at(20)), 6, "one physical fetch");
-        assert_eq!(serve(&mut s, A, 20, 3), Some(vec![20.0, 19.0, 18.0]));
-        assert_eq!(serve(&mut s, A, 20, 6).map(|d| d.len()), Some(6));
-        assert_eq!(
-            s.stats().maintained_items,
-            6,
-            "the narrow ring rode for free"
-        );
-    }
-
-    #[test]
-    fn gap_larger_than_window_rebuilds_the_ring() {
-        let mut s = store();
-        s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
-        // 90 ticks later: only the newest 4 items matter.
-        assert_eq!(s.maintenance_need(A, 100), 4);
-        s.maintain(A, 100, fetch_at(100));
-        assert_eq!(
-            serve(&mut s, A, 100, 4),
-            Some(vec![100.0, 99.0, 98.0, 97.0])
-        );
-    }
-
-    #[test]
-    fn refcounts_gate_eviction_through_the_grace_period() {
-        let mut s = store();
-        assert!(s.acquire(A, 4), "first acquire creates");
-        assert!(!s.acquire(A, 4), "second acquire only counts");
-        s.release(A, 4).unwrap();
-        s.begin_tick();
-        assert_eq!(s.len(), 1, "one reader left");
-        s.release(A, 4).unwrap();
-        // grace = 2: survives two more ticks, gone on the third.
-        s.begin_tick();
-        s.begin_tick();
-        assert_eq!(s.len(), 1, "in grace");
-        assert_eq!(s.begin_tick(), 1, "grace expired");
-        assert_eq!(s.len(), 0);
-        assert_eq!(s.stats().evictions, 1);
-        assert!(s.release(A, 4).is_err(), "evicted arrangements are gone");
-    }
-
-    #[test]
-    fn grace_arrangements_go_stale_for_free_and_catch_up_on_reacquire() {
-        let mut s = store();
-        s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
-        s.release(A, 4).unwrap();
-        s.begin_tick();
-        assert_eq!(s.maintenance_need(A, 11), 0, "no readers, no maintenance");
-        assert_eq!(s.maintain(A, 11, fetch_at(11)), 0);
-        s.acquire(A, 4);
-        assert_eq!(s.maintenance_need(A, 12), 2, "catches up the missed gap");
-        s.maintain(A, 12, fetch_at(12));
-        assert_eq!(serve(&mut s, A, 12, 4), Some(vec![12.0, 11.0, 10.0, 9.0]));
-    }
-
-    #[test]
-    fn release_balances_are_checked() {
-        let mut s = store();
-        assert!(s.release(A, 4).is_err(), "never acquired");
-        s.acquire(A, 4);
-        s.release(A, 4).unwrap();
-        assert!(s.release(A, 4).is_err(), "double release");
-    }
-
-    #[test]
-    fn restore_rebuilds_shells_and_refills_rings() {
-        let mut s = store();
-        s.restore_arrangement(A, 4, 2, 30, None).unwrap();
-        s.restore_arrangement(B, 2, 0, 25, Some(5)).unwrap();
-        s.restore_counters(7, 3, 12, 40, 1);
-        assert_eq!(s.clock(), 7);
-        assert_eq!(s.stats().hits, 3);
-        assert!(
-            s.restore_arrangement(A, 4, 1, 30, None).is_err(),
-            "duplicate key"
-        );
-        assert!(
-            s.restore_arrangement(A, 8, 1, 30, Some(2)).is_err(),
-            "readers and grace are exclusive"
-        );
-        // Refill one short of the window (the post-restore state when the
-        // stream buffer cannot reach one item past its capacity): serving
-        // waits until the next maintenance completes the ring.
-        s.refill(A, 4, &[30.0, 29.0, 28.0]).unwrap();
-        assert_eq!(serve(&mut s, A, 30, 4), None, "ring still one short");
-        assert_eq!(s.maintain(A, 31, fetch_at(31)), 1);
-        assert_eq!(serve(&mut s, A, 31, 4), Some(vec![31.0, 30.0, 29.0, 28.0]));
-    }
-
-    #[test]
-    fn store_equality_and_clone_cover_live_state() {
-        let mut s = store();
-        s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
-        let c = s.clone();
-        assert_eq!(s, c);
-        s.maintain(A, 11, fetch_at(11));
-        assert_ne!(s, c, "maintenance moves observable state");
     }
 }

@@ -15,6 +15,10 @@
 //! * `query` — DNF queries over concrete predicates, and their abstract
 //!   scheduling skeletons;
 //! * `energy` — the paper's linear per-item energy model;
+//! * `arrange` — persistent shared arrangements: the refcounted
+//!   [`ArrangementStore`] of maintained rings, fed straight from each
+//!   [`SimStream`]'s buffer and refilled on restore as the stream
+//!   replays;
 //! * `faults` — deterministic fault injection: a [`FaultSpec`] compiles
 //!   to a [`FaultPlan`], a pure function of `(stream, tick[, attempt])`
 //!   deciding outages and transient read failures, and a
@@ -30,6 +34,7 @@
 //! * `simulate` — the calibrate–schedule–measure pipeline.
 #![forbid(unsafe_code)]
 
+pub(crate) mod arrange;
 pub(crate) mod device;
 pub(crate) mod energy;
 pub(crate) mod faults;
@@ -41,10 +46,10 @@ pub(crate) mod source;
 pub mod stream;
 pub(crate) mod trace;
 
+pub use arrange::{ArrangeConfig, ArrangeStats, ArrangementStore};
 pub use device::{DeviceMemory, MemoryPolicy};
 pub use energy::EnergyModel;
 pub use faults::{FaultPlan, FaultSpec, FaultySource};
-pub use paotr_arrange::{ArrangeConfig, ArrangeStats, ArrangementStore};
 pub use predicate::{Comparator, Predicate, WindowOp};
 pub use query::{SimLeaf, SimQuery};
 pub use runtime::{gaussian_streams, EnergyMeter, QueryOutcome, Scheduler, Verdict};
@@ -53,8 +58,8 @@ pub use source::{SensorModel, SensorSource};
 pub use stream::SimStream;
 pub use trace::{LeafRecord, TraceLog};
 
-/// Tests of the fault schedule ([`faults`]) and of the view the
-/// scheduler reads through.
+/// Tests of the fault schedule ([`faults`]), of the view the scheduler
+/// reads through, and of the arrangement store ([`arrange`]).
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,5 +193,199 @@ mod tests {
             assert_eq!(refused.verdict, Verdict::Unknown);
             assert_eq!(refused.failed_reads, 1);
         }
+    }
+
+    // The arrangement store, maintained from and replayed on real
+    // streams: a ring's expected contents are its stream's own `recent`
+    // read at the ring's `maintained_to`.
+
+    const A: StreamId = StreamId(0);
+    const B: StreamId = StreamId(1);
+
+    /// A seeded Gaussian stream that retains 16 items, advanced to time
+    /// `now`, and the RNG that keeps producing its items.
+    fn stream_at(seed: u64, now: usize) -> (SimStream, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gaussian = SensorModel::Gaussian {
+            mean: 0.0,
+            std_dev: 1.0,
+        };
+        let mut stream = SimStream::new(SensorSource::new(gaussian), 16);
+        stream.advance_by(now, &mut rng);
+        (stream, rng)
+    }
+
+    fn store() -> ArrangementStore {
+        ArrangementStore::new(ArrangeConfig { grace: 2 })
+    }
+
+    /// A current read of the ring: `covers` counts the hit, and the
+    /// contents come back through `serve_stale` at age 0.
+    fn serve(s: &mut ArrangementStore, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
+        if !s.covers(k, now, window) {
+            return None;
+        }
+        let (data, age) = s
+            .serve_stale(k, now, window)
+            .expect("a covering ring is servable");
+        assert_eq!(age, 0, "a covering ring is current");
+        Some(data)
+    }
+
+    #[test]
+    fn cold_fill_then_incremental_maintenance() {
+        let (mut a, mut rng) = stream_at(1, 10);
+        let mut s = store();
+        s.acquire(A, 4);
+        assert_eq!(
+            s.maintenance_need(A, 10),
+            4,
+            "cold ring needs a full window"
+        );
+        assert_eq!(s.maintain(A, &a), 4);
+        assert_eq!(s.maintenance_need(A, 10), 0, "current ring needs nothing");
+        a.advance_by(1, &mut rng);
+        assert_eq!(s.maintain(A, &a), 1, "one new item per tick");
+        assert_eq!(serve(&mut s, A, 11, 4), a.recent(4));
+        assert_eq!(s.stats().maintained_items, 5);
+        assert_eq!(s.stats().hit_items, 4);
+    }
+
+    #[test]
+    fn serve_misses_stale_or_uncovered_reads() {
+        let (a, _) = stream_at(1, 10);
+        let mut s = store();
+        s.acquire(A, 4);
+        s.maintain(A, &a);
+        assert_eq!(serve(&mut s, A, 11, 4), None, "stale by one tick");
+        assert_eq!(serve(&mut s, A, 10, 5), None, "window wider than the spec");
+        assert_eq!(serve(&mut s, B, 10, 1), None, "unknown stream");
+        assert_eq!(serve(&mut s, A, 10, 3), a.recent(3), "narrower is fine");
+        assert_eq!(s.stats().hits, 1);
+    }
+
+    #[test]
+    fn one_fetch_maintains_every_arrangement_of_the_stream() {
+        let (a, _) = stream_at(1, 20);
+        let mut s = store();
+        s.acquire(A, 3);
+        s.acquire(A, 6);
+        assert_eq!(s.maintenance_need(A, 20), 6, "widest need wins");
+        assert_eq!(s.maintain(A, &a), 6, "one physical fetch");
+        assert_eq!(serve(&mut s, A, 20, 3), a.recent(3));
+        assert_eq!(serve(&mut s, A, 20, 6), a.recent(6));
+        assert_eq!(
+            s.stats().maintained_items,
+            6,
+            "the narrow ring rode for free"
+        );
+    }
+
+    #[test]
+    fn gap_larger_than_window_rebuilds_the_ring() {
+        let (mut a, mut rng) = stream_at(1, 10);
+        let mut s = store();
+        s.acquire(A, 4);
+        s.maintain(A, &a);
+        // 90 ticks later: only the newest 4 items matter.
+        a.advance_by(90, &mut rng);
+        assert_eq!(s.maintenance_need(A, 100), 4);
+        s.maintain(A, &a);
+        assert_eq!(serve(&mut s, A, 100, 4), a.recent(4));
+    }
+
+    #[test]
+    fn refcounts_gate_eviction_through_the_grace_period() {
+        let mut s = store();
+        assert!(s.acquire(A, 4), "first acquire creates");
+        assert!(!s.acquire(A, 4), "second acquire only counts");
+        s.release(A, 4).unwrap();
+        s.begin_tick();
+        assert_eq!(s.stats().arrangements, 1, "one reader left");
+        s.release(A, 4).unwrap();
+        // grace = 2: survives two more ticks, gone on the third.
+        s.begin_tick();
+        s.begin_tick();
+        assert_eq!(s.stats().arrangements, 1, "in grace");
+        assert_eq!(s.begin_tick(), 1, "grace expired");
+        assert_eq!(s.stats().arrangements, 0);
+        assert_eq!(s.stats().evictions, 1);
+        assert!(s.release(A, 4).is_err(), "evicted arrangements are gone");
+    }
+
+    #[test]
+    fn grace_arrangements_go_stale_for_free_and_catch_up_on_reacquire() {
+        let (mut a, mut rng) = stream_at(1, 10);
+        let mut s = store();
+        s.acquire(A, 4);
+        s.maintain(A, &a);
+        s.release(A, 4).unwrap();
+        s.begin_tick();
+        a.advance_by(1, &mut rng);
+        assert_eq!(s.maintenance_need(A, 11), 0, "no readers, no maintenance");
+        assert_eq!(s.maintain(A, &a), 0);
+        s.acquire(A, 4);
+        a.advance_by(1, &mut rng);
+        assert_eq!(s.maintenance_need(A, 12), 2, "catches up the missed gap");
+        s.maintain(A, &a);
+        assert_eq!(serve(&mut s, A, 12, 4), a.recent(4));
+    }
+
+    #[test]
+    fn release_balances_are_checked() {
+        let mut s = store();
+        assert!(s.release(A, 4).is_err(), "never acquired");
+        s.acquire(A, 4);
+        s.release(A, 4).unwrap();
+        assert!(s.release(A, 4).is_err(), "double release");
+    }
+
+    #[test]
+    fn restore_rebuilds_shells_and_refills_rings() {
+        let mut s = store();
+        s.restore_arrangement(A, 4, 2, 30, None).unwrap();
+        s.restore_arrangement(B, 2, 0, 12, Some(5)).unwrap();
+        s.restore_counters(7, 3, 12, 40, 1);
+        assert_eq!(s.clock(), 7);
+        assert_eq!(s.stats().hits, 3);
+        assert!(
+            s.restore_arrangement(A, 4, 1, 30, None).is_err(),
+            "duplicate key"
+        );
+        assert!(
+            s.restore_arrangement(A, 8, 1, 30, Some(2)).is_err(),
+            "readers and grace are exclusive"
+        );
+        // Replay both streams to time 30. A's ring refills at 30. B's
+        // lags 18 ticks behind (as behind an outage) and refills at 12,
+        // although by time 30 the stream's 16-item buffer starts at 15.
+        let (mut a, mut rng) = stream_at(1, 0);
+        s.replay(A, &mut a, 30, &mut rng);
+        let (mut b, mut rng_b) = stream_at(2, 0);
+        s.replay(B, &mut b, 30, &mut rng_b);
+        assert_eq!((a.now(), b.now()), (30, 30));
+        assert_eq!(serve(&mut s, A, 30, 4), a.recent(4));
+        let (b_at_12, _) = stream_at(2, 12);
+        assert_eq!(
+            s.serve_stale(B, 30, 2),
+            Some((b_at_12.recent(2).unwrap(), 18))
+        );
+        assert_eq!(s.stats().maintained_items, 40, "replay is counter-free");
+        a.advance_by(1, &mut rng);
+        assert_eq!(s.maintain(A, &a), 1);
+        assert_eq!(serve(&mut s, A, 31, 4), a.recent(4));
+    }
+
+    #[test]
+    fn store_equality_and_clone_cover_live_state() {
+        let (mut a, mut rng) = stream_at(1, 10);
+        let mut s = store();
+        s.acquire(A, 4);
+        s.maintain(A, &a);
+        let c = s.clone();
+        assert_eq!(s, c);
+        a.advance_by(1, &mut rng);
+        s.maintain(A, &a);
+        assert_ne!(s, c, "maintenance moves observable state");
     }
 }

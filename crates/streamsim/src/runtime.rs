@@ -23,6 +23,7 @@
 //! serving-layer features — admission control, drift re-planning —
 //! safe to build: they observe the same energies the planners predict.
 
+use crate::arrange::ArrangementStore;
 use crate::device::{DeviceMemory, MemoryPolicy};
 use crate::energy::EnergyModel;
 use crate::faults::FaultySource;
@@ -30,7 +31,6 @@ use crate::query::SimQuery;
 use crate::source::{SensorModel, SensorSource};
 use crate::stream::SimStream;
 use crate::trace::{LeafRecord, TraceLog};
-use paotr_arrange::ArrangementStore;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamId;
 use rand::Rng;
@@ -252,7 +252,7 @@ impl Scheduler {
             if src.plan.is_out(k, now) {
                 continue;
             }
-            let fetched = store.maintain(k, now, |n| stream.recent(n));
+            let fetched = store.maintain(k, stream);
             if fetched > 0 {
                 meter.charge_maintenance(k, fetched);
             }
@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn arranged_scheduler_serves_pulls_from_maintained_rings() {
-        use paotr_arrange::{ArrangeConfig, ArrangementStore};
+        use crate::arrange::{ArrangeConfig, ArrangementStore};
 
         let query = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn unarranged_streams_fall_back_to_priced_pulls() {
-        use paotr_arrange::{ArrangeConfig, ArrangementStore};
+        use crate::arrange::{ArrangeConfig, ArrangementStore};
 
         // Arrangement only covers a 4-item window; the query needs 8.
         let query = SimQuery::new(vec![vec![leaf(0, 8, 70.0)]]).unwrap();
@@ -845,7 +845,7 @@ mod tests {
 
     #[test]
     fn stale_fallback_resolves_outages_with_a_degraded_verdict() {
-        use paotr_arrange::{ArrangeConfig, ArrangementStore};
+        use crate::arrange::{ArrangeConfig, ArrangementStore};
 
         let query = SimQuery::new(vec![vec![leaf(0, 4, 70.0)]]).unwrap();
         let schedule = DnfSchedule::from_order_unchecked(query.leaf_refs());
@@ -880,7 +880,7 @@ mod tests {
 
     #[test]
     fn attach_and_take_move_the_store_between_schedulers() {
-        use paotr_arrange::{ArrangeConfig, ArrangementStore};
+        use crate::arrange::{ArrangeConfig, ArrangementStore};
 
         let mut store = ArrangementStore::new(ArrangeConfig::default());
         assert!(store.acquire(StreamId(0), 3));
@@ -889,9 +889,9 @@ mod tests {
         assert!(sched.arrangements().is_none());
         sched.attach_arrangements(store);
         assert!(sched.arrangements().is_some());
-        assert_eq!(sched.arrangements().unwrap().len(), 1);
+        assert_eq!(sched.arrangements().unwrap().stats().arrangements, 1);
         let back = sched.take_arrangements().expect("store comes back");
-        assert_eq!(back.len(), 1);
+        assert_eq!(back.stats().arrangements, 1);
         assert_eq!(sched.policy, MemoryPolicy::ClearEachQuery);
         assert!(sched.arrangements().is_none());
 

@@ -80,6 +80,14 @@ impl SimStream {
         Some(self.history.iter().rev().take(n).copied().collect())
     }
 
+    /// The last `n` items (all of them when fewer exist), *oldest*
+    /// first, borrowed from the buffer: what an arrangement ring
+    /// appends.
+    pub(crate) fn tail(&self, n: usize) -> impl Iterator<Item = f64> + '_ {
+        let skip = self.history.len().saturating_sub(n);
+        self.history.range(skip..).copied()
+    }
+
     /// The most recent item, if any.
     pub fn latest(&self) -> Option<f64> {
         self.history.back().copied()

@@ -1,7 +1,6 @@
 //! Facade crate re-exporting the PAOTR workspace public API.
 
 #![forbid(unsafe_code)]
-pub use paotr_arrange as arrange;
 pub use paotr_core as core;
 pub use paotr_exec as exec;
 pub use paotr_gen as gen;
